@@ -25,7 +25,7 @@ from .geom import (
     jacobian_bracket_matrix,
     leaves_check,
     milnor_breakdown,
-    milnor_number,
+    milnor_from_chain,
     rank_strata,
     tjurina,
 )
@@ -40,6 +40,7 @@ from .vfields import (
     hamiltonian_from_bracket,
     hamiltonian_family_top,
     incompressibility_truncated,
+    jacobi_bracket,
     jacobi_hamiltonian,
     top_polyvector_field,
 )
@@ -204,6 +205,14 @@ def _series_json(series):
     return out
 
 
+def _stratum_json(stratum):
+    return {
+        "rank": stratum.rank,
+        "ideal": [str(g) for g in stratum.ideal.elements],
+        "dimension": stratum.dimension,
+    }
+
+
 def _default_degree(X: Variety, flags, options: dict) -> int:
     """Truncation default: socle degree of the closed form plus 3 when
     available, else 6."""
@@ -260,11 +269,12 @@ def run(command: str, doc: InputDocument, flags) -> dict:
 
     X = _variety(doc, order)
     if command == "milnor":
-        mu = milnor_number(X)
+        lengths = milnor_breakdown(X)
+        mu = milnor_from_chain(lengths)
         result["mu"] = _fmt_dim(mu)
-        result["chain_colengths"] = [_fmt_dim(c) for c in milnor_breakdown(X)]
+        result["chain_colengths"] = [_fmt_dim(c) for c in lengths]
         if mu == INFINITE:
-            offenders = [i + 1 for i, c in enumerate(milnor_breakdown(X)) if c == INFINITE]
+            offenders = [i + 1 for i, c in enumerate(lengths) if c == INFINITE]
             result["offending_chain_index"] = offenders[0]
             text.append(f"mu = infinite (chain ideal J_{offenders[0]} has infinite colength)")
         else:
@@ -309,34 +319,20 @@ def run(command: str, doc: InputDocument, flags) -> dict:
         text.append(str(rep))
     elif command == "strata":
         strata = rank_strata(X, bracket_depth=flags.bracket_depth)
-        result["strata"] = [
-            {
-                "rank": s.rank,
-                "ideal": [str(g) for g in s.ideal.elements],
-                "dimension": s.dimension,
-            }
-            for s in strata
-        ]
+        result["strata"] = [_stratum_json(s) for s in strata]
         for s in strata:
             gens = ", ".join(str(g) for g in s.ideal.elements) or "0"
             text.append(f"rank <= {s.rank}: ideal ({gens}), dimension {s.dimension}")
     elif command == "leaves":
         rep = leaves_check(X, bracket_depth=flags.bracket_depth)
         result["passed"] = rep.passed
-        result["strata"] = [
-            {"rank": s.rank, "ideal": [str(g) for g in s.ideal.elements], "dimension": s.dimension}
-            for s in rep.strata
-        ]
+        result["strata"] = [_stratum_json(s) for s in rep.strata]
         if rep.passed:
             text.append("PASS: every rank stratum has dimension at most its rank")
         else:
             w = rep.witness
             gens = ", ".join(str(g) for g in w.ideal.elements) or "0"
-            result["witness"] = {
-                "rank": w.rank,
-                "ideal": [str(g) for g in w.ideal.elements],
-                "dimension": w.dimension,
-            }
+            result["witness"] = _stratum_json(w)
             text.append(f"FAIL: stratum i={w.rank} ideal ({gens}) has dimension {w.dimension} > {w.rank}")
     elif command == "degenerate":
         rep = degenerate_locus(X)
@@ -356,8 +352,6 @@ def run(command: str, doc: InputDocument, flags) -> dict:
             matrix = [list(r) for r in X.structure.matrix]
             value = hamiltonian_from_bracket(f, matrix).apply(g)
         elif isinstance(X.structure, JacobiStructure):
-            from .vfields import jacobi_bracket
-
             value = jacobi_bracket(f, g, X.structure)
         else:
             matrix = jacobian_bracket_matrix(X)

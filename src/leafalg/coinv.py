@@ -13,13 +13,17 @@ any generator of weight above w cannot map anything into weight w.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import linalg
 from .errors import DomainError, InputError
 from .geom import Variety, hp0_series
 from .groebner import monomial_basis, normal_form
-from .vfields import VectorField, hamiltonian_family_top, top_polyvector_field
+from .vfields import (
+    VectorField,
+    derivations_up_to_degree,
+    hamiltonian_family_top,
+    top_polyvector_field,
+)
 
 
 @dataclass
@@ -51,8 +55,6 @@ def _resolve_family(X: Variety, family, max_degree: int):
             form_cap = max_degree - shift
             return hamiltonian_family_top(X, max(form_cap, 0)), "hamiltonian-top"
         if family == "derivations":
-            from .vfields import derivations_up_to_degree
-
             table = derivations_up_to_degree(X.groebner(), max_degree)
             fields = [xi for _, fs in sorted(table.items()) for xi in fs]
             return fields, "derivations"
@@ -62,6 +64,22 @@ def _resolve_family(X: Variety, family, max_degree: int):
         if not isinstance(xi, VectorField):
             raise InputError("explicit family must be a list of vector fields")
     return fields, "explicit"
+
+
+def graded_family(X: Variety, family, max_degree: int) -> tuple[dict[int, list[VectorField]], str]:
+    """The nonzero fields of a family grouped by weight, and the family's
+    label.  ``family`` is 'hamiltonian-top', 'derivations', or an
+    explicit list of weight-homogeneous vector fields."""
+    fields, label = _resolve_family(X, family, max_degree)
+    graded: dict[int, list[VectorField]] = {}
+    for xi in fields:
+        if xi.is_zero():
+            continue
+        w = xi.weight()
+        if w is None:
+            raise DomainError(f"family member {xi} is not weight-homogeneous")
+        graded.setdefault(w, []).append(xi)
+    return graded, label
 
 
 def coinvariants_truncated(X: Variety, family, max_degree: int) -> CoinvariantTable:
@@ -76,16 +94,7 @@ def coinvariants_truncated(X: Variety, family, max_degree: int) -> CoinvariantTa
         raise DomainError("coinvariants need a weighted-homogeneous ideal")
     if X.ring.has_zero_weights:
         raise DomainError("coinvariants need strictly positive weights")
-    fields, label = _resolve_family(X, family, max_degree)
-    graded: dict[int, list[VectorField]] = {}
-    for xi in fields:
-        if xi.is_zero():
-            continue
-        w = xi.weight()
-        if w is None:
-            raise DomainError(f"family member {xi} is not weight-homogeneous")
-        graded.setdefault(w, []).append(xi)
-
+    graded, label = graded_family(X, family, max_degree)
     gb = X.groebner()
     dims: dict[int, int] = {}
     for w in range(0, max_degree + 1):
@@ -93,23 +102,15 @@ def coinvariants_truncated(X: Variety, family, max_degree: int) -> CoinvariantTa
         if not basis:
             dims[w] = 0
             continue
-        pos = {m: i for i, m in enumerate(basis)}
-        rows = []
+        images = []
         for fw, fs in graded.items():
-            bw = w - fw
-            if bw < 0:
+            if fw > w:
                 continue
-            sources = monomial_basis(gb, bw)
-            for xi in fs:
-                for mono in sources:
-                    image = normal_form(xi.apply(X.ring.monomial(mono)), gb)
-                    if image.is_zero():
-                        continue
-                    row = [Fraction(0)] * len(basis)
-                    for m, c in image.terms.items():
-                        row[pos[m]] = c
-                    rows.append(row)
-        dims[w] = len(basis) - linalg.rank(rows)
+            sources = monomial_basis(gb, w - fw)
+            images += [
+                normal_form(xi.apply(X.ring.monomial(m)), gb).terms for xi in fs for m in sources
+            ]
+        dims[w] = len(basis) - linalg.span_rank(images)
     return CoinvariantTable(dimensions=dims, family=label, truncation=max_degree)
 
 

@@ -34,6 +34,7 @@ from .vfields import (
     DifferentialForm,
     JacobiStructure,
     _differential_product,
+    check_skew,
     lie_closure,
     top_pairing,
 )
@@ -59,12 +60,7 @@ class BracketStructure:
         n = len(m)
         if any(len(row) != n for row in m):
             raise InputError("bracket matrix must be square")
-        for i in range(n):
-            if not m[i][i].is_zero():
-                raise InputError("bracket matrix must have zero diagonal")
-            for j in range(i + 1, n):
-                if m[i][j] != -m[j][i]:
-                    raise InputError("bracket matrix must be skew-symmetric")
+        check_skew(m)
 
 
 @dataclass(frozen=True)
@@ -158,15 +154,20 @@ def milnor_breakdown(X: Variety, cap: int = 64) -> list:
     ]
 
 
-def milnor_number(X: Variety, cap: int = 64):
-    """Milnor number at the origin: the alternating sum of the chain
-    colengths.  Returns INFINITE when some chain ideal has infinite
-    colength (a non-isolated singularity along the flag)."""
-    lengths = milnor_breakdown(X, cap=cap)
+def milnor_from_chain(lengths: list):
+    """The alternating sum of the chain colengths (those of
+    ``milnor_breakdown``), or INFINITE when some colength is."""
     if any(c == INFINITE for c in lengths):
         return INFINITE
     k = len(lengths)
     return sum((-1) ** (k - i) * c for i, c in enumerate(lengths, start=1))
+
+
+def milnor_number(X: Variety, cap: int = 64):
+    """Milnor number at the origin: the alternating sum of the chain
+    colengths.  Returns INFINITE when some chain ideal has infinite
+    colength (a non-isolated singularity along the flag)."""
+    return milnor_from_chain(milnor_breakdown(X, cap=cap))
 
 
 @dataclass
@@ -192,8 +193,7 @@ def tjurina(X: Variety, cap: int = 64) -> SingularityReport:
         raise DomainError(
             f"non-isolated singularity: chain ideal J_{offenders[0]} has infinite colength"
         )
-    k = len(lengths)
-    mu = sum((-1) ** (k - i) * c for i, c in enumerate(lengths, start=1))
+    mu = milnor_from_chain(lengths)
     sing_gb = buchberger(_singularity_ring_gens(X), X.order, ring=X.ring)
     tau = colength_local(sing_gb, cap=cap)
     if tau == INFINITE:

@@ -1,8 +1,16 @@
-"""Exact Gaussian elimination over the rationals.
+"""Exact linear algebra over the rationals.
 
-Rows are lists of Fractions.  Pivoting is deterministic (first nonzero
-column, rows in given order), so every caller gets reproducible spans,
-ranks, and nullspace bases.
+Callers hand in sparse vectors, dicts from any sortable key to a
+Fraction (zero entries and empty vectors are allowed), and ask for the
+rank of their span (``span_rank``) or for the linear relations among
+them (``relations``).  Only this module turns vectors into matrices: the
+keys in use become the sorted columns (or rows) of a dense matrix over
+one shared zero, so how matrices are laid out and reduced is decided
+here alone.
+
+Underneath is Gaussian elimination on dense rows of Fractions.
+Pivoting is deterministic (first nonzero column, rows in given order),
+so every caller gets reproducible ranks and relation bases.
 """
 
 from __future__ import annotations
@@ -59,7 +67,24 @@ def nullspace(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
     return basis
 
 
-def in_span(rows: list[list[Fraction]], vec: list[Fraction]) -> bool:
-    """True iff vec lies in the row span of rows."""
-    base = rank(rows)
-    return rank(rows + [vec]) == base
+def _matrix(vectors) -> list[list[Fraction]]:
+    """One dense row per vector, over the sorted keys of their nonzero
+    entries, all missing entries sharing a single zero."""
+    keys = sorted({k for v in vectors for k, c in v.items() if c})
+    zero = Fraction(0)
+    return [[v.get(k, zero) for k in keys] for v in vectors]
+
+
+def span_rank(vectors) -> int:
+    """Rank of the span of the sparse vectors."""
+    return rank([row for row in _matrix(vectors) if any(row)])
+
+
+def relations(vectors) -> list[list[Fraction]]:
+    """Basis of the coefficient tuples c with sum_a c[a] * vectors[a] = 0.
+
+    The matrix has one column per vector, in the given order, and one
+    row per key of the support, sorted; the basis is the one read off
+    its reduced row echelon form.
+    """
+    return nullspace([list(col) for col in zip(*_matrix(vectors))], len(vectors))

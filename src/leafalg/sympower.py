@@ -17,13 +17,12 @@ defining equation; d = 0 gives the uncorrected series.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from . import linalg
 from .errors import DomainError, InputError
 from .geom import Variety, hp0_series
+from .coinv import graded_family
 from .groebner import monomial_basis, normal_form
-from .coinv import _resolve_family
 
 
 class BigradedSeries:
@@ -152,25 +151,16 @@ def brute_sym2_coinvariants(X: Variety, max_degree: int, family="hamiltonian-top
         raise DomainError("second symmetric power oracle needs a weighted-homogeneous ideal")
     if X.ideal_gens and hp0_series(X).socle_degree() > 6:
         raise DomainError("size guard: socle degree above 6")
-    fields, _ = _resolve_family(X, family, max_degree)
-    graded: dict[int, list] = {}
-    for xi in fields:
-        if xi.is_zero():
-            continue
-        w = xi.weight()
-        if w is None:
-            raise DomainError("family must be weight-homogeneous")
-        graded.setdefault(w, []).append(xi)
-
+    graded, _ = graded_family(X, family, max_degree)
     gb = X.groebner()
     ring = X.ring
     monos = {d: monomial_basis(gb, d) for d in range(0, max_degree + 1)}
-    images = {}  # (field index, monomial) -> normal form of the image
-    flat = [xi for _, fs in sorted(graded.items()) for xi in fs]
-    for fi, xi in enumerate(flat):
-        for d, ms in monos.items():
-            for m in ms:
-                images[(fi, m)] = normal_form(xi.apply(ring.monomial(m)), gb)
+    # (field weight, {monomial: normal form of the field's image})
+    images = [
+        (fw, {m: normal_form(xi.apply(ring.monomial(m)), gb) for ms in monos.values() for m in ms})
+        for fw, fs in sorted(graded.items())
+        for xi in fs
+    ]
 
     def canonical(ma, mb):
         ka = (ring.weighted_degree(ma), ma)
@@ -184,12 +174,13 @@ def brute_sym2_coinvariants(X: Variety, max_degree: int, family="hamiltonian-top
             for a in monos.get(da, []):
                 for b in monos.get(db, []):
                     out.add(canonical(a, b))
-        return sorted(out)
+        return out
 
-    def add_product(row, index, poly_a, poly_b):
+    def add_product(row, poly_a, poly_b):
         for ma, ca in poly_a.terms.items():
             for mb, cb in poly_b.terms.items():
-                row[index[canonical(ma, mb)]] += ca * cb
+                key = canonical(ma, mb)
+                row[key] = row.get(key, 0) + ca * cb
 
     dims: dict[int, int] = {}
     for w in range(0, max_degree + 1):
@@ -197,23 +188,16 @@ def brute_sym2_coinvariants(X: Variety, max_degree: int, family="hamiltonian-top
         if not pairs:
             dims[w] = 0
             continue
-        index = {p: i for i, p in enumerate(pairs)}
         rows = []
-        for fi, xi in enumerate(flat):
-            fw = xi.weight()
+        for fw, image in images:
             bw = w - fw
-            if bw < 0:
-                continue
-            for da in range(0, bw + 1):
-                db = bw - da
-                if da > db:
-                    continue
+            # unordered pairs of source weights da <= db = bw - da
+            for da in range(0, bw // 2 + 1):
                 for a in monos.get(da, []):
-                    for b in monos.get(db, []):
-                        row = [Fraction(0)] * len(pairs)
-                        add_product(row, index, images[(fi, a)], ring.monomial(b))
-                        add_product(row, index, ring.monomial(a), images[(fi, b)])
-                        if any(v != 0 for v in row):
-                            rows.append(row)
-        dims[w] = len(pairs) - linalg.rank(rows)
+                    for b in monos.get(bw - da, []):
+                        row = {}
+                        add_product(row, image[a], ring.monomial(b))
+                        add_product(row, ring.monomial(a), image[b])
+                        rows.append(row)
+        dims[w] = len(pairs) - linalg.span_rank(rows)
     return dims

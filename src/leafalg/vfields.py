@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import linalg
 from .errors import DomainError, InputError
@@ -386,9 +385,16 @@ def hamiltonian_from_bracket(f: Polynomial, matrix) -> VectorField:
     return VectorField(ring, coeffs)
 
 
-def bracket_of(f: Polynomial, g: Polynomial, matrix) -> Polynomial:
-    """{f, g} for a bracket matrix with entries {x_i, x_j}."""
-    return hamiltonian_from_bracket(f, matrix).apply(g)
+def check_skew(matrix) -> None:
+    """Reject a square bracket matrix unless it has zero diagonal and is
+    skew-symmetric."""
+    n = len(matrix)
+    for i in range(n):
+        if not matrix[i][i].is_zero():
+            raise InputError("bracket matrix must have zero diagonal")
+        for j in range(i + 1, n):
+            if matrix[i][j] != -matrix[j][i]:
+                raise InputError("bracket matrix must be skew-symmetric")
 
 
 @dataclass(frozen=True)
@@ -405,12 +411,7 @@ class JacobiStructure:
         m = self.matrix
         if len(m) != n or any(len(row) != n for row in m):
             raise InputError("bracket matrix must be square of the ring arity")
-        for i in range(n):
-            if not m[i][i].is_zero():
-                raise InputError("bracket matrix must have zero diagonal")
-            for j in range(i + 1, n):
-                if m[i][j] != -m[j][i]:
-                    raise InputError("bracket matrix must be skew-symmetric")
+        check_skew(m)
         if self.u.ring != self.ring:
             raise InputError("u lives in a different ring")
 
@@ -560,25 +561,18 @@ def lie_closure(fields: list[VectorField], depth: int = 2) -> list[VectorField]:
     return current
 
 
-def _field_vector(field: VectorField, support, pos):
-    row = [Fraction(0)] * len(support)
-    for i, c in enumerate(field.coefficients):
-        for m, v in c.terms.items():
-            row[pos[(i, m)]] = v
-    return row
+def _stack(polys) -> dict:
+    """One sparse vector from a tuple of polynomials, keyed by (slot, monomial)."""
+    return {(j, m): c for j, p in enumerate(polys) for m, c in p.terms.items()}
 
 
 def _extend_independent(current: list[VectorField], candidate: VectorField) -> list[VectorField]:
+    """Append the candidate unless it lies in the span of ``current``,
+    which is linearly independent."""
     fields = current + [candidate]
-    support = sorted(
-        {(i, m) for f in fields for i, c in enumerate(f.coefficients) for m in c.terms}
-    )
-    pos = {k: i for i, k in enumerate(support)}
-    rows = [_field_vector(f, support, pos) for f in current]
-    cand = _field_vector(candidate, support, pos)
-    if linalg.in_span(rows, cand):
-        return current
-    return fields
+    if linalg.span_rank([_stack(f.coefficients) for f in fields]) > len(current):
+        return fields
+    return current
 
 
 # -- truncated solvers -------------------------------------------------
@@ -614,27 +608,13 @@ def derivations_up_to_degree(
         for i, mono in candidates:
             factor = ring.monomial(mono)
             images.append(
-                [
+                _stack(
                     normal_form(factor * g.partial_derivative(ring.variables[i]), gb)
                     for g in gb.elements
-                ]
+                )
             )
-        # constraint rows: one per (generator, residual monomial)
-        support = sorted(
-            {(j, m) for img in images for j, p in enumerate(img) for m in p.terms}
-        )
-        pos = {k: idx for idx, k in enumerate(support)}
-        cols = []
-        for img in images:
-            col = [Fraction(0)] * len(support)
-            for j, p in enumerate(img):
-                for m, c in p.terms.items():
-                    col[pos[(j, m)]] = c
-            cols.append(col)
-        rows = [[cols[a][b] for a in range(len(cols))] for b in range(len(support))]
-        basis = linalg.nullspace(rows, len(candidates))
         fields = []
-        for vec in basis:
+        for vec in linalg.relations(images):
             coeffs = [ring.zero()] * ring.arity
             for (i, mono), c in zip(candidates, vec):
                 if c != 0:
@@ -714,19 +694,8 @@ def incompressibility_truncated(
         images = []
         for fi, mono in slots:
             factor = ring.monomial(mono)
-            images.append(
-                [normal_form(factor * c, gb) for c in fields[fi].coefficients]
-            )
-        support = sorted({(j, m) for img in images for j, p in enumerate(img) for m in p.terms})
-        pos = {k: i for i, k in enumerate(support)}
-        rows = []
-        for b in range(len(support)):
-            rows.append([Fraction(0)] * len(slots))
-        for a, img in enumerate(images):
-            for j, p in enumerate(img):
-                for m, c in p.terms.items():
-                    rows[pos[(j, m)]][a] = c
-        for vec in linalg.nullspace(rows, len(slots)):
+            images.append(_stack(normal_form(factor * c, gb) for c in fields[fi].coefficients))
+        for vec in linalg.relations(images):
             residue = ring.zero()
             witness = [ring.zero()] * len(fields)
             for (fi, mono), c in zip(slots, vec):

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from leafalg import cli, geom
 from leafalg.cli import build_parser, load_input, main, render_report, run
 from leafalg.errors import InputError
 
@@ -84,6 +85,25 @@ def test_load_rejects_unknown_kind(tmp_path):
 def test_milnor_text(tmp_path):
     _, payload, _ = invoke(tmp_path, FERMAT, "milnor")
     assert payload["text"] == ["mu = 8"]
+
+
+def test_milnor_computes_chain_colengths_once(tmp_path, monkeypatch):
+    calls = []
+    breakdown = geom.milnor_breakdown
+
+    def counted(X, *args, **kwargs):
+        calls.append(X)
+        return breakdown(X, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "milnor_breakdown", counted)
+    monkeypatch.setattr(geom, "milnor_breakdown", counted)
+    quadrics = {
+        "ring": {"vars": ["x", "y", "z", "w"], "weights": [1, 1, 1, 1]},
+        "ideal": ["x^2 + y^2 + z^2", "x^2 + 2*y^2 + 3*z^2"],
+    }
+    _, payload, _ = invoke(tmp_path, quadrics, "milnor")
+    assert payload["text"] == ["mu = infinite (chain ideal J_1 has infinite colength)"]
+    assert len(calls) == 1
 
 
 def test_bracket_text(tmp_path):

@@ -78,6 +78,11 @@ class InputDocument:
     path: str
 
 
+def _is_int(value) -> bool:
+    """A JSON integer; ``bool`` is an ``int`` subclass but not one."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _fail(path: str, message: str):
     raise InputError(f"{path}: {message}")
 
@@ -134,7 +139,7 @@ def load_input(path: str) -> InputDocument:
     if weights is None:
         weights = [1] * len(var_names)
         warnings.append("ring.weights missing: defaulted to all 1")
-    if not isinstance(weights, list) or not all(isinstance(w, int) for w in weights):
+    if not isinstance(weights, list) or not all(_is_int(w) for w in weights):
         _fail("ring.weights", "expected a list of integers")
     if len(weights) != len(var_names):
         _fail("ring.weights", "length must match ring.vars")
@@ -183,6 +188,8 @@ def load_input(path: str) -> InputDocument:
     options = raw.get("options", {})
     if not isinstance(options, dict):
         _fail("options", "expected an object")
+    if "max_degree" in options and not (_is_int(options["max_degree"]) and options["max_degree"] >= 0):
+        _fail("options.max_degree", "expected a non-negative integer")
     return InputDocument(ring, ideal, structure, options, warnings, path)
 
 
@@ -219,7 +226,7 @@ def _default_degree(X: Variety, flags, options: dict) -> int:
     if flags.max_degree is not None:
         return flags.max_degree
     if "max_degree" in options:
-        return int(options["max_degree"])
+        return options["max_degree"]
     try:
         return max(hp0_series(X).socle_degree(), 0) + 3
     except (DomainError, InputError):
@@ -456,6 +463,13 @@ def run(command: str, doc: InputDocument, flags) -> dict:
     return {"result": result, "text": text}
 
 
+def _count(text: str) -> int:
+    """Argument type of the degree, depth, cap and margin flags."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="leafalg",
@@ -465,11 +479,11 @@ def build_parser() -> argparse.ArgumentParser:
     for name in COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("-i", "--input", required=True, help="input JSON document")
-        p.add_argument("--max-degree", type=int, default=None, dest="max_degree")
+        p.add_argument("--max-degree", type=_count, default=None, dest="max_degree")
         p.add_argument("--format", choices=("text", "json"), default="text")
         p.add_argument("--order", choices=("wgrevlex", "lex"), default="wgrevlex")
-        p.add_argument("--bracket-depth", type=int, default=2, dest="bracket_depth")
-        p.add_argument("--zero-weight-cap", type=int, default=None, dest="zero_weight_cap")
+        p.add_argument("--bracket-depth", type=_count, default=2, dest="bracket_depth")
+        p.add_argument("--zero-weight-cap", type=_count, default=None, dest="zero_weight_cap")
         p.add_argument("-f", dest="poly", default=None, help="polynomial argument")
         p.add_argument("-g", dest="second", default=None, help="second polynomial argument")
         p.add_argument(
@@ -477,7 +491,7 @@ def build_parser() -> argparse.ArgumentParser:
             choices=("hamiltonian-top", "derivations"),
             default="hamiltonian-top",
         )
-        p.add_argument("--margin", type=int, default=2)
+        p.add_argument("--margin", type=_count, default=2)
     return parser
 
 

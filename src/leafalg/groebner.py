@@ -6,6 +6,14 @@ lexicographically on the ring's variable order.  Rings with zero-weight
 variables get an extra total-degree comparison between the two so that
 the order stays a well-order (1 must be the unique minimum).
 
+``buchberger`` keeps its S-pairs in a heap keyed once, when each pair is
+created, by (weighted degree of the lcm, order key of the lcm, (i, j)).
+Keys never change and pairs leave only when popped, so the heap picks
+the same pair as a full rescan of the queue would, at every step.
+Leading terms are computed once per element, both while the basis grows
+and in a finished ``GroebnerBasis``; reduction takes the next term from a
+max-heap of pending monomials.
+
 The derived invariants: normal forms and ideal membership, local
 colength at the origin (by stabilizing the quotient modulo powers of
 the maximal ideal), Krull dimension (independent variable sets of the
@@ -16,6 +24,7 @@ monomial bases.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 from fractions import Fraction
@@ -86,21 +95,23 @@ class GroebnerBasis:
     divisible by another element's leading monomial, sorted by leading
     monomial.  Unique for a given ideal and order."""
 
-    __slots__ = ("ring", "order", "elements", "reduced", "_key", "_leading")
+    __slots__ = ("ring", "order", "elements", "reduced", "_key", "_leads")
 
     def __init__(self, ring: PolyRing, order: MonomialOrder, elements: list[Polynomial]):
         self.ring = ring
         self.order = order
-        self._key = order.key(ring)
-        self.elements = sorted(elements, key=lambda p: self._key(leading_monomial(p, self._key)))
+        self._key = key = order.key(ring)
+        ranked = sorted(((leading_term(p, key), p) for p in elements), key=lambda t: key(t[0][0]))
+        self.elements = [p for _, p in ranked]
         self.reduced = True
-        self._leading = [leading_monomial(g, self._key) for g in self.elements]
+        # (leading monomial, leading coefficient) per element, for normal_form
+        self._leads = [lt for lt, _ in ranked]
 
     def leading_monomials(self) -> list[Monomial]:
-        return list(self._leading)
+        return [lm for lm, _ in self._leads]
 
     def is_unit_ideal(self) -> bool:
-        return any(sum(m) == 0 for m in self._leading)
+        return any(sum(lm) == 0 for lm, _ in self._leads)
 
     def is_zero_ideal(self) -> bool:
         return not self.elements
@@ -123,13 +134,38 @@ class GroebnerBasis:
         return f"GroebnerBasis[{'; '.join(str(g) for g in self.elements)}]"
 
 
+class _Descending:
+    """Heap entry that puts the larger monomial first; order keys are
+    injective, so two entries never tie."""
+
+    __slots__ = ("rank", "mono")
+
+    def __init__(self, rank, mono):
+        self.rank = rank
+        self.mono = mono
+
+    def __lt__(self, other):
+        return self.rank > other.rank
+
+
 def _reduce_full(p: Polynomial, basis: list[Polynomial], leads, key) -> Polynomial:
-    """Fully reduced remainder of p modulo the listed polynomials."""
+    """Fully reduced remainder of p modulo the listed polynomials.
+
+    ``leads`` holds each basis element's (leading monomial, leading
+    coefficient).  Pending terms are taken largest first from a heap with
+    one entry per monomial of ``work``: a cancelled term stays in ``work``
+    with coefficient 0 until its entry is popped, and a popped monomial
+    never returns, since every step only adds terms below it.
+    """
     remainder: dict = {}
     work = dict(p.terms)
-    while work:
-        m = max(work, key=key)
+    heap = [_Descending(key(m), m) for m in work]
+    heapq.heapify(heap)
+    while heap:
+        m = heapq.heappop(heap).mono
         c = work.pop(m)
+        if not c:
+            continue
         for g, (lm, lc) in zip(basis, leads):
             if mono_divides(lm, m):
                 shift = mono_div(m, lm)
@@ -138,11 +174,12 @@ def _reduce_full(p: Polynomial, basis: list[Polynomial], leads, key) -> Polynomi
                     if gm == lm:
                         continue
                     t = mono_mul(gm, shift)
-                    s = work.get(t, Fraction(0)) - factor * gc
-                    if s == 0:
-                        work.pop(t, None)
+                    s = work.get(t)
+                    if s is None:
+                        work[t] = -factor * gc
+                        heapq.heappush(heap, _Descending(key(t), t))
                     else:
-                        work[t] = s
+                        work[t] = s - factor * gc
                 break
         else:
             remainder[m] = c
@@ -153,9 +190,7 @@ def normal_form(p: Polynomial, gb: GroebnerBasis) -> Polynomial:
     """Canonical remainder of p modulo the ideal; zero iff p is a member."""
     if p.ring != gb.ring:
         raise InputError("ring mismatch between polynomial and basis")
-    key = gb._key
-    leads = [leading_term(g, key) for g in gb.elements]
-    return _reduce_full(p, gb.elements, leads, key)
+    return _reduce_full(p, gb.elements, gb._leads, gb._key)
 
 
 def buchberger(
@@ -166,9 +201,14 @@ def buchberger(
     """Reduced Groebner basis of the ideal generated by ``generators``.
 
     Classic Buchberger with the coprime-leading-term and chain
-    criteria, processing pairs in increasing order of the pair lcm.
-    The zero ideal yields an empty basis; the unit ideal yields [1].
-    Output is deterministic and independent of generator order.
+    criteria, processing pairs in increasing order of
+    (weighted degree of the pair lcm, order key of the lcm, (i, j)).
+    Each pair is ranked once, when it is created, and pushed on a heap;
+    ranks never change and a pair leaves only when popped, so the heap
+    yields exactly the pick order of a full rescan of the queued pairs.
+    Leading terms are computed once per basis element.  The zero ideal
+    yields an empty basis; the unit ideal yields [1].  Output is
+    deterministic and independent of generator order.
     """
     gens = [g for g in generators if not g.is_zero()]
     if not gens:
@@ -184,62 +224,69 @@ def buchberger(
             raise InputError("generators live in different rings")
     key = order.key(ring)
 
-    # seed with an interreduced, deterministic generating set
+    # seed with an interreduced, deterministic generating set;
+    # leads[i] is the (leading monomial, coefficient) of basis[i]
     basis: list[Polynomial] = []
+    leads: list[tuple[Monomial, Fraction]] = []
     for g in sorted(gens, key=lambda p: (key(leading_monomial(p, key)), sorted(p.terms.items()))):
-        leads = [leading_term(b, key) for b in basis]
         r = _reduce_full(g, basis, leads, key)
         if not r.is_zero():
             basis.append(r)
+            leads.append(leading_term(r, key))
 
-    lead = [leading_monomial(g, key) for g in basis]
-    pairs = {(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))}
+    # queued pairs: ``pairs`` answers the chain criterion's membership
+    # tests, ``queue`` holds the same pairs ranked by their lcm
+    pairs: set[tuple[int, int]] = set()
+    queue: list = []
 
-    def pair_rank(ij):
-        lcm = mono_lcm(lead[ij[0]], lead[ij[1]])
-        return (ring.weighted_degree(lcm), key(lcm), ij)
+    def enqueue(i, j):
+        lcm = mono_lcm(leads[i][0], leads[j][0])
+        pairs.add((i, j))
+        heapq.heappush(queue, (ring.weighted_degree(lcm), key(lcm), (i, j), lcm))
 
-    while pairs:
-        i, j = min(pairs, key=pair_rank)
+    for j in range(len(basis)):
+        for i in range(j):
+            enqueue(i, j)
+
+    while queue:
+        _, _, (i, j), lcm = heapq.heappop(queue)
         pairs.discard((i, j))
-        lcm = mono_lcm(lead[i], lead[j])
-        if lcm == mono_mul(lead[i], lead[j]):
+        (li, ci), (lj, cj) = leads[i], leads[j]
+        if lcm == mono_mul(li, lj):
             continue  # coprime leading monomials: S-polynomial reduces to 0
         # chain criterion: some k divides the lcm and both (i,k), (j,k) done
         if any(
             k not in (i, j)
-            and mono_divides(lead[k], lcm)
+            and mono_divides(lk, lcm)
             and (min(i, k), max(i, k)) not in pairs
             and (min(j, k), max(j, k)) not in pairs
-            for k in range(len(basis))
+            for k, (lk, _) in enumerate(leads)
         ):
             continue
-        gi, gj = basis[i], basis[j]
-        si = ring.monomial(mono_div(lcm, lead[i]), Fraction(1) / gi.terms[lead[i]])
-        sj = ring.monomial(mono_div(lcm, lead[j]), Fraction(1) / gj.terms[lead[j]])
-        spoly = si * gi - sj * gj
-        leads = [leading_term(b, key) for b in basis]
+        si = ring.monomial(mono_div(lcm, li), Fraction(1) / ci)
+        sj = ring.monomial(mono_div(lcm, lj), Fraction(1) / cj)
+        spoly = si * basis[i] - sj * basis[j]
         r = _reduce_full(spoly, basis, leads, key)
         if r.is_zero():
             continue
         new = len(basis)
         basis.append(r)
-        lead.append(leading_monomial(r, key))
-        pairs.update((k, new) for k in range(new))
+        leads.append(leading_term(r, key))
+        for k in range(new):
+            enqueue(k, new)
 
     # reduce: keep minimal leading monomials, tail-reduce, make monic
-    order_idx = sorted(range(len(basis)), key=lambda i: key(lead[i]))
+    order_idx = sorted(range(len(basis)), key=lambda i: key(leads[i][0]))
     minimal: list[int] = []
     for i in order_idx:
-        if not any(mono_divides(lead[j], lead[i]) for j in minimal):
+        if not any(mono_divides(leads[j][0], leads[i][0]) for j in minimal):
             minimal.append(i)
     reduced: list[Polynomial] = []
     for i in minimal:
-        others = [basis[j] for j in minimal if j != i]
-        leads = [leading_term(g, key) for g in others]
-        r = _reduce_full(basis[i], others, leads, key)
-        lc = r.terms[leading_monomial(r, key)]
-        reduced.append(r.scale(Fraction(1) / lc))
+        others = [j for j in minimal if j != i]
+        r = _reduce_full(basis[i], [basis[j] for j in others], [leads[j] for j in others], key)
+        # no other minimal lead divides leads[i], so it stays the leading term
+        reduced.append(r.scale(Fraction(1) / leads[i][1]))
     return GroebnerBasis(ring, order, reduced)
 
 

@@ -377,6 +377,11 @@ class Polynomial:
 # factor   := base ("^" nat)?
 # base     := rational | var | "(" expr ")" | "-" factor
 # rational := int ("/" nat)?
+#
+# Parentheses and unary minus nest at most _MAX_NESTING deep, so hostile
+# input gets a ParseError instead of exhausting the interpreter's stack.
+
+_MAX_NESTING = 100
 
 
 class _Parser:
@@ -384,6 +389,15 @@ class _Parser:
         self.text = text
         self.ring = ring
         self.pos = 0
+        self.depth = 0
+
+    def nested(self, parse):
+        self.depth += 1
+        if self.depth > _MAX_NESTING:
+            self.error(f"nesting deeper than {_MAX_NESTING} levels")
+        p = parse()
+        self.depth -= 1
+        return p
 
     def error(self, message: str):
         raise ParseError(message, self.pos)
@@ -438,12 +452,12 @@ class _Parser:
         c = self.peek()
         if c == "(":
             self.pos += 1
-            p = self.expr()
+            p = self.nested(self.expr)
             self.expect(")")
             return p
         if c == "-":
             self.pos += 1
-            return -self.factor()
+            return -self.nested(self.factor)
         if c.isdigit():
             return self.rational()
         if c.isalpha() or c == "_":

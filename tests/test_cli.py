@@ -169,6 +169,36 @@ def test_main_exit_codes(tmp_path, capsys):
     assert main(["milnor", "-i", str(broken)]) == 2
 
 
+def test_load_rejects_boolean_weights(tmp_path):
+    payload = {"ring": {"vars": ["x", "y"], "weights": [True, 1]}, "ideal": ["x^2 - y^3"]}
+    with pytest.raises(InputError, match="ring.weights"):
+        load_input(write(tmp_path, "boolweights.json", payload))
+
+
+@pytest.mark.parametrize("value", ["abc", -1, True, 2.5])
+def test_main_rejects_bad_max_degree_option(tmp_path, capsys, value):
+    path = write(tmp_path, "options.json", dict(FERMAT, options={"max_degree": value}))
+    assert main(["coinv", "-i", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: options.max_degree") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("flag", ["--max-degree", "--bracket-depth"])
+def test_main_rejects_negative_count_flags(tmp_path, capsys, flag):
+    fermat = write(tmp_path, "fermat.json", FERMAT)
+    with pytest.raises(SystemExit) as exited:
+        main(["strata", "-i", fermat, flag, "-5"])
+    assert exited.value.code == 2
+    assert "non-negative integer" in capsys.readouterr().err
+
+
+def test_main_rejects_deep_nesting(tmp_path, capsys):
+    doc = {"ring": {"vars": ["x"]}, "ideal": ["(" * 5000 + "x" + ")" * 5000]}
+    assert main(["gb", "-i", write(tmp_path, "deep.json", doc)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ideal[0]:") and err.count("\n") == 1
+
+
 def test_member_command(tmp_path):
     doc = {
         "ring": {"vars": ["x", "y"]},

@@ -1,13 +1,18 @@
 """Groebner bases and the ideal invariants derived from them."""
 
 import random
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from leafalg import groebner
+from leafalg.cli import load_input
 from leafalg.errors import DomainError, InputError
 from leafalg.groebner import (
     INFINITE,
     LEX,
+    WGREVLEX,
     buchberger,
     colength_local,
     krull_dimension,
@@ -24,6 +29,8 @@ from oracles import (
     local_colength_brute,
     random_quasihomogeneous,
 )
+
+CORPUS = Path(__file__).resolve().parents[1] / "bench" / "corpus"
 
 XYZ = PolyRing(["x", "y", "z"])
 XY = PolyRing(["x", "y"])
@@ -326,3 +333,75 @@ def test_zero_weight_ring_order_is_well_founded():
     gb = buchberger([parse_poly("t - t^2", ring)])
     assert gb.leading_monomials() == [(0, 2)]
     assert normal_form(parse_poly("t^2", ring), gb) == parse_poly("t", ring)
+
+
+def corpus_ideal(name):
+    return load_input(str(CORPUS / f"{name}.json")).ideal
+
+
+@pytest.mark.parametrize(
+    "name, reductions, size",
+    [("cyclic4", 19, 7), ("katsura3", 19, 7), ("katsura4", 44, 13)],
+)
+def test_buchberger_pair_order_is_pinned(monkeypatch, name, reductions, size):
+    # counts measured when pairs were picked by a full rescan of the
+    # queue: the same reductions prove the same S-pairs in the same order
+    calls = []
+    reduce_full = groebner._reduce_full
+
+    def counted(*args):
+        calls.append(1)
+        return reduce_full(*args)
+
+    monkeypatch.setattr(groebner, "_reduce_full", counted)
+    gb = buchberger(corpus_ideal(name))
+    assert (len(calls), len(gb.elements)) == (reductions, size)
+
+
+def monic_terms(terms):
+    """A polynomial as a set of (monomial, coefficient), scaled by one fixed
+    rule (coefficient of the lexicographically largest monomial is 1) so
+    that elements equal up to a constant compare equal."""
+    scale = terms[max(terms)]
+    return frozenset((m, c / scale) for m, c in terms.items())
+
+
+def random_system(rng):
+    """Two or three trinomials (constant plus two terms of degree 1..3) in
+    two or three variables of weight 1."""
+    ring = PolyRing(["x", "y", "z"][: rng.randint(2, 3)])
+    monos = [m for d in range(1, 4) for m in ring.monomials_of_weight(d)]
+    gens = []
+    for _ in range(rng.randint(2, 3)):
+        g = ring.const(rng.randint(-2, 2))
+        for m in rng.sample(monos, 2):
+            g = g + ring.monomial(m, rng.choice([-3, -2, -1, 1, 2, 3]))
+        gens.append(g)
+    return gens
+
+
+def differential_cases():
+    rng = random.Random(41)
+    systems = [corpus_ideal("cyclic4"), corpus_ideal("katsura3")]
+    systems += [random_system(rng) for _ in range(12)]
+    return [(gens, order) for gens in systems for order in (WGREVLEX, LEX)]
+
+
+def test_buchberger_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    for gens, order in differential_cases():
+        ring = gens[0].ring
+        symbols = sympy.symbols(ring.variables)
+        exprs = [
+            sympy.Poly.from_dict(
+                {m: sympy.Rational(c.numerator, c.denominator) for m, c in g.terms.items()}, *symbols
+            ).as_expr()
+            for g in gens
+        ]
+        theirs = sympy.groebner(exprs, *symbols, order="grevlex" if order == WGREVLEX else "lex")
+        expected = {
+            monic_terms({m: Fraction(int(c.p), int(c.q)) for m, c in sympy.Poly(g, *symbols).terms()})
+            for g in theirs.exprs
+        }
+        ours = {monic_terms(g.terms) for g in buchberger(gens, order, ring=ring).elements}
+        assert ours == expected, (gens, order)

@@ -34,6 +34,15 @@ def test_parse_negative_exponent_is_syntax_error():
     assert err.value.position is not None
 
 
+def test_parse_deep_nesting_is_syntax_error():
+    for text in ["(" * 5000 + "x" + ")" * 5000, "-" * 5000 + "x"]:
+        with pytest.raises(ParseError, match="nesting"):
+            parse_poly(text, XYZ)
+    # moderate nesting still parses
+    assert parse_poly("(" * 50 + "x" + ")" * 50, XYZ) == parse_poly("x", XYZ)
+    assert parse_poly("-" * 50 + "x", XYZ) == parse_poly("x", XYZ)
+
+
 def test_parse_unknown_identifier():
     with pytest.raises(InputError, match="unknown identifier"):
         parse_poly("x + w", XYZ)

@@ -515,13 +515,18 @@ def main(argv=None) -> int:
     try:
         doc = load_input(flags.input)
         payload = run(flags.command, doc, flags)
+        report = render_report(flags.command, doc, payload, flags.format)
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except DomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return 1
-    print(render_report(flags.command, doc, payload, flags.format))
+    except Exception as exc:  # a defect, reported without a traceback
+        message = " ".join(str(exc).splitlines())
+        print(f"internal error: {type(exc).__name__}: {message}", file=sys.stderr)
+        return 3
+    print(report)
     return 0
 
 

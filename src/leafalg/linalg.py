@@ -2,20 +2,128 @@
 
 Callers hand in sparse vectors, dicts from any sortable key to a
 Fraction (zero entries and empty vectors are allowed), and ask for the
-rank of their span (``span_rank``) or for the linear relations among
-them (``relations``).  Only this module turns vectors into matrices: the
-keys in use become the sorted columns (or rows) of a dense matrix over
-one shared zero, so how matrices are laid out and reduced is decided
-here alone.
+rank of their span (``span_rank``), for the linear relations among them
+(``relations``), or grow a span one vector at a time (``Echelon.add``).
 
-Underneath is Gaussian elimination on dense rows of Fractions.
-Pivoting is deterministic (first nonzero column, rows in given order),
-so every caller gets reproducible ranks and relation bases.
+Underneath is one sparse elimination routine, ``Echelon._reduce``.  A
+vector is scaled to a primitive integer row, a dict from column to int,
+and its pivot is its smallest column.  A new row is reduced against the
+pivot rows, fraction-free, until it vanishes or its smallest column is
+not yet a pivot; then it becomes the pivot row there.  ``span_rank`` and
+``relations`` number the sorted keys as columns, so pivoting is
+deterministic and every caller gets reproducible ranks and relation
+bases.  ``rref`` and ``nullspace`` are the dense reference the tests
+compare against.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
+from math import gcd, lcm
+
+
+class Echelon:
+    """Echelon form of a growing span of sparse rational vectors."""
+
+    def __init__(self):
+        self.rows: dict = {}  # pivot column -> primitive integer row
+
+    def add(self, vector) -> bool:
+        """Add the vector; True if it was not already in the span."""
+        lead, row = self._reduce(_integer_row(vector))
+        if lead is None:
+            return False
+        self.rows[lead] = row
+        return True
+
+    def _reduce(self, row: dict) -> tuple:
+        """Reduce an integer row against the pivot rows, smallest column
+        first.  Returns ``(None, {})`` if it vanishes, else its first
+        column that is no pivot and the primitive reduced row."""
+        rows = self.rows
+        heap = list(row)
+        heapify(heap)
+        while heap:
+            col = heappop(heap)
+            a = row.get(col)
+            if a is None:  # cancelled since it was pushed
+                continue
+            pivot = rows.get(col)
+            if pivot is None:
+                g = gcd(*row.values())
+                if g != 1:
+                    row = {k: x // g for k, x in row.items()}
+                return col, row
+            # row <- b * row - a * pivot, with a / b = row[col] / pivot[col]
+            b = pivot[col]
+            g = gcd(a, b)
+            a, b = a // g, b // g
+            if b < 0:
+                a, b = -a, -b
+            if b != 1:
+                row = {k: b * x for k, x in row.items()}
+            for k, x in pivot.items():
+                y = row.get(k)
+                if y is None:  # fill-in, always right of col
+                    row[k] = -a * x
+                    heappush(heap, k)
+                else:
+                    y -= a * x
+                    if y:
+                        row[k] = y
+                    else:
+                        del row[k]
+        return None, {}
+
+
+def _integer_row(vector) -> dict:
+    """The nonzero entries of a rational vector times the lcm of their
+    denominators."""
+    row = {k: c for k, c in vector.items() if c}
+    den = lcm(*(c.denominator for c in row.values()))
+    return {k: c.numerator * (den // c.denominator) for k, c in row.items()}
+
+
+def _columns(vectors) -> dict:
+    """Column index of each key in use, in sorted key order."""
+    return {k: i for i, k in enumerate(sorted({k for v in vectors for k in v}))}
+
+
+def span_rank(vectors) -> int:
+    """Rank of the span of the sparse vectors."""
+    cols = _columns(vectors)
+    echelon = Echelon()
+    return sum(echelon.add({cols[k]: c for k, c in v.items()}) for v in vectors)
+
+
+def relations(vectors) -> list[list[Fraction]]:
+    """Basis of the coefficient tuples c with sum_a c[a] * vectors[a] = 0.
+
+    The vectors are reduced in the given order, each carrying the
+    record of how it combines the earlier ones (columns past the
+    keys).  Each vector that vanishes gives one relation: coefficient
+    1 on itself, minus its unique expression in the earlier independent
+    vectors.  That is the basis read off the reduced row echelon form of
+    the matrix with one column per vector.
+    """
+    cols = _columns(vectors)
+    n = len(cols)
+    echelon = Echelon()
+    zero = Fraction(0)
+    basis = []
+    for i, v in enumerate(vectors):
+        row = _integer_row({cols[k]: c for k, c in v.items()} | {n + i: Fraction(1)})
+        lead, row = echelon._reduce(row)
+        if lead < n:
+            echelon.rows[lead] = row
+            continue
+        rel = [zero] * len(vectors)
+        own = row[n + i]
+        for k, x in row.items():
+            rel[k - n] = Fraction(x, own)
+        basis.append(rel)
+    return basis
 
 
 def rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
@@ -48,10 +156,6 @@ def rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
     return mat[:r] + [row for row in mat[r:] if any(v != 0 for v in row)], pivots
 
 
-def rank(rows: list[list[Fraction]]) -> int:
-    return len(rref(rows)[1])
-
-
 def nullspace(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
     """Basis of the right nullspace of the matrix (rows of length ncols)."""
     reduced, pivots = rref(rows)
@@ -65,26 +169,3 @@ def nullspace(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
             vec[pc] = -reduced[r][fc]
         basis.append(vec)
     return basis
-
-
-def _matrix(vectors) -> list[list[Fraction]]:
-    """One dense row per vector, over the sorted keys of their nonzero
-    entries, all missing entries sharing a single zero."""
-    keys = sorted({k for v in vectors for k, c in v.items() if c})
-    zero = Fraction(0)
-    return [[v.get(k, zero) for k in keys] for v in vectors]
-
-
-def span_rank(vectors) -> int:
-    """Rank of the span of the sparse vectors."""
-    return rank([row for row in _matrix(vectors) if any(row)])
-
-
-def relations(vectors) -> list[list[Fraction]]:
-    """Basis of the coefficient tuples c with sum_a c[a] * vectors[a] = 0.
-
-    The matrix has one column per vector, in the given order, and one
-    row per key of the support, sorted; the basis is the one read off
-    its reduced row echelon form.
-    """
-    return nullspace([list(col) for col in zip(*_matrix(vectors))], len(vectors))

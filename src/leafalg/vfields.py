@@ -541,20 +541,14 @@ def hamiltonian_family_top(X, max_degree: int) -> list[VectorField]:
 def lie_closure(fields: list[VectorField], depth: int = 2) -> list[VectorField]:
     """Close a generating set under Lie brackets to the given depth,
     keeping only fields that are linearly independent over Q."""
-    current = []
-    for xi in fields:
-        if not xi.is_zero():
-            current = _extend_independent(current, xi)
+    span = linalg.Echelon()
+    current = [xi for xi in fields if span.add(_stack(xi.coefficients))]
     for _ in range(depth):
         added = False
-        snapshot = list(current)
-        for a, b in itertools.combinations(snapshot, 2):
+        for a, b in itertools.combinations(list(current), 2):
             br = a.lie_bracket(b)
-            if br.is_zero():
-                continue
-            extended = _extend_independent(current, br)
-            if len(extended) > len(current):
-                current = extended
+            if span.add(_stack(br.coefficients)):
+                current.append(br)
                 added = True
         if not added:
             break
@@ -564,15 +558,6 @@ def lie_closure(fields: list[VectorField], depth: int = 2) -> list[VectorField]:
 def _stack(polys) -> dict:
     """One sparse vector from a tuple of polynomials, keyed by (slot, monomial)."""
     return {(j, m): c for j, p in enumerate(polys) for m, c in p.terms.items()}
-
-
-def _extend_independent(current: list[VectorField], candidate: VectorField) -> list[VectorField]:
-    """Append the candidate unless it lies in the span of ``current``,
-    which is linearly independent."""
-    fields = current + [candidate]
-    if linalg.span_rank([_stack(f.coefficients) for f in fields]) > len(current):
-        return fields
-    return current
 
 
 # -- truncated solvers -------------------------------------------------

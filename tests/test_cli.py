@@ -199,6 +199,18 @@ def test_main_rejects_deep_nesting(tmp_path, capsys):
     assert err.startswith("input error: ideal[0]:") and err.count("\n") == 1
 
 
+def test_main_reports_unexpected_errors_in_one_line(tmp_path, capsys, monkeypatch):
+    def broken(*args):
+        raise RuntimeError("solver state\nis inconsistent")
+
+    monkeypatch.setattr(cli, "run", broken)
+    assert main(["milnor", "-i", write(tmp_path, "fermat.json", FERMAT)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error: RuntimeError: solver state is inconsistent\n"
+    assert "Traceback" not in captured.err
+
+
 def test_member_command(tmp_path):
     doc = {
         "ring": {"vars": ["x", "y"]},

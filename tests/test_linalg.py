@@ -1,11 +1,12 @@
-"""Sparse-vector interface to exact linear algebra, on seeded random input."""
+"""Sparse-vector interface to exact linear algebra, on seeded random input,
+checked against the dense reference ``rref`` / ``nullspace``."""
 
 import random
 from fractions import Fraction
 
 import pytest
 
-from leafalg.linalg import nullspace, relations, span_rank
+from leafalg.linalg import Echelon, nullspace, relations, rref, span_rank
 
 SEEDS = range(40)
 
@@ -69,3 +70,80 @@ def test_small_cases():
     assert relations([{}, {"a": Fraction(1)}]) == [[1, 0]]
     assert span_rank([{"a": 1, "b": 2}, {"a": 2, "b": 4}, {"c": 1}]) == 2
     assert relations([{"a": 1, "b": 2}, {"a": 2, "b": 4}]) == [[-2, 1]]
+
+
+LARGE_SEEDS = range(8)
+
+
+def big_fraction(rng, share=0.1):
+    """Mostly small entries, a share of them with numerator and
+    denominator up to 10^12."""
+    if rng.random() < share:
+        return Fraction(rng.choice([-1, 1]) * rng.randint(1, 10**12), rng.randint(1, 10**12))
+    return Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 5))
+
+
+def large_sparse_vectors(rng):
+    """30-80 vectors over 20-60 (slot, monomial) keys at about 10% density;
+    about a quarter are combinations of earlier ones, some are empty."""
+    keys = set()
+    nkeys = rng.randint(20, 60)
+    while len(keys) < nkeys:
+        keys.add((rng.randrange(3), (rng.randrange(4), rng.randrange(4), rng.randrange(4))))
+    keys = sorted(keys)
+    vectors = []
+    for _ in range(rng.randint(30, 80)):
+        if vectors and rng.random() < 0.25:
+            v = {}
+            for u in rng.sample(vectors, min(rng.randint(2, 3), len(vectors))):
+                c = big_fraction(rng, share=0.02)
+                for k, x in u.items():
+                    v[k] = v.get(k, 0) + c * x
+        elif rng.random() < 0.05:
+            v = {}
+        else:
+            v = {k: big_fraction(rng) for k in keys if rng.random() < 0.1}
+        vectors.append(v)
+    return vectors
+
+
+def dense_rows(vectors):
+    support = sorted({k for v in vectors for k, c in v.items() if c})
+    return [[Fraction(v.get(k, 0)) for k in support] for v in vectors]
+
+
+@pytest.mark.parametrize("seed", LARGE_SEEDS)
+def test_large_relations_match_dense_nullspace(seed):
+    vectors = large_sparse_vectors(random.Random(1000 + seed))
+    transpose = [list(col) for col in zip(*dense_rows(vectors))]
+    found = relations(vectors)
+    assert found == nullspace(transpose, len(vectors))
+    assert found  # the forced combinations give relations
+    assert all(type(c) is Fraction for rel in found for c in rel)
+
+
+@pytest.mark.parametrize("seed", LARGE_SEEDS)
+def test_large_span_rank_matches_dense_rref(seed):
+    vectors = large_sparse_vectors(random.Random(2000 + seed))
+    assert span_rank(vectors) == len(rref(dense_rows(vectors))[1])
+
+
+@pytest.mark.parametrize("seed", LARGE_SEEDS)
+def test_add_is_false_exactly_on_the_current_span(seed):
+    rng = random.Random(3000 + seed)
+    vectors = large_sparse_vectors(rng)
+    # also offer combinations of vectors the echelon has already seen
+    for _ in range(10):
+        position = rng.randint(2, len(vectors))
+        v = {}
+        for u in rng.sample(vectors[:position], 2):
+            c = big_fraction(rng, share=0.02)
+            for k, x in u.items():
+                v[k] = v.get(k, 0) + c * x
+        vectors.insert(position, v)
+    # a vector is outside the span of the earlier ones exactly when its
+    # column of the transpose is a pivot column
+    transpose = [list(col) for col in zip(*dense_rows(vectors))]
+    outside = set(rref(transpose)[1])
+    echelon = Echelon()
+    assert [echelon.add(v) for v in vectors] == [i in outside for i in range(len(vectors))]

@@ -9,6 +9,7 @@ report.  Exit codes: 0 success, 1 mathematical-domain error
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -470,7 +471,10 @@ def _count(text: str) -> int:
     return int(text)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and shared by every
+    later call in the process: parse with it, never modify it."""
     parser = argparse.ArgumentParser(
         prog="leafalg",
         description="invariants of affine varieties carrying Lie algebras of vector fields",

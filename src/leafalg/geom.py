@@ -77,7 +77,7 @@ Structure = JacobianPolyvector | BracketStructure | JacobiStructure | VectorFiel
 class Variety:
     """Ambient ring, ordered ideal generators f_1..f_k, optional structure."""
 
-    __slots__ = ("ring", "ideal_gens", "structure", "order", "_gb")
+    __slots__ = ("ring", "ideal_gens", "structure", "order", "_gb", "_sing_gb")
 
     def __init__(
         self,
@@ -97,6 +97,7 @@ class Variety:
         self.structure = structure
         self.order = order
         self._gb = None
+        self._sing_gb = None
 
     @property
     def codimension(self) -> int:
@@ -110,6 +111,12 @@ class Variety:
         if self._gb is None:
             self._gb = buchberger(list(self.ideal_gens), self.order, ring=self.ring)
         return self._gb
+
+    def singularity_groebner(self) -> GroebnerBasis:
+        """Basis of the singularity ring's ideal (J_k, f_k), computed once."""
+        if self._sing_gb is None:
+            self._sing_gb = buchberger(_singularity_ring_gens(self), self.order, ring=self.ring)
+        return self._sing_gb
 
     def is_quasihomogeneous(self) -> bool:
         return all(g.is_quasihomogeneous() for g in self.ideal_gens)
@@ -145,13 +152,9 @@ def jacobian_chain(X: Variety) -> JacobianChain:
     return JacobianChain(ideals)
 
 
-def milnor_breakdown(X: Variety, cap: int = 64) -> list:
+def milnor_breakdown(X: Variety) -> list:
     """Local colengths of the Jacobian chain ideals at the origin."""
-    chain = jacobian_chain(X)
-    return [
-        colength_local(buchberger(gens, X.order, ring=X.ring), cap=cap)
-        for gens in chain.ideals
-    ]
+    return [colength_local(gens, X.ring) for gens in jacobian_chain(X).ideals]
 
 
 def milnor_from_chain(lengths: list):
@@ -163,11 +166,11 @@ def milnor_from_chain(lengths: list):
     return sum((-1) ** (k - i) * c for i, c in enumerate(lengths, start=1))
 
 
-def milnor_number(X: Variety, cap: int = 64):
+def milnor_number(X: Variety):
     """Milnor number at the origin: the alternating sum of the chain
     colengths.  Returns INFINITE when some chain ideal has infinite
     colength (a non-isolated singularity along the flag)."""
-    return milnor_from_chain(milnor_breakdown(X, cap=cap))
+    return milnor_from_chain(milnor_breakdown(X))
 
 
 @dataclass
@@ -184,23 +187,25 @@ def _singularity_ring_gens(X: Variety) -> list:
     return chain.ideals[-1] + [X.ideal_gens[-1]]
 
 
-def tjurina(X: Variety, cap: int = 64) -> SingularityReport:
+def tjurina(X: Variety) -> SingularityReport:
     """Tjurina number (colength of the singularity ring) plus the Milnor
     number, their gap, and the graded series when quasihomogeneous."""
-    lengths = milnor_breakdown(X, cap=cap)
+    lengths = milnor_breakdown(X)
     offenders = [i for i, c in enumerate(lengths, start=1) if c == INFINITE]
     if offenders:
         raise DomainError(
             f"non-isolated singularity: chain ideal J_{offenders[0]} has infinite colength"
         )
     mu = milnor_from_chain(lengths)
-    sing_gb = buchberger(_singularity_ring_gens(X), X.order, ring=X.ring)
-    tau = colength_local(sing_gb, cap=cap)
+    if X.is_quasihomogeneous() and not X.ring.has_zero_weights:
+        # a graded ideal: its series at u = 1 is the local colength
+        series = poincare_series(X.singularity_groebner())
+        tau = series.total_dimension()
+    else:
+        series = None
+        tau = colength_local(_singularity_ring_gens(X), X.ring)
     if tau == INFINITE:
         raise DomainError("non-isolated singularity: the singularity ring is infinite-dimensional")
-    series = None
-    if X.is_quasihomogeneous() and not X.ring.has_zero_weights:
-        series = poincare_series(sing_gb)
     return SingularityReport(
         milnor=mu,
         tjurina=tau,
@@ -219,8 +224,7 @@ def hp0_series(X: Variety) -> PoincareSeries:
         raise DomainError("hp0_series needs at least one generator")
     if not X.is_quasihomogeneous():
         raise DomainError("hp0_series requires weighted-homogeneous generators")
-    sing_gb = buchberger(_singularity_ring_gens(X), X.order, ring=X.ring)
-    series = poincare_series(sing_gb)
+    series = poincare_series(X.singularity_groebner())
     if not series.finite:
         raise DomainError("non-isolated singularity: the singularity ring is not finite-dimensional")
     return series

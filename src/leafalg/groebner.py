@@ -14,12 +14,17 @@ Leading terms are computed once per element, both while the basis grows
 and in a finished ``GroebnerBasis``; reduction takes the next term from a
 max-heap of pending monomials.
 
+The same completion, run in k[x]/m^N under a local degree order (lowest
+total degree leads, grevlex breaks ties) with every term of degree >= N
+dropped, gives truncated local standard bases; N falls to the highest
+corner of the staircase as soon as the leading monomials prove it.
+
 The derived invariants: normal forms and ideal membership, local
-colength at the origin (by stabilizing the quotient modulo powers of
-the maximal ideal), Krull dimension (independent variable sets of the
-leading-term ideal), weighted Hilbert-Poincare series (recursion on the
-leading-term monomial ideal), minor ideals, and per-degree standard
-monomial bases.
+colength at the origin (from one global basis for a weighted-homogeneous
+ideal, else from truncated local standard bases for N = 2, 4, 8, ...),
+Krull dimension (independent variable sets of the leading-term ideal),
+weighted Hilbert-Poincare series (recursion on the leading-term monomial
+ideal), minor ideals, and per-degree standard monomial bases.
 """
 
 from __future__ import annotations
@@ -148,17 +153,22 @@ class _Descending:
         return self.rank > other.rank
 
 
-def _reduce_full(p: Polynomial, basis: list[Polynomial], leads, key) -> Polynomial:
+def _reduce_full(p: Polynomial, basis: list[Polynomial], leads, key, below=None) -> Polynomial:
     """Fully reduced remainder of p modulo the listed polynomials.
 
     ``leads`` holds each basis element's (leading monomial, leading
     coefficient).  Pending terms are taken largest first from a heap with
     one entry per monomial of ``work``: a cancelled term stays in ``work``
     with coefficient 0 until its entry is popped, and a popped monomial
-    never returns, since every step only adds terms below it.
+    never returns, since every step only adds terms below it.  With
+    ``below`` set, the reduction runs in k[x]/m^below: every term of
+    total degree >= below is dropped.
     """
     remainder: dict = {}
-    work = dict(p.terms)
+    if below is None:
+        work = dict(p.terms)
+    else:
+        work = {m: c for m, c in p.terms.items() if sum(m) < below}
     heap = [_Descending(key(m), m) for m in work]
     heapq.heapify(heap)
     while heap:
@@ -174,6 +184,8 @@ def _reduce_full(p: Polynomial, basis: list[Polynomial], leads, key) -> Polynomi
                     if gm == lm:
                         continue
                     t = mono_mul(gm, shift)
+                    if below is not None and sum(t) >= below:
+                        continue
                     s = work.get(t)
                     if s is None:
                         work[t] = -factor * gc
@@ -223,57 +235,7 @@ def buchberger(
         if g.ring != ring:
             raise InputError("generators live in different rings")
     key = order.key(ring)
-
-    # seed with an interreduced, deterministic generating set;
-    # leads[i] is the (leading monomial, coefficient) of basis[i]
-    basis: list[Polynomial] = []
-    leads: list[tuple[Monomial, Fraction]] = []
-    for g in sorted(gens, key=lambda p: (key(leading_monomial(p, key)), sorted(p.terms.items()))):
-        r = _reduce_full(g, basis, leads, key)
-        if not r.is_zero():
-            basis.append(r)
-            leads.append(leading_term(r, key))
-
-    # queued pairs: ``pairs`` answers the chain criterion's membership
-    # tests, ``queue`` holds the same pairs ranked by their lcm
-    pairs: set[tuple[int, int]] = set()
-    queue: list = []
-
-    def enqueue(i, j):
-        lcm = mono_lcm(leads[i][0], leads[j][0])
-        pairs.add((i, j))
-        heapq.heappush(queue, (ring.weighted_degree(lcm), key(lcm), (i, j), lcm))
-
-    for j in range(len(basis)):
-        for i in range(j):
-            enqueue(i, j)
-
-    while queue:
-        _, _, (i, j), lcm = heapq.heappop(queue)
-        pairs.discard((i, j))
-        (li, ci), (lj, cj) = leads[i], leads[j]
-        if lcm == mono_mul(li, lj):
-            continue  # coprime leading monomials: S-polynomial reduces to 0
-        # chain criterion: some k divides the lcm and both (i,k), (j,k) done
-        if any(
-            k not in (i, j)
-            and mono_divides(lk, lcm)
-            and (min(i, k), max(i, k)) not in pairs
-            and (min(j, k), max(j, k)) not in pairs
-            for k, (lk, _) in enumerate(leads)
-        ):
-            continue
-        si = ring.monomial(mono_div(lcm, li), Fraction(1) / ci)
-        sj = ring.monomial(mono_div(lcm, lj), Fraction(1) / cj)
-        spoly = si * basis[i] - sj * basis[j]
-        r = _reduce_full(spoly, basis, leads, key)
-        if r.is_zero():
-            continue
-        new = len(basis)
-        basis.append(r)
-        leads.append(leading_term(r, key))
-        for k in range(new):
-            enqueue(k, new)
+    basis, leads, _ = _complete(gens, ring, key)
 
     # reduce: keep minimal leading monomials, tail-reduce, make monic
     order_idx = sorted(range(len(basis)), key=lambda i: key(leads[i][0]))
@@ -290,85 +252,151 @@ def buchberger(
     return GroebnerBasis(ring, order, reduced)
 
 
+def _complete(gens: list[Polynomial], ring: PolyRing, key, below: int | None = None):
+    """Buchberger's completion of the nonzero ``gens`` under the order
+    ``key``: (elements, their (leading monomial, coefficient), final
+    ``below``).  The elements are neither minimal nor monic.
+
+    With ``below`` set it runs in k[x]/m^below under a local degree
+    order: terms of total degree >= below vanish, pairs rank by the total
+    degree of their lcm, and reduction ends as the monomials are finite.
+    After each new lead, ``below`` drops to the staircase's top degree + 1
+    (the highest corner) when that is lower: every monomial of that
+    degree is then a lead, so the quotient stays the same.
+    """
+    degree = ring.weighted_degree if below is None else sum
+
+    # seed with an interreduced, deterministic generating set;
+    # leads[i] is the (leading monomial, coefficient) of basis[i]
+    basis: list[Polynomial] = []
+    leads: list[tuple[Monomial, Fraction]] = []
+
+    def add(r):
+        nonlocal below
+        basis.append(r)
+        leads.append(leading_term(r, key))
+        if below is not None:
+            below = min(below, _staircase_top([lm for lm, _ in leads], ring.arity, below) + 1)
+
+    for g in sorted(gens, key=lambda p: (key(leading_monomial(p, key)), sorted(p.terms.items()))):
+        r = _reduce_full(g, basis, leads, key, below)
+        if not r.is_zero():
+            add(r)
+
+    # queued pairs: ``pairs`` answers the chain criterion's membership
+    # tests, ``queue`` holds the same pairs ranked by their lcm
+    pairs: set[tuple[int, int]] = set()
+    queue: list = []
+
+    def enqueue(i, j):
+        lcm = mono_lcm(leads[i][0], leads[j][0])
+        pairs.add((i, j))
+        heapq.heappush(queue, (degree(lcm), key(lcm), (i, j), lcm))
+
+    for j in range(len(basis)):
+        for i in range(j):
+            enqueue(i, j)
+
+    while queue:
+        deg, _, (i, j), lcm = heapq.heappop(queue)
+        if below is not None and deg >= below:
+            break  # pairs come by total degree: every later S-polynomial is 0
+        pairs.discard((i, j))
+        (li, ci), (lj, cj) = leads[i], leads[j]
+        if lcm == mono_mul(li, lj):
+            continue  # coprime leading monomials: S-polynomial reduces to 0
+        # chain criterion: some k divides the lcm and both (i,k), (j,k) done
+        if any(
+            k not in (i, j)
+            and mono_divides(lk, lcm)
+            and (min(i, k), max(i, k)) not in pairs
+            and (min(j, k), max(j, k)) not in pairs
+            for k, (lk, _) in enumerate(leads)
+        ):
+            continue
+        si = ring.monomial(mono_div(lcm, li), Fraction(1) / ci)
+        sj = ring.monomial(mono_div(lcm, lj), Fraction(1) / cj)
+        spoly = si * basis[i] - sj * basis[j]
+        r = _reduce_full(spoly, basis, leads, key, below)
+        if r.is_zero():
+            continue
+        new = len(basis)
+        add(r)
+        for k in range(new):
+            enqueue(k, new)
+    return basis, leads, below
+
+
 # -- invariants derived from a basis ----------------------------------
 
-
-def _ideal_plus_max_power(gb: GroebnerBasis, n: int) -> list[Polynomial]:
-    ring = gb.ring
-    power = [ring.monomial(m) for m in _monomials_of_total_degree(ring, n)]
-    return gb.elements + power
+COLENGTH_CAP = 64
 
 
-def _monomials_of_total_degree(ring: PolyRing, degree: int) -> list[Monomial]:
+def _local_key(m: Monomial):
+    """Local degree order: lower total degree is larger, then grevlex."""
+    return (-sum(m), tuple(-e for e in reversed(m)))
+
+
+def _staircase(lead: list[Monomial], arity: int, below: int) -> list[Monomial]:
+    """Monomials of total degree < below outside the ideal generated by
+    ``lead``.  Each is reached once, from the standard monomial with its
+    last nonzero exponent one lower, so a lead dividing it has that
+    exponent equal."""
     out = []
-
-    def rec(i, remaining, prefix):
-        if i == ring.arity - 1:
-            out.append(prefix + (remaining,))
-            return
-        for e in range(remaining + 1):
-            rec(i + 1, remaining - e, prefix + (e,))
-
-    if ring.arity == 0:
-        return []
-    rec(0, degree, ())
+    todo = [((0,) * arity, 0)] if below > 0 else []
+    while todo:
+        m, last = todo.pop()
+        if any(lm[last] == m[last] and mono_divides(lm, m) for lm in lead):
+            continue
+        out.append(m)
+        if sum(m) + 1 < below:
+            todo.extend((m[:i] + (m[i] + 1,) + m[i + 1 :], i) for i in range(last, arity))
     return out
 
 
-def _standard_monomial_count(gb: GroebnerBasis) -> int | float:
-    """Number of monomials outside the leading-term ideal (inf if unbounded)."""
-    lead = gb.leading_monomials()
-    n = gb.ring.arity
-    # bounded iff every variable appears as a pure power among the leads
-    caps = [None] * n
-    for m in lead:
-        support = [i for i, e in enumerate(m) if e > 0]
-        if len(support) == 1:
-            i = support[0]
-            caps[i] = m[i] if caps[i] is None else min(caps[i], m[i])
-        elif len(support) == 0:
-            return 0
-    if any(c is None for c in caps):
-        return INFINITE
-    count = 0
-    for expo in itertools.product(*[range(c) for c in caps]):
-        if not any(mono_divides(lm, expo) for lm in lead):
-            count += 1
-    return count
+def _staircase_top(lead: list[Monomial], arity: int, below: int) -> int:
+    """Top total degree of ``_staircase`` (-1 when it is empty)."""
+    if any(sum(lm) == 0 for lm in lead):
+        return -1
+    for i in range(arity):
+        # without a pure power of x_i below the bound, x_i^(below-1) is standard
+        if not any(0 < lm[i] == sum(lm) < below for lm in lead):
+            return below - 1
+    return max(map(sum, _staircase(lead, arity, below)), default=-1)
 
 
-def colength_local(gb: GroebnerBasis, cap: int = 64) -> int | float:
+def colength_local(generators: list[Polynomial], ring: PolyRing) -> int | float:
     """Vector-space dimension of (power series ring at 0) / ideal.
 
-    Computed as the stabilized value of dim k[x]/(I + m^N) for
-    increasing N, where m is the maximal ideal at the origin.  Returns
-    ``INFINITE`` when the quotient keeps growing past ``cap`` and the
-    leading-term ideal confirms positive-dimensional support.
+    One global basis comes first.  A weighted-homogeneous ideal with all
+    weights >= 1 cuts out a cone, so its finite quotient lives at the
+    origin alone: the Poincare series at u = 1 (``INFINITE`` for an
+    infinite series) is the answer.
+
+    Any other ideal gets truncated local standard bases of I + m^N for
+    N = 2, 4, 8, ... up to ``COLENGTH_CAP``.  Below degree N their leading
+    ideal is that of I at the origin, so a staircase without monomials
+    of degree N - 1 proves m^(N-1) in I locally (Nakayama) and its size
+    is the colength (the highest corner of Greuel and Pfister, A
+    Singular Introduction to Commutative Algebra, 1.7).  Past the cap:
+    ``INFINITE`` if the global Krull dimension is positive, else
+    ``DomainError``.
     """
-    if gb.ring.arity == 0:
-        return 0 if gb.is_unit_ideal() else 1
-    # a weighted-homogeneous ideal (all weights >= 1) cuts out a cone, so
-    # positive Krull dimension already proves the local quotient infinite
-    if (
-        not gb.ring.has_zero_weights
-        and gb.is_homogeneous()
-        and krull_dimension(gb) >= 1
-    ):
-        return INFINITE
-    prev = None
-    n = 1
-    while n <= cap:
-        quotient = buchberger(_ideal_plus_max_power(gb, n), gb.order, ring=gb.ring)
-        dim = _standard_monomial_count(quotient)
-        if dim == prev:
-            return dim
-        prev = dim
-        n += 1
+    gb = buchberger(generators, WGREVLEX, ring=ring)
+    if not ring.has_zero_weights and gb.is_homogeneous():
+        return poincare_series(gb).total_dimension()
+    gens = [g for g in generators if not g.is_zero()]
+    n = 2
+    while n <= COLENGTH_CAP:
+        _, leads, below = _complete(gens, ring, _local_key, below=n)
+        if below < n:
+            return len(_staircase([lm for lm, _ in leads], ring.arity, below))
+        n *= 2
     if krull_dimension(gb) >= 1:
         return INFINITE
     raise DomainError(
-        f"local colength did not stabilize within m^{cap} although the ideal "
-        "is zero-dimensional; raise the cap"
+        f"local colength not reached within m^{COLENGTH_CAP} although the ideal "
+        "is zero-dimensional"
     )
 
 

@@ -169,6 +169,42 @@ def test_main_exit_codes(tmp_path, capsys):
     assert main(["milnor", "-i", str(broken)]) == 2
 
 
+def test_main_parser_is_built_once_and_keeps_no_state(tmp_path, capsys):
+    fermat = write(tmp_path, "fermat.json", FERMAT)
+    pair = write(
+        tmp_path,
+        "pair.json",
+        {"ring": {"vars": ["x", "y", "z"]}, "ideal": ["x^2 + y*z - 1", "x*y - z^2"]},
+    )
+    runs = [
+        ["gb", "-i", pair, "--order", "lex"],
+        ["gb", "-i", pair],
+        ["coinv", "-i", fermat, "--max-degree", "2"],
+        ["coinv", "-i", fermat],
+        ["strata", "-i", fermat, "--max-degree", "-5"],  # argparse exits 2
+        ["milnor", "-i", fermat, "--format", "json"],
+    ]
+
+    def outcome(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    build_parser.cache_clear()
+    shared = [outcome(argv) for argv in runs]
+    assert build_parser.cache_info().misses == 1
+    fresh = []
+    for argv in runs:
+        build_parser.cache_clear()
+        fresh.append(outcome(argv))
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [0, 0, 0, 0, 2, 0]
+    assert shared[0][1] != shared[1][1] and shared[2][1] != shared[3][1]
+
+
 def test_load_rejects_boolean_weights(tmp_path):
     payload = {"ring": {"vars": ["x", "y"], "weights": [True, 1]}, "ideal": ["x^2 - y^3"]}
     with pytest.raises(InputError, match="ring.weights"):

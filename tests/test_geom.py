@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from leafalg import geom, groebner
 from leafalg.errors import DomainError
 from leafalg.geom import (
     BracketStructure,
@@ -87,6 +88,46 @@ def test_milnor_nonisolated_is_infinite():
     assert milnor_number(X) == INFINITE
     with pytest.raises(DomainError, match="non-isolated"):
         tjurina(X)
+
+
+@pytest.mark.parametrize(
+    "a, b, p, q, mu", [(6, 6, 2, 2, 13), (5, 5, 2, 2, 11), (7, 5, 2, 2, 13)]
+)
+def test_milnor_matches_kouchnirenko(a, b, p, q, mu):
+    # x^a + y^b + x^p*y^q is convenient and Newton-nondegenerate, so
+    # mu = 2V - a - b + 1 with V = (a*q + b*p)/2 the area under its
+    # Newton polygon through (a, 0), (p, q), (0, b)
+    assert a * q + b * p - a - b + 1 == mu
+    f = parse_poly(f"x^{a} + y^{b} + x^{p}*y^{q}", XY)
+    assert milnor_number(Variety(XY, [f])) == mu
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_milnor_matches_milnor_orlik_on_perturbed_quintic(seed):
+    # the sextic term lies above the weight of the Fermat quintic, which
+    # fixes mu at Milnor-Orlik's (d/w - 1)^3 = 4^3
+    rng = random.Random(700 + seed)
+    c1, c2, c3, e = (rng.choice([-7, -3, -2, -1, 1, 2, 3, 7]) for _ in range(4))
+    f = parse_poly(f"{c1}*x^5 + {c2}*y^5 + {c3}*z^5 + {e}*x^2*y^2*z^2", XYZ)
+    assert milnor_number(Variety(XYZ, [f])) == 64
+
+
+def test_tjurina_reuses_the_singularity_basis(monkeypatch):
+    calls = []
+    real = groebner.buchberger
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(groebner, "buchberger", counted)
+    monkeypatch.setattr(geom, "buchberger", counted)
+    X = Variety(XYZ, polys(XYZ, "x^4 + y^4 + z^4"))
+    assert tjurina(X).tjurina == 27
+    # one global basis for J_1's colength and one for the singularity ring
+    assert len(calls) == 2
+    assert hp0_series(X).total_dimension() == 27
+    assert len(calls) == 2
 
 
 def test_tjurina_fermat():

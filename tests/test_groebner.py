@@ -9,6 +9,7 @@ import pytest
 from leafalg import groebner
 from leafalg.cli import load_input
 from leafalg.errors import DomainError, InputError
+from leafalg.geom import Variety, jacobian_chain
 from leafalg.groebner import (
     INFINITE,
     LEX,
@@ -115,30 +116,101 @@ def test_membership_agrees_with_graded_brute_force():
 
 
 def test_colength_point():
-    assert colength_local(buchberger(polys(XYZ, "x", "y", "z"))) == 1
+    assert colength_local(polys(XYZ, "x", "y", "z"), XYZ) == 1
 
 
 def test_colength_cube():
-    gb = buchberger(polys(XYZ, "x^2", "y^2", "z^2"))
-    assert colength_local(gb) == 8
+    assert colength_local(polys(XYZ, "x^2", "y^2", "z^2"), XYZ) == 8
     assert local_colength_brute(polys(XYZ, "x^2", "y^2", "z^2")) == 8
 
 
 def test_colength_quadric_ideal():
     gens = polys(XYZ, "x^2+y^2+z^2", "x*y", "x*z", "y*z")
-    assert colength_local(buchberger(gens)) == 6
+    assert colength_local(gens, XYZ) == 6
     assert local_colength_brute(gens) == 6
 
 
 def test_colength_nonisolated_is_infinite():
-    gb = buchberger(polys(XY, "x^2", "x*y"))
-    assert colength_local(gb) == INFINITE
+    assert colength_local(polys(XY, "x^2", "x*y"), XY) == INFINITE
 
 
 def test_colength_inhomogeneous_local_ring():
     # x - x^2 cuts out {0, 1}; the local quotient at the origin is a point
-    gb = buchberger(polys(XY, "x - x^2", "y"))
-    assert colength_local(gb) == 1
+    assert colength_local(polys(XY, "x - x^2", "y"), XY) == 1
+
+
+def _local_germ(rng, ring, low, high, terms):
+    """Random polynomial with terms of total degree low..high that is not
+    weighted-homogeneous."""
+    out = ring.zero()
+    while out.is_zero() or out.is_quasihomogeneous():
+        out = ring.zero()
+        for _ in range(terms):
+            expo = [0] * ring.arity
+            for _ in range(rng.randint(low, high)):
+                expo[rng.randrange(ring.arity)] += 1
+            out = out + ring.monomial(tuple(expo), rng.choice([-3, -2, -1, 1, 2, 3]))
+    return out
+
+
+def _isolated_germ(rng, ring):
+    """One generator x_i^a_i + (random terms of degree 2..3) per variable,
+    a generic system with an isolated zero at the origin; a_i <= 3 in the
+    plane and 2 in space keep the brute oracle quick."""
+    top = 3 if ring.arity == 2 else 2
+    out = []
+    for i in range(ring.arity):
+        expo = tuple(rng.randint(2, top) if j == i else 0 for j in range(ring.arity))
+        out.append(ring.monomial(expo) + _local_germ(rng, ring, 2, 3, 2))
+    return out
+
+
+@pytest.mark.parametrize("ring", [XY, XYZ], ids=["plane", "space"])
+@pytest.mark.parametrize("seed", range(5))
+def test_colength_local_matches_brute_on_germs(ring, seed):
+    gens = _isolated_germ(random.Random(400 + seed), ring)
+    assert colength_local(gens, ring) == local_colength_brute(gens)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_colength_local_matches_brute_on_complete_intersection_chains(seed):
+    rng = random.Random(600 + seed)
+    f = parse_poly("x^2 + y^3 + z^3", XYZ) + _local_germ(rng, XYZ, 3, 4, 2)
+    g = parse_poly("x*y + z^2", XYZ) + _local_germ(rng, XYZ, 3, 4, 2)
+    for gens in jacobian_chain(Variety(XYZ, [f, g])).ideals:
+        assert colength_local(gens, XYZ) == local_colength_brute(gens)
+
+
+def test_colength_local_inputs_that_stall_other_methods():
+    # inputs measured to stall a homogenized Buchberger (the first, over
+    # 100x slower) and Mora's normal form without truncation (the second)
+    plane = parse_poly("-x^4*y^3 - 2*x^2*y^5 + 5*x^4 + 4*y^3 + 3*x*y", XY)
+    j1 = jacobian_chain(Variety(XY, [plane])).ideals[0]
+    assert colength_local(j1, XY) == 1 == local_colength_brute(j1)
+    f = parse_poly("x*y*z^3 - 2*x*y*z^2 + y^3 + x^2 + 4*z^2", XYZ)
+    g = parse_poly("-2*x*y^2*z^3 + 3*y^3 + 3*x^2 + 4*y^2 + 5*z^2", XYZ)
+    j2 = jacobian_chain(Variety(XYZ, [f, g])).ideals[1]
+    assert colength_local(j2, XYZ) == 7 == local_colength_brute(j2)
+
+
+def test_colength_local_zero_weight_ring():
+    # zero weights rule out the graded shortcut, even for an ideal whose
+    # generators are weighted-homogeneous
+    ring = PolyRing(["x", "y", "t"], [1, 1, 0])
+    flat = PolyRing(["x", "y", "t"])
+    for texts in [("x^2", "y^2", "t^3"), ("x^2 + t^3", "y^2 - x*t", "t^4 + x*y")]:
+        gens = polys(ring, *texts)
+        assert colength_local(gens, ring) == colength_local(polys(flat, *texts), flat)
+        assert colength_local(gens, ring) == local_colength_brute(gens)
+    assert colength_local(polys(ring, "x^2", "y"), ring) == INFINITE
+
+
+def test_colength_local_inhomogeneous_bounds():
+    # x = 0 through the origin, not a graded ideal: seen only past the cap
+    assert colength_local(polys(XY, "x^2 - x^3", "x*y"), XY) == INFINITE
+    # zero-dimensional, but the origin alone needs more than m^64
+    with pytest.raises(DomainError, match="m\\^64"):
+        colength_local(polys(XY, "x^70 + x^71", "y"), XY)
 
 
 def test_colength_matches_series_for_graded_origin_ideals():
@@ -153,7 +225,7 @@ def test_colength_matches_series_for_graded_origin_ideals():
         gb = buchberger(gens)
         series = poincare_series(gb)
         assert series.finite
-        assert colength_local(gb) == series.total_dimension()
+        assert colength_local(gens, XY) == series.total_dimension()
 
 
 def test_krull_dimension_examples():

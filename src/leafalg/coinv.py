@@ -2,12 +2,14 @@
 the coordinate ring by the image of a family of vector fields.
 
 This is the independent linear-algebra oracle for the closed-form
-Poincare polynomial: for each weight w the quotient is computed exactly
-as (standard monomials of weight w) modulo the span of normal forms of
-xi(b), over all family generators xi and standard monomials b of the
-compatible weight.  The grading makes every piece finite-dimensional,
-and capping generator weights at the truncation keeps each piece exact:
-any generator of weight above w cannot map anything into weight w.
+Poincare polynomial: for each weight w the quotient is (standard
+monomials of weight w) modulo the span of NF(xi(x^b)), over all family
+generators xi and standard monomials x^b of the compatible weight.  Each
+image is built term by term, xi(x^b) = sum_i b_i c_i x^(b - e_i), and
+reduced through the basis's table of monomial normal forms into a
+sparse row that ``linalg.span_rank`` takes directly.  The grading keeps
+every piece finite-dimensional, and capping generator weights at the
+truncation keeps it exact: no generator of weight above w maps into w.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 from . import linalg
 from .errors import DomainError, InputError
 from .geom import Variety, hp0_series
-from .groebner import monomial_basis, normal_form
+from .groebner import _nf_terms, monomial_basis
 from .vfields import (
     VectorField,
     derivations_up_to_degree,
@@ -107,9 +109,7 @@ def coinvariants_truncated(X: Variety, family, max_degree: int) -> CoinvariantTa
             if fw > w:
                 continue
             sources = monomial_basis(gb, w - fw)
-            images += [
-                normal_form(xi.apply(X.ring.monomial(m)), gb).terms for xi in fs for m in sources
-            ]
+            images += [_nf_terms(gb, xi.apply_monomial(m)) for xi in fs for m in sources]
         dims[w] = len(basis) - linalg.span_rank(images)
     return CoinvariantTable(dimensions=dims, family=label, truncation=max_degree)
 

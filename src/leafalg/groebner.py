@@ -100,7 +100,7 @@ class GroebnerBasis:
     divisible by another element's leading monomial, sorted by leading
     monomial.  Unique for a given ideal and order."""
 
-    __slots__ = ("ring", "order", "elements", "reduced", "_key", "_leads")
+    __slots__ = ("ring", "order", "elements", "reduced", "_key", "_leads", "_table")
 
     def __init__(self, ring: PolyRing, order: MonomialOrder, elements: list[Polynomial]):
         self.ring = ring
@@ -111,6 +111,8 @@ class GroebnerBasis:
         self.reduced = True
         # (leading monomial, leading coefficient) per element, for normal_form
         self._leads = [lt for lt, _ in ranked]
+        # monomial -> its normal form {standard monomial: coefficient}, for _nf_terms
+        self._table: dict = {}
 
     def leading_monomials(self) -> list[Monomial]:
         return [lm for lm, _ in self._leads]
@@ -203,6 +205,49 @@ def normal_form(p: Polynomial, gb: GroebnerBasis) -> Polynomial:
     if p.ring != gb.ring:
         raise InputError("ring mismatch between polynomial and basis")
     return _reduce_full(p, gb.elements, gb._leads, gb._key)
+
+
+def _nf_terms(gb: GroebnerBasis, terms) -> dict:
+    """Normal form of the polynomial with the given ``{monomial:
+    coefficient}`` terms, as a sparse ``{standard monomial: Fraction}``.
+
+    Normal forms are linear, so this sums tabulated rows NF(x^a), one
+    per monomial, memoized on the basis.  A standard monomial is its own
+    row.  Any other x^a takes the first basis element g whose lead lm
+    divides it: NF(x^a) = -(1/lc) sum over g's other terms c x^t of
+    c NF(x^(a - lm + t)), and every such monomial is smaller than x^a.
+    Missing rows are filled smallest-first from an explicit worklist, so
+    long reduction chains need no recursion.
+    """
+    table = gb._table
+    todo = [m for m in terms if m not in table]
+    while todo:
+        a = todo.pop()
+        if a in table:
+            continue
+        for g, (lm, lc) in zip(gb.elements, gb._leads):
+            if mono_divides(lm, a):
+                break
+        else:
+            table[a] = {a: Fraction(1)}
+            continue
+        shift = mono_div(a, lm)
+        tail = [(mono_mul(t, shift), -c / lc) for t, c in g.terms.items() if t != lm]
+        missing = [t for t, _ in tail if t not in table]
+        if missing:
+            todo += [a, *missing]  # back to a once its smaller terms are in
+            continue
+        table[a] = _combine(tail, table)
+    return _combine(terms.items(), table)
+
+
+def _combine(pairs, table) -> dict:
+    """Sum of c * table[m] over the (m, c) pairs, without zero entries."""
+    out: dict = {}
+    for m, c in pairs:
+        for s, v in table[m].items():
+            out[s] = out.get(s, 0) + c * v
+    return {s: v for s, v in out.items() if v}
 
 
 def buchberger(

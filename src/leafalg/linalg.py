@@ -3,7 +3,8 @@
 Callers hand in sparse vectors, dicts from any sortable key to a
 Fraction (zero entries and empty vectors are allowed), and ask for the
 rank of their span (``span_rank``), for the linear relations among them
-(``relations``), or grow a span one vector at a time (``Echelon.add``).
+(``relations``, each a sparse dict from vector index to Fraction), or
+grow a span one vector at a time (``Echelon.add``).
 
 Underneath is one sparse elimination routine, ``Echelon._reduce``.  A
 vector is scaled to a primitive integer row, a dict from column to int,
@@ -97,8 +98,10 @@ def span_rank(vectors) -> int:
     return sum(echelon.add({cols[k]: c for k, c in v.items()}) for v in vectors)
 
 
-def relations(vectors) -> list[list[Fraction]]:
-    """Basis of the coefficient tuples c with sum_a c[a] * vectors[a] = 0.
+def relations(vectors) -> list[dict[int, Fraction]]:
+    """Basis of the coefficient tuples c with sum_a c[a] * vectors[a] = 0,
+    each as a sparse ``{index a: Fraction}`` of its nonzero entries in
+    ascending index order.
 
     The vectors are reduced in the given order, each carrying the
     record of how it combines the earlier ones (columns past the
@@ -110,7 +113,6 @@ def relations(vectors) -> list[list[Fraction]]:
     cols = _columns(vectors)
     n = len(cols)
     echelon = Echelon()
-    zero = Fraction(0)
     basis = []
     for i, v in enumerate(vectors):
         row = _integer_row({cols[k]: c for k, c in v.items()} | {n + i: Fraction(1)})
@@ -118,11 +120,9 @@ def relations(vectors) -> list[list[Fraction]]:
         if lead < n:
             echelon.rows[lead] = row
             continue
-        rel = [zero] * len(vectors)
+        # every column below n cancelled, so only record columns remain
         own = row[n + i]
-        for k, x in row.items():
-            rel[k - n] = Fraction(x, own)
-        basis.append(rel)
+        basis.append({k - n: Fraction(x, own) for k, x in sorted(row.items())})
     return basis
 
 

@@ -22,7 +22,7 @@ from . import linalg
 from .errors import DomainError, InputError
 from .geom import Variety, hp0_series
 from .coinv import graded_family
-from .groebner import monomial_basis, normal_form
+from .groebner import _nf_terms, monomial_basis
 
 
 class BigradedSeries:
@@ -155,9 +155,9 @@ def brute_sym2_coinvariants(X: Variety, max_degree: int, family="hamiltonian-top
     gb = X.groebner()
     ring = X.ring
     monos = {d: monomial_basis(gb, d) for d in range(0, max_degree + 1)}
-    # (field weight, {monomial: normal form of the field's image})
+    # (field weight, {monomial: normal form of the field's image, as terms})
     images = [
-        (fw, {m: normal_form(xi.apply(ring.monomial(m)), gb) for ms in monos.values() for m in ms})
+        (fw, {m: _nf_terms(gb, xi.apply_monomial(m)) for ms in monos.values() for m in ms})
         for fw, fs in sorted(graded.items())
         for xi in fs
     ]
@@ -176,9 +176,9 @@ def brute_sym2_coinvariants(X: Variety, max_degree: int, family="hamiltonian-top
                     out.add(canonical(a, b))
         return out
 
-    def add_product(row, poly_a, poly_b):
-        for ma, ca in poly_a.terms.items():
-            for mb, cb in poly_b.terms.items():
+    def add_product(row, terms_a, terms_b):
+        for ma, ca in terms_a.items():
+            for mb, cb in terms_b.items():
                 key = canonical(ma, mb)
                 row[key] = row.get(key, 0) + ca * cb
 
@@ -196,8 +196,8 @@ def brute_sym2_coinvariants(X: Variety, max_degree: int, family="hamiltonian-top
                 for a in monos.get(da, []):
                     for b in monos.get(bw - da, []):
                         row = {}
-                        add_product(row, image[a], ring.monomial(b))
-                        add_product(row, ring.monomial(a), image[b])
+                        add_product(row, image[a], {b: 1})
+                        add_product(row, {a: 1}, image[b])
                         rows.append(row)
         dims[w] = len(pairs) - linalg.span_rank(rows)
     return dims

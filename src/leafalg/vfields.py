@@ -28,8 +28,8 @@ from dataclasses import dataclass
 
 from . import linalg
 from .errors import DomainError, InputError
-from .groebner import GroebnerBasis, buchberger, normal_form
-from .poly import Polynomial, PolyRing
+from .groebner import GroebnerBasis, _nf_terms, buchberger, normal_form
+from .poly import Monomial, Polynomial, PolyRing, mono_mul
 
 
 def _merge_sign(left: tuple, right: tuple) -> tuple[tuple, int] | None:
@@ -89,6 +89,17 @@ class VectorField:
             if not c.is_zero():
                 total = total + c * g.partial_derivative(name)
         return total
+
+    def apply_monomial(self, m: Monomial) -> dict:
+        """Terms of xi(x^m) = sum_i m_i c_i x^(m - e_i), zeros included."""
+        out: dict = {}
+        for i, (e, c) in enumerate(zip(m, self.coefficients)):
+            if e:
+                down = m[:i] + (e - 1,) + m[i + 1 :]
+                for t, v in c.terms.items():
+                    k = mono_mul(t, down)
+                    out[k] = out.get(k, 0) + e * v
+        return out
 
     def lie_bracket(self, other: "VectorField") -> "VectorField":
         if other.ring != self.ring:
@@ -560,6 +571,16 @@ def _stack(polys) -> dict:
     return {(j, m): c for j, p in enumerate(polys) for m, c in p.terms.items()}
 
 
+def _shifted_images(slots, mono: Monomial, gb: GroebnerBasis) -> dict:
+    """One sparse vector keyed by (slot, monomial): the normal forms of
+    x^mono times each slot's terms."""
+    return {
+        (j, m): c
+        for j, terms in enumerate(slots)
+        for m, c in _nf_terms(gb, {mono_mul(t, mono): v for t, v in terms.items()}).items()
+    }
+
+
 # -- truncated solvers -------------------------------------------------
 
 
@@ -570,8 +591,10 @@ def derivations_up_to_degree(
 
     The ideal must be weighted-homogeneous so that tangency splits into
     independent per-weight linear solves with Groebner normal forms as
-    the membership oracle.  Rings with zero-weight variables need
-    ``zero_weight_cap`` to bound those exponents.
+    the membership oracle: the candidate x^a d_i maps each basis element
+    g to NF(x^a dg/dx_i), a shift of the precomputed partials reduced
+    through the basis's monomial table.  Rings with zero-weight
+    variables need ``zero_weight_cap`` to bound those exponents.
     """
     ring = gb.ring
     for g in gb.elements:
@@ -580,6 +603,7 @@ def derivations_up_to_degree(
     if ring.has_zero_weights and zero_weight_cap is None:
         raise InputError("ring has zero-weight variables: pass zero_weight_cap")
     key = gb.order.key(ring)
+    partials = [[g.partial_derivative(v).terms for g in gb.elements] for v in ring.variables]
     out: dict[int, list[VectorField]] = {}
     lowest = -max(ring.weights) if ring.weights else 0
     for w in range(lowest, max_weight + 1):
@@ -589,22 +613,14 @@ def derivations_up_to_degree(
                 candidates.append((i, mono))
         if not candidates:
             continue
-        images = []
-        for i, mono in candidates:
-            factor = ring.monomial(mono)
-            images.append(
-                _stack(
-                    normal_form(factor * g.partial_derivative(ring.variables[i]), gb)
-                    for g in gb.elements
-                )
-            )
+        images = [_shifted_images(partials[i], mono, gb) for i, mono in candidates]
         fields = []
-        for vec in linalg.relations(images):
-            coeffs = [ring.zero()] * ring.arity
-            for (i, mono), c in zip(candidates, vec):
-                if c != 0:
-                    coeffs[i] = coeffs[i] + ring.monomial(mono, c)
-            fields.append(VectorField(ring, coeffs))
+        for rel in linalg.relations(images):
+            coeffs = [{} for _ in ring.weights]
+            for a, c in rel.items():
+                i, mono = candidates[a]
+                coeffs[i][mono] = c
+            fields.append(VectorField(ring, [Polynomial(ring, t) for t in coeffs]))
         if fields:
             out[w] = fields
     return out
@@ -665,6 +681,7 @@ def incompressibility_truncated(
             raise DomainError("incompressibility solver needs weight-homogeneous fields")
         weights.append(w)
     key = gb.order.key(ring)
+    coefficient_terms = [[c.terms for c in xi.coefficients] for xi in fields]
     for w in range(min(weights), max_degree + max(weights) + 1):
         slots = []  # (field index, monomial)
         for fi, fw in enumerate(weights):
@@ -676,16 +693,12 @@ def incompressibility_truncated(
         if not slots:
             continue
         # relation constraints: each vector-field component must vanish mod I
-        images = []
-        for fi, mono in slots:
-            factor = ring.monomial(mono)
-            images.append(_stack(normal_form(factor * c, gb) for c in fields[fi].coefficients))
-        for vec in linalg.relations(images):
+        images = [_shifted_images(coefficient_terms[fi], mono, gb) for fi, mono in slots]
+        for rel in linalg.relations(images):
             residue = ring.zero()
             witness = [ring.zero()] * len(fields)
-            for (fi, mono), c in zip(slots, vec):
-                if c == 0:
-                    continue
+            for a, c in rel.items():
+                fi, mono = slots[a]
                 piece = ring.monomial(mono, c)
                 witness[fi] = witness[fi] + piece
                 residue = residue + fields[fi].apply(piece)

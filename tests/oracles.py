@@ -85,6 +85,7 @@ def local_colength_brute(gens, nmax=16):
     of truncated products (no Groebner bases involved)."""
     ring = gens[0].ring
     nvars = ring.arity
+    gens = [g for g in gens if not g.is_zero()]  # zero adds nothing and has no order
     prev = None
     for bound in range(1, nmax + 1):
         basis = [e for e in product(range(bound + 1), repeat=nvars) if sum(e) < bound]

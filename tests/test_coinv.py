@@ -2,11 +2,12 @@
 
 import pytest
 
+from leafalg import coinv, groebner, sympower, vfields
 from leafalg.coinv import coinvariants_truncated, verify_hp0
 from leafalg.errors import DomainError
 from leafalg.geom import JacobianPolyvector, Variety, hp0_series
 from leafalg.poly import PolyRing, parse_poly
-from leafalg.vfields import VectorField
+from leafalg.vfields import VectorField, derivations_up_to_degree
 
 XYZ = PolyRing(["x", "y", "z"])
 CUSP_RING = PolyRing(["x", "y"], [3, 2])
@@ -147,3 +148,72 @@ def test_verify_hp0_shifted_weights():
     report = verify_hp0(quartic, margin=1)
     assert report.match
     assert hp0_series(quartic).total_dimension() == 27
+
+
+def milnor_orlik(d, weights):
+    """prod_i (1 - u^(d - w_i)) / (1 - u^w_i) as a coefficient list, by
+    exact division in Z[u]."""
+    poly = [1]
+    for w in weights:
+        shifted = [0] * (d - w) + poly
+        poly = [a - b for a, b in zip(poly + [0] * (d - w), shifted)]
+    for w in weights:
+        # q / (1 - u^w): q_k = a_k + q_(k-w), and the top w must vanish
+        quotient = []
+        for k, a in enumerate(poly):
+            quotient.append(a + (quotient[k - w] if k >= w else 0))
+        assert not any(quotient[len(poly) - w :])
+        poly = quotient[: len(poly) - w]
+    return poly
+
+
+@pytest.mark.parametrize(
+    "text, weights",
+    [
+        ("x^3 + y^3 + z^3", (1, 1, 1)),
+        ("x^4 + y^4 + z^4", (1, 1, 1)),
+        ("x^5 + y^5 + z^5", (1, 1, 1)),
+        ("x^6 + y^6 + z^6", (1, 1, 1)),
+        ("x^2 + y^3 + z^5", (15, 10, 6)),
+        ("x^2 + y^3 + z^7", (21, 14, 6)),
+    ],
+)
+def test_hamiltonian_oracle_matches_milnor_orlik(text, weights):
+    ring = PolyRing(["x", "y", "z"], weights)
+    f = parse_poly(text, ring)
+    expected = milnor_orlik(f.weighted_degree(), weights)
+    X = Variety(ring, [f], JacobianPolyvector())
+    assert hp0_series(X).coefficients() == {w: c for w, c in enumerate(expected) if c}
+    socle = len(expected) - 1
+    table = coinvariants_truncated(X, "hamiltonian-top", socle)
+    assert [table.dimensions[w] for w in range(socle + 1)] == expected
+
+
+def test_milnor_orlik_closed_forms():
+    assert milnor_orlik(4, (1, 1, 1)) == [1, 3, 6, 7, 6, 3, 1]  # (1 + u + u^2)^3
+    e8 = milnor_orlik(30, (15, 10, 6))
+    assert [w for w, c in enumerate(e8) if c] == [0, 6, 10, 12, 16, 18, 22, 28]
+    assert set(e8) == {0, 1}
+
+
+def test_oracles_make_no_polynomial_normal_forms(monkeypatch):
+    # images come from the basis's monomial table and from fields applied
+    # to monomials, not from normal_form of VectorField.apply
+    calls = []
+
+    def counting(name, real):
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        return counted
+
+    for module in (groebner, vfields, coinv, sympower):
+        if hasattr(module, "normal_form"):
+            monkeypatch.setattr(module, "normal_form", counting("normal_form", groebner.normal_form))
+    monkeypatch.setattr(VectorField, "apply", counting("apply", VectorField.apply))
+    quartic = Variety(XYZ, polys(XYZ, "x^4 + y^4 + z^4"), JacobianPolyvector())
+    assert verify_hp0(quartic).match
+    fields = derivations_up_to_degree(quartic.groebner(), 2)
+    assert sum(map(len, fields.values())) > 0
+    assert calls == []

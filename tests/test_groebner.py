@@ -1,5 +1,6 @@
 """Groebner bases and the ideal invariants derived from them."""
 
+import itertools
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -14,6 +15,7 @@ from leafalg.groebner import (
     INFINITE,
     LEX,
     WGREVLEX,
+    _nf_terms,
     buchberger,
     colength_local,
     krull_dimension,
@@ -22,7 +24,7 @@ from leafalg.groebner import (
     normal_form,
     poincare_series,
 )
-from leafalg.poly import PolyRing, parse_poly
+from leafalg.poly import Polynomial, PolyRing, parse_poly
 
 from oracles import (
     graded_member,
@@ -191,6 +193,12 @@ def test_colength_local_inputs_that_stall_other_methods():
     g = parse_poly("-2*x*y^2*z^3 + 3*y^3 + 3*x^2 + 4*y^2 + 5*z^2", XYZ)
     j2 = jacobian_chain(Variety(XYZ, [f, g])).ideals[1]
     assert colength_local(j2, XYZ) == 7 == local_colength_brute(j2)
+
+
+def test_local_colength_brute_skips_zero_generators():
+    gens = polys(XY, "x^2 + y^3", "x*y")
+    assert local_colength_brute([XY.zero()] + gens) == local_colength_brute(gens) == 5
+    assert local_colength_brute(gens + [XY.zero()]) == 5
 
 
 def test_colength_local_zero_weight_ring():
@@ -409,6 +417,45 @@ def test_zero_weight_ring_order_is_well_founded():
 
 def corpus_ideal(name):
     return load_input(str(CORPUS / f"{name}.json")).ideal
+
+
+def random_poly(rng, ring, top=7, terms=8):
+    """A few terms of total degree <= top with small rational coefficients."""
+    monos = [m for m in itertools.product(range(top + 1), repeat=ring.arity) if sum(m) <= top]
+    return Polynomial(
+        ring, {m: Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for m in rng.sample(monos, terms)}
+    )
+
+
+ZERO_WEIGHT = PolyRing(["x", "y", "t"], [1, 1, 0])
+
+
+TABLE_CASES = {
+    "fermat quartic": lambda: buchberger(polys(XYZ, "x^4 + y^4 + z^4")),
+    "weighted cusp": lambda: buchberger(polys(CUSP_RING, "x^2 - y^3")),
+    "katsura3 lex": lambda: buchberger(corpus_ideal("katsura3"), LEX),
+    "katsura3 wgrevlex": lambda: buchberger(corpus_ideal("katsura3")),
+    "non-homogeneous": lambda: buchberger(polys(XYZ, "x^2 - y + 1", "y*z - x^3", "z^2 - 2*x")),
+    "zero weight": lambda: buchberger(polys(ZERO_WEIGHT, "x^2 + t^3", "y^2 - x*t", "t^4 + x*y")),
+}
+
+
+@pytest.mark.parametrize("seed, name", enumerate(TABLE_CASES))
+def test_tabled_normal_form_matches_normal_form(seed, name):
+    gb = TABLE_CASES[name]()
+    rng = random.Random(seed)
+    for _ in range(25):
+        p = random_poly(rng, gb.ring)
+        assert _nf_terms(gb, p.terms) == normal_form(p, gb).terms
+    # members reduce to nothing, through rows already in the table
+    for g in gb.elements:
+        assert _nf_terms(gb, (g * random_poly(rng, gb.ring, top=3, terms=3)).terms) == {}
+
+
+def test_tabled_normal_form_of_a_long_chain_needs_no_recursion():
+    # x^3000 -> x^2999*y -> ... -> y^3000, one table row per link
+    gb = buchberger(polys(XY, "x - y"))
+    assert _nf_terms(gb, {(3000, 0): Fraction(2)}) == {(0, 3000): 2}
 
 
 @pytest.mark.parametrize(

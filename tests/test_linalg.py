@@ -11,6 +11,11 @@ from leafalg.linalg import Echelon, nullspace, relations, rref, span_rank
 SEEDS = range(40)
 
 
+def dense(rels, n):
+    """The sparse relations as dense coefficient lists of length n."""
+    return [[rel.get(a, Fraction(0)) for a in range(n)] for rel in rels]
+
+
 def random_vectors(rng):
     """A few sparse vectors over a small key set, some of them dependent."""
     keys = [(rng.randrange(3), (rng.randrange(3), rng.randrange(3))) for _ in range(7)]
@@ -34,7 +39,9 @@ def random_vectors(rng):
 def test_relations_annihilate(seed):
     vectors = random_vectors(random.Random(seed))
     keys = {k for v in vectors for k in v}
-    for c in relations(vectors):
+    for rel in relations(vectors):
+        assert all(rel.values()) and list(rel) == sorted(rel)
+        c = dense([rel], len(vectors))[0]
         assert len(c) == len(vectors)
         assert any(c)
         for k in keys:
@@ -61,15 +68,15 @@ def test_relations_match_dense_nullspace(seed):
     vectors = random_vectors(random.Random(seed))
     support = sorted({k for v in vectors for k in v})
     matrix = [[Fraction(v.get(k, 0)) for v in vectors] for k in support]
-    assert relations(vectors) == nullspace(matrix, len(vectors))
+    assert dense(relations(vectors), len(vectors)) == nullspace(matrix, len(vectors))
 
 
 def test_small_cases():
     assert span_rank([]) == 0
     assert span_rank([{}, {"a": Fraction(0)}]) == 0
-    assert relations([{}, {"a": Fraction(1)}]) == [[1, 0]]
+    assert relations([{}, {"a": Fraction(1)}]) == [{0: 1}]
     assert span_rank([{"a": 1, "b": 2}, {"a": 2, "b": 4}, {"c": 1}]) == 2
-    assert relations([{"a": 1, "b": 2}, {"a": 2, "b": 4}]) == [[-2, 1]]
+    assert relations([{"a": 1, "b": 2}, {"a": 2, "b": 4}]) == [{0: -2, 1: 1}]
 
 
 LARGE_SEEDS = range(8)
@@ -117,9 +124,9 @@ def test_large_relations_match_dense_nullspace(seed):
     vectors = large_sparse_vectors(random.Random(1000 + seed))
     transpose = [list(col) for col in zip(*dense_rows(vectors))]
     found = relations(vectors)
-    assert found == nullspace(transpose, len(vectors))
+    assert dense(found, len(vectors)) == nullspace(transpose, len(vectors))
     assert found  # the forced combinations give relations
-    assert all(type(c) is Fraction for rel in found for c in rel)
+    assert all(type(c) is Fraction and c for rel in found for c in rel.values())
 
 
 @pytest.mark.parametrize("seed", LARGE_SEEDS)

@@ -9,7 +9,7 @@ import pytest
 from leafalg.errors import DomainError
 from leafalg.geom import JacobianPolyvector, Variety
 from leafalg.groebner import buchberger, poincare_series
-from leafalg.poly import PolyRing, parse_poly
+from leafalg.poly import Polynomial, PolyRing, parse_poly
 from leafalg.vfields import (
     DifferentialForm,
     JacobiStructure,
@@ -61,6 +61,15 @@ def test_apply_euler_identity():
     euler = field(CUSP_RING, "3*x", "2*y")
     f = parse_poly("x^2 - y^3", CUSP_RING)
     assert euler.apply(f) == f.scale(6)
+
+
+def test_apply_monomial_matches_apply():
+    rng = random.Random(17)
+    for ring in (XYZ, CUSP_RING):
+        for _ in range(20):
+            xi = VectorField(ring, [random_polynomial(rng, ring) for _ in ring.variables])
+            m = tuple(rng.randint(0, 4) for _ in ring.variables)
+            assert Polynomial(ring, xi.apply_monomial(m)) == xi.apply(ring.monomial(m))
 
 
 def test_lie_bracket_examples():

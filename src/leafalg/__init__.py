@@ -26,11 +26,8 @@ from .groebner import (
     poincare_series,
 )
 from .vfields import (
-    DifferentialForm,
     JacobiStructure,
-    Polyvector,
     VectorField,
-    contract_std,
     derivations_up_to_degree,
     exceptional_ideal,
     hamiltonian_family_top,
@@ -38,6 +35,7 @@ from .vfields import (
     incompressibility_truncated,
     jacobi_bracket,
     jacobi_hamiltonian,
+    jacobian_pairing,
     lie_closure,
     standard_contact,
     tangency_check,

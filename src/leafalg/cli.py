@@ -258,7 +258,7 @@ def run(command: str, doc: InputDocument, flags) -> dict:
         result["basis"] = [str(g) for g in gb.elements]
         text.append("reduced Groebner basis:")
         if gb.elements:
-            text.extend(f"  {g}" for g in gb.elements)
+            text.extend(f"  {g}" for g in result["basis"])
         else:
             text.append("  (zero ideal)")
         return {"result": result, "text": text}
@@ -328,9 +328,9 @@ def run(command: str, doc: InputDocument, flags) -> dict:
     elif command == "strata":
         strata = rank_strata(X, bracket_depth=flags.bracket_depth)
         result["strata"] = [_stratum_json(s) for s in strata]
-        for s in strata:
-            gens = ", ".join(str(g) for g in s.ideal.elements) or "0"
-            text.append(f"rank <= {s.rank}: ideal ({gens}), dimension {s.dimension}")
+        for s in result["strata"]:
+            gens = ", ".join(s["ideal"]) or "0"
+            text.append(f"rank <= {s['rank']}: ideal ({gens}), dimension {s['dimension']}")
     elif command == "leaves":
         rep = leaves_check(X, bracket_depth=flags.bracket_depth)
         result["passed"] = rep.passed
@@ -339,8 +339,8 @@ def run(command: str, doc: InputDocument, flags) -> dict:
             text.append("PASS: every rank stratum has dimension at most its rank")
         else:
             w = rep.witness
-            gens = ", ".join(str(g) for g in w.ideal.elements) or "0"
-            result["witness"] = _stratum_json(w)
+            result["witness"] = result["strata"][rep.strata.index(w)]
+            gens = ", ".join(result["witness"]["ideal"]) or "0"
             text.append(f"FAIL: stratum i={w.rank} ideal ({gens}) has dimension {w.dimension} > {w.rank}")
     elif command == "degenerate":
         rep = degenerate_locus(X)
@@ -365,7 +365,7 @@ def run(command: str, doc: InputDocument, flags) -> dict:
             matrix = jacobian_bracket_matrix(X)
             value = hamiltonian_from_bracket(f, matrix).apply(g)
         result["bracket"] = str(value)
-        text.append(str(value))
+        text.append(result["bracket"])
     elif command == "hamvec":
         if not flags.poly:
             raise InputError("hamvec needs -f <polynomial>")
@@ -377,7 +377,7 @@ def run(command: str, doc: InputDocument, flags) -> dict:
         else:
             xi = hamiltonian_from_bracket(f, jacobian_bracket_matrix(X))
         result["field"] = str(xi)
-        text.append(str(xi))
+        text.append(result["field"])
     elif command == "hamgen":
         degree = _default_degree(X, flags, doc.options)
         if X.expected_dimension == 1:
@@ -387,7 +387,7 @@ def run(command: str, doc: InputDocument, flags) -> dict:
         result["max_degree"] = degree
         result["fields"] = [str(xi) for xi in fields]
         text.append(f"{len(fields)} Hamiltonian fields up to weight {degree}:")
-        text.extend(f"  {xi}" for xi in fields)
+        text.extend(f"  {xi}" for xi in result["fields"])
     elif command == "derivations":
         degree = _default_degree(X, flags, doc.options)
         table = derivations_up_to_degree(
@@ -397,7 +397,7 @@ def run(command: str, doc: InputDocument, flags) -> dict:
         result["fields_by_weight"] = {
             str(w): [str(xi) for xi in fs] for w, fs in sorted(table.items())
         }
-        for w, fs in sorted(table.items()):
+        for w, fs in result["fields_by_weight"].items():
             text.append(f"weight {w}:")
             text.extend(f"  {xi}" for xi in fs)
     elif command == "exceptional":
@@ -412,7 +412,7 @@ def run(command: str, doc: InputDocument, flags) -> dict:
             result["quotient_dimension"] = _fmt_dim(series.total_dimension())
         except DomainError:
             pass
-        gens = ", ".join(str(g) for g in gb.elements) or "0"
+        gens = ", ".join(result["ideal"]) or "0"
         text.append(f"exceptional ideal ({gens}) [family: {label}]")
         if "quotient_dimension" in result:
             text.append(f"quotient dimension: {result['quotient_dimension']}")

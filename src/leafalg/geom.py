@@ -30,14 +30,7 @@ from .groebner import (
     poincare_series,
 )
 from .poly import PolyRing
-from .vfields import (
-    DifferentialForm,
-    JacobiStructure,
-    _differential_product,
-    check_skew,
-    lie_closure,
-    top_pairing,
-)
+from .vfields import JacobiStructure, check_skew, jacobian_matrix, jacobian_pairing, lie_closure
 
 
 @dataclass(frozen=True)
@@ -134,12 +127,6 @@ class JacobianChain:
     ideals: list
 
 
-def jacobian_matrix(gens, ring: PolyRing):
-    return [
-        [f.partial_derivative(name) for name in ring.variables] for f in gens
-    ]
-
-
 def jacobian_chain(X: Variety) -> JacobianChain:
     if not X.ideal_gens:
         raise DomainError("the Jacobian chain needs at least one generator")
@@ -232,8 +219,8 @@ def hp0_series(X: Variety) -> PoincareSeries:
 
 def jacobian_bracket_matrix(X: Variety) -> list:
     """The Jacobian Poisson bracket of a codimension-(n-2) complete
-    intersection: {x_i, x_j} is the pairing of
-    dx_i ^ dx_j ^ df_1 ^ ... ^ df_k with the standard top polyvector."""
+    intersection: {x_i, x_j} = P_ij, the Jacobian pairing of
+    dx_i ^ dx_j ^ df_1 ^ ... ^ df_k."""
     ring = X.ring
     k = len(X.ideal_gens)
     if ring.arity != k + 2:
@@ -241,17 +228,12 @@ def jacobian_bracket_matrix(X: Variety) -> list:
             f"Jacobian bracket needs ambient arity = codimension + 2 "
             f"(got arity {ring.arity} with {k} generators)"
         )
-    fprod = _differential_product(list(X.ideal_gens)) if k else DifferentialForm.from_poly(ring.one())
     n = ring.arity
     zero = ring.zero()
     matrix = [[zero for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        di = DifferentialForm.coordinate(ring, ring.variables[i])
-        for j in range(i + 1, n):
-            dj = DifferentialForm.coordinate(ring, ring.variables[j])
-            entry = top_pairing(di.wedge(dj).wedge(fprod))
-            matrix[i][j] = entry
-            matrix[j][i] = -entry
+    for (i, j), entry in jacobian_pairing(X.ideal_gens, ring).items():
+        matrix[i][j] = entry
+        matrix[j][i] = -entry
     return matrix
 
 

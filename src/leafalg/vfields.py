@@ -1,14 +1,20 @@
-"""Vector fields, differential forms, and polyvectors over a polynomial
-ring, with the Hamiltonian constructions and truncated solvers built on
-them.
+"""Vector fields over a polynomial ring, the Jacobian pairing of a
+complete intersection, and the Hamiltonian constructions and truncated
+solvers built on them.
 
 Sign conventions, fixed once here and used everywhere downstream:
 
-* ``contract_std`` pairs a p-form ``dx_J`` with the standard top
-  polyvector by the sign of the permutation (J, complement of J) of the
-  variable list.
-* The scalar pairing of an n-form with the standard top polyvector is
-  the coefficient of ``dx_1 ^ ... ^ dx_n``.
+* For X = {f_1 = ... = f_k = 0} in n variables and a sorted set A of
+  n - k variable indices, the Jacobian pairing is
+  ``P_A = sgn(A, A^c) * det(Jac[:, A^c])``: the coefficient of
+  ``dx_1 ^ ... ^ dx_n`` in ``dx_A ^ df_1 ^ ... ^ df_k``, where ``A^c``
+  is the complementary sorted set and ``Jac`` the k x n Jacobian matrix.
+  With k = 0 the only entry is ``P_(0..n-1) = 1`` (table keys are
+  0-based index tuples).
+* The Jacobian bracket (n - k = 2) is ``{x_i, x_j} = P_ij`` for i < j.
+* The curve's field (n - k = 1) is ``xi(x_i) = (-1)^k P_i``.
+* The field of the (m-2)-form ``g dx_J`` is
+  ``xi(x_i) = sum_l sgn(l, J, i) * d_l g * P_sort(l, J, i)``.
 * A bracket matrix ``pi`` has entries ``pi[i][j] = {x_i, x_j}`` and the
   Hamiltonian field of f is ``xi_f(x_i) = sum_j (d_j f) pi[j][i]``,
   i.e. ``xi_f(g) = {f, g}``.
@@ -28,29 +34,21 @@ from dataclasses import dataclass
 
 from . import linalg
 from .errors import DomainError, InputError
-from .groebner import GroebnerBasis, _nf_terms, buchberger, normal_form
+from .groebner import GroebnerBasis, _nf_terms, buchberger, minors, normal_form
 from .poly import Monomial, Polynomial, PolyRing, mono_mul
 
 
-def _merge_sign(left: tuple, right: tuple) -> tuple[tuple, int] | None:
-    """Merge two strictly increasing index tuples; None if they collide.
-
-    Returns the merged increasing tuple and the sign of the permutation
-    sorting the concatenation (left + right).
-    """
-    if set(left) & set(right):
+def _sort_sign(seq) -> tuple[tuple, int] | None:
+    """The sorted tuple of the indices in ``seq`` and the sign of the
+    permutation that sorts them; None if an index repeats."""
+    if len(set(seq)) != len(seq):
         return None
-    merged = left + right
     sign = 1
-    # parity of the merge = number of transpositions in an insertion sort
-    items = list(merged)
-    for i in range(1, len(items)):
-        j = i
-        while j > 0 and items[j - 1] > items[j]:
-            items[j - 1], items[j] = items[j], items[j - 1]
-            sign = -sign
-            j -= 1
-    return tuple(items), sign
+    for i, a in enumerate(seq):
+        for b in seq[i + 1 :]:
+            if a > b:
+                sign = -sign
+    return tuple(sorted(seq)), sign
 
 
 class VectorField:
@@ -184,197 +182,6 @@ class VectorField:
         return f"<{self}>"
 
 
-class DifferentialForm:
-    """Homogeneous exterior form: {increasing index tuple: coefficient}."""
-
-    __slots__ = ("ring", "degree", "terms")
-
-    def __init__(self, ring: PolyRing, degree: int, terms):
-        if degree < 0:
-            raise InputError("form degree out of range")
-        clean = {}
-        for idx, c in dict(terms).items():
-            idx = tuple(idx)
-            if list(idx) != sorted(set(idx)) or len(idx) != degree:
-                raise InputError(f"index tuple {idx} must be strictly increasing of length {degree}")
-            if idx and (idx[0] < 0 or idx[-1] >= ring.arity):
-                raise InputError(f"index tuple {idx} outside the variable range")
-            if not c.is_zero():
-                clean[idx] = c
-        self.ring = ring
-        self.degree = degree
-        self.terms = clean
-
-    @classmethod
-    def from_poly(cls, p: Polynomial) -> "DifferentialForm":
-        return cls(p.ring, 0, {(): p})
-
-    @classmethod
-    def coordinate(cls, ring: PolyRing, name: str) -> "DifferentialForm":
-        """The 1-form d<name>."""
-        return cls(ring, 1, {(ring.index(name),): ring.one()})
-
-    @classmethod
-    def monomial_form(cls, ring: PolyRing, coeff: Polynomial, idx: tuple) -> "DifferentialForm":
-        return cls(ring, len(idx), {tuple(idx): coeff})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other: "DifferentialForm") -> "DifferentialForm":
-        if other.degree != self.degree or other.ring != self.ring:
-            raise InputError("can only add forms of the same degree over the same ring")
-        terms = dict(self.terms)
-        for idx, c in other.terms.items():
-            s = terms.get(idx, self.ring.zero()) + c
-            if s.is_zero():
-                terms.pop(idx, None)
-            else:
-                terms[idx] = s
-        return DifferentialForm(self.ring, self.degree, terms)
-
-    def scale(self, c) -> "DifferentialForm":
-        return DifferentialForm(
-            self.ring, self.degree, {i: p * c if isinstance(c, Polynomial) else p.scale(c) for i, p in self.terms.items()}
-        )
-
-    def wedge(self, other: "DifferentialForm") -> "DifferentialForm":
-        if other.ring != self.ring:
-            raise InputError("ring mismatch")
-        degree = self.degree + other.degree
-        if degree > self.ring.arity:
-            return DifferentialForm(self.ring, degree, {})
-        terms: dict = {}
-        for ia, ca in self.terms.items():
-            for ib, cb in other.terms.items():
-                merged = _merge_sign(ia, ib)
-                if merged is None:
-                    continue
-                idx, sign = merged
-                c = ca * cb
-                if sign < 0:
-                    c = -c
-                s = terms.get(idx, self.ring.zero()) + c
-                if s.is_zero():
-                    terms.pop(idx, None)
-                else:
-                    terms[idx] = s
-        return DifferentialForm(self.ring, degree, terms)
-
-    def exterior_derivative(self) -> "DifferentialForm":
-        ring = self.ring
-        out = DifferentialForm(ring, self.degree + 1, {})
-        for idx, c in self.terms.items():
-            for i, name in enumerate(ring.variables):
-                dc = c.partial_derivative(name)
-                if dc.is_zero():
-                    continue
-                merged = _merge_sign((i,), idx)
-                if merged is None:
-                    continue
-                widx, sign = merged
-                piece = DifferentialForm(ring, self.degree + 1, {widx: dc if sign > 0 else -dc})
-                out = out + piece
-        return out
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, DifferentialForm)
-            and self.ring == other.ring
-            and self.degree == other.degree
-            and self.terms == other.terms
-        )
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for idx, c in sorted(self.terms.items()):
-            basis = "^".join(f"d{self.ring.variables[i]}" for i in idx) or "1"
-            coeff = str(c)
-            if len(c.terms) > 1:
-                coeff = f"({coeff})"
-            parts.append(f"{coeff}*{basis}" if idx else coeff)
-        return " + ".join(parts).replace("+ -", "- ")
-
-    __repr__ = __str__
-
-
-class Polyvector:
-    """Homogeneous polyvector field, stored like a form: increasing index
-    tuples of d/dx factors with polynomial coefficients."""
-
-    __slots__ = ("ring", "degree", "terms")
-
-    def __init__(self, ring: PolyRing, degree: int, terms):
-        self.ring = ring
-        self.degree = degree
-        self.terms = {tuple(i): c for i, c in dict(terms).items() if not c.is_zero()}
-
-    def scalar(self) -> Polynomial:
-        if self.degree != 0:
-            raise InputError("scalar() requires a degree-0 polyvector")
-        return self.terms.get((), self.ring.zero())
-
-    def as_vector_field(self) -> VectorField:
-        if self.degree != 1:
-            raise InputError("as_vector_field() requires a degree-1 polyvector")
-        coeffs = [self.ring.zero()] * self.ring.arity
-        for (i,), c in self.terms.items():
-            coeffs[i] = c
-        return VectorField(self.ring, coeffs)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Polyvector)
-            and self.ring == other.ring
-            and self.degree == other.degree
-            and self.terms == other.terms
-        )
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for idx, c in sorted(self.terms.items()):
-            basis = "^".join(f"d_{self.ring.variables[i]}" for i in idx) or "1"
-            coeff = str(c)
-            if len(c.terms) > 1:
-                coeff = f"({coeff})"
-            parts.append(f"{coeff}*{basis}" if idx else coeff)
-        return " + ".join(parts).replace("+ -", "- ")
-
-    __repr__ = __str__
-
-
-def contract_std(form: DifferentialForm) -> Polyvector:
-    """Contract a p-form against the standard top polyvector field.
-
-    c * dx_J maps to sgn(J, J^c) * c * d_{J^c} where J^c is the
-    complementary increasing tuple; n-forms land in scalars.
-    """
-    ring = form.ring
-    n = ring.arity
-    out: dict = {}
-    allv = tuple(range(n))
-    for idx, c in form.terms.items():
-        comp = tuple(i for i in allv if i not in idx)
-        merged = _merge_sign(idx, comp)
-        _, sign = merged
-        c2 = c if sign > 0 else -c
-        prev = out.get(comp)
-        out[comp] = c2 if prev is None else prev + c2
-    return Polyvector(ring, n - form.degree, out)
-
-
-def top_pairing(form: DifferentialForm) -> Polynomial:
-    """Scalar pairing of an n-form with the standard top polyvector."""
-    if form.degree != form.ring.arity:
-        raise InputError("top_pairing requires a top-degree form")
-    full = tuple(range(form.ring.arity))
-    return form.terms.get(full, form.ring.zero())
-
-
 def tangency_check(field: VectorField, gb: GroebnerBasis) -> bool:
     """True iff the field maps every ideal generator back into the ideal."""
     return all(normal_form(field.apply(g), gb).is_zero() for g in gb.elements)
@@ -384,14 +191,15 @@ def hamiltonian_from_bracket(f: Polynomial, matrix) -> VectorField:
     """Hamiltonian field of f for a bracket matrix: xi_f(x_i) = {f, x_i}."""
     ring = f.ring
     n = ring.arity
+    partials = [f.partial_derivative(name) for name in ring.variables]
     coeffs = []
     for i in range(n):
         total = ring.zero()
-        for j, name in enumerate(ring.variables):
+        for j, df in enumerate(partials):
             entry = matrix[j][i]
             if entry.is_zero():
                 continue
-            total = total + f.partial_derivative(name) * entry
+            total = total + df * entry
         coeffs.append(total)
     return VectorField(ring, coeffs)
 
@@ -475,44 +283,65 @@ def standard_contact(pairs: int = 1) -> JacobiStructure:
     return JacobiStructure(ring, tuple(tuple(row) for row in matrix), u)
 
 
-# -- Hamiltonian families from a top polyvector -----------------------
+# -- the Jacobian pairing and its Hamiltonian fields -------------------
 
 
-def _differential_product(gens) -> DifferentialForm:
-    ring = gens[0].ring
-    form = DifferentialForm.from_poly(ring.one())
-    for f in gens:
-        form = form.wedge(DifferentialForm.from_poly(f).exterior_derivative())
-    return form
+def jacobian_matrix(gens, ring: PolyRing):
+    """The k x n matrix of partial derivatives d f_r / d x_j."""
+    return [
+        [f.partial_derivative(name) for name in ring.variables] for f in gens
+    ]
 
 
-def field_from_form(alpha: DifferentialForm, gens) -> VectorField:
-    """The Hamiltonian field of an (m-2)-form alpha on the complete
-    intersection cut out by ``gens``: xi(x_i) is the pairing of
-    d(alpha) ^ dx_i ^ df_1 ^ ... ^ df_k with the top polyvector."""
-    ring = alpha.ring
-    dalpha = alpha.exterior_derivative()
-    fprod = _differential_product(gens) if gens else DifferentialForm.from_poly(ring.one())
+def jacobian_pairing(gens, ring: PolyRing) -> dict:
+    """The Jacobian pairing table {A: P_A} of the complete intersection
+    cut out by ``gens``, over every sorted A of n - k variable indices:
+    P_A = sgn(A, A^c) * det(Jac[:, A^c]).  The k x k minors come in the
+    lexicographic order of their column sets A^c."""
+    n, k = ring.arity, len(gens)
+    if not k:
+        return {tuple(range(n)): ring.one()}
+    dets = minors(jacobian_matrix(gens, ring), k)
+    table = {}
+    for cols, det in zip(itertools.combinations(range(n), k), dets):
+        rest = tuple(i for i in range(n) if i not in cols)
+        table[rest] = det if _sort_sign(rest + cols)[1] > 0 else -det
+    return table
+
+
+def field_from_form(g: Polynomial, J: tuple, pairing: dict) -> VectorField:
+    """The Hamiltonian field of the (m-2)-form g dx_J on the complete
+    intersection with Jacobian pairing table ``pairing``:
+    xi(x_i) = sum_l sgn(l, J, i) * d_l g * P_sort(l, J, i)."""
+    ring = g.ring
+    partials = [g.partial_derivative(name) for name in ring.variables]
     coeffs = []
-    for name in ring.variables:
-        w = dalpha.wedge(DifferentialForm.coordinate(ring, name)).wedge(fprod)
-        coeffs.append(top_pairing(w))
+    for i in range(ring.arity):
+        total = ring.zero()
+        for l, dg in enumerate(partials):
+            if dg.is_zero():
+                continue
+            sorted_sign = _sort_sign((l, *J, i))
+            if sorted_sign is None:
+                continue
+            key, sign = sorted_sign
+            term = dg * pairing[key]
+            total = total + term if sign > 0 else total - term
+        coeffs.append(total)
     return VectorField(ring, coeffs)
 
 
 def top_polyvector_field(gens) -> VectorField:
-    """The vector field obtained by contracting the standard top
-    polyvector with df_1 ^ ... ^ df_k when the quotient is a curve
-    (its span is the locally Hamiltonian algebra of the curve)."""
+    """The field xi(x_i) = (-1)^k P_i of a curve cut out by k = n - 1
+    equations (its span is the locally Hamiltonian algebra of the
+    curve)."""
     ring = gens[0].ring
-    if len(gens) != ring.arity - 1:
+    k = len(gens)
+    if k != ring.arity - 1:
         raise DomainError("top polyvector field of a curve needs codimension arity-1")
-    fprod = _differential_product(gens)
-    coeffs = []
-    for name in ring.variables:
-        w = fprod.wedge(DifferentialForm.coordinate(ring, name))
-        coeffs.append(top_pairing(w))
-    return VectorField(ring, coeffs)
+    pairing = jacobian_pairing(gens, ring)
+    coeffs = [pairing[(i,)] for i in range(ring.arity)]
+    return VectorField(ring, [-c for c in coeffs] if k % 2 else coeffs)
 
 
 def hamiltonian_family_top(X, max_degree: int) -> list[VectorField]:
@@ -531,14 +360,14 @@ def hamiltonian_family_top(X, max_degree: int) -> list[VectorField]:
     m = ring.arity - len(gens)
     if m < 2:
         raise DomainError("hamiltonian_family_top requires dimension n - k >= 2")
+    pairing = jacobian_pairing(gens, ring)
     fields = []
     seen = set()
     for idx in itertools.combinations(range(ring.arity), m - 2):
         dx_weight = sum(ring.weights[i] for i in idx)
         for g_weight in range(0, max_degree - dx_weight + 1):
             for mono in ring.monomials_of_weight(g_weight):
-                alpha = DifferentialForm.monomial_form(ring, ring.monomial(mono), idx)
-                xi = field_from_form(alpha, gens)
+                xi = field_from_form(ring.monomial(mono), idx, pairing)
                 if xi.is_zero() or xi in seen:
                     continue
                 seen.add(xi)

@@ -7,7 +7,7 @@ the package.
 """
 
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 
 
 def rref_rank(rows):
@@ -121,6 +121,18 @@ def permutation_sign(perm):
             if items[i] > items[j]:
                 sign = -sign
     return sign
+
+
+def leibniz_determinant(mat, ring):
+    """Determinant of a square matrix of polynomials as the sum over all
+    permutations s of sign(s) * prod_r mat[r][s(r)]; 1 for a 0 x 0 matrix."""
+    total = ring.zero()
+    for perm in permutations(range(len(mat))):
+        term = ring.one()
+        for r, c in enumerate(perm):
+            term = term * mat[r][c]
+        total = total + term if permutation_sign(perm) > 0 else total - term
+    return total
 
 
 def partition_count(n):

@@ -1,4 +1,5 @@
-"""Vector fields, forms, Hamiltonian constructions, truncated solvers."""
+"""Vector fields, the Jacobian pairing, Hamiltonian constructions,
+truncated solvers."""
 
 import itertools
 import random
@@ -7,31 +8,33 @@ from fractions import Fraction
 import pytest
 
 from leafalg.errors import DomainError
-from leafalg.geom import JacobianPolyvector, Variety
+from leafalg.geom import JacobianPolyvector, Variety, jacobian_bracket_matrix
 from leafalg.groebner import buchberger, poincare_series
 from leafalg.poly import Polynomial, PolyRing, parse_poly
 from leafalg.vfields import (
-    DifferentialForm,
     JacobiStructure,
     VectorField,
-    contract_std,
     derivations_up_to_degree,
     exceptional_ideal,
+    field_from_form,
     hamiltonian_family_top,
     hamiltonian_from_bracket,
     incompressibility_truncated,
     jacobi_bracket,
     jacobi_hamiltonian,
+    jacobian_pairing,
     lie_closure,
     standard_contact,
     tangency_check,
     top_polyvector_field,
 )
 
-from oracles import permutation_sign, random_polynomial, random_quasihomogeneous
+from oracles import leibniz_determinant, permutation_sign, random_polynomial, random_quasihomogeneous
 
 XYZ = PolyRing(["x", "y", "z"])
 XY = PolyRing(["x", "y"])
+XYZW = PolyRing(["x", "y", "z", "w"])
+XYZWV = PolyRing(["x", "y", "z", "w", "v"])
 CUSP_RING = PolyRing(["x", "y"], [3, 2])
 
 
@@ -103,72 +106,115 @@ def test_tangency_examples():
     assert tangency_check(VectorField.zero(CUSP_RING), gb)
 
 
-def test_exterior_derivative_examples():
-    x_dy = DifferentialForm(XYZ, 1, {(1,): parse_poly("x", XYZ)})
-    d = x_dy.exterior_derivative()
-    assert d.terms == {(0, 1): XYZ.one()}
-    dx = DifferentialForm.coordinate(XYZ, "x")
-    assert dx.exterior_derivative().is_zero()
-    omega = DifferentialForm(
-        XYZ, 2, {(1, 2): parse_poly("x", XYZ), (0, 2): parse_poly("-y", XYZ)}
-    )  # x dy^dz + y dz^dx
-    result = omega.exterior_derivative()
-    assert result.terms == {(0, 1, 2): XYZ.const(2)}
+def random_gens(rng, ring, k):
+    return [random_polynomial(rng, ring, max_degree=2, zero_ok=False) for _ in range(k)]
 
 
-def test_d_squared_zero_random():
-    rng = random.Random(53)
-    for degree in (0, 1, 2):
-        for _ in range(8):
-            terms = {}
-            for idx in itertools.combinations(range(3), degree):
-                terms[idx] = random_polynomial(rng, XYZ)
-            omega = DifferentialForm(XYZ, degree, terms)
-            assert omega.exterior_derivative().exterior_derivative().is_zero()
+def test_jacobian_pairing_top_form():
+    # with no equations the only entry pairs the volume form itself
+    assert jacobian_pairing([], XYZ) == {(0, 1, 2): XYZ.one()}
 
 
-def test_contract_std_top_form():
-    vol = DifferentialForm(XYZ, 3, {(0, 1, 2): XYZ.one()})
-    assert contract_std(vol).scalar() == XYZ.one()
+def test_jacobian_pairing_plane_signs():
+    # the line {x = 0} carries d_y and the line {y = 0} carries -d_x
+    x, y = polys(XY, "x", "y")
+    assert jacobian_pairing([x], XY) == {(0,): XY.zero(), (1,): -XY.one()}
+    assert jacobian_pairing([y], XY) == {(0,): XY.one(), (1,): XY.zero()}
+    assert top_polyvector_field([x]) == VectorField.coordinate(XY, "y")
+    assert top_polyvector_field([y]) == -VectorField.coordinate(XY, "x")
 
 
-def test_contract_std_plane_signs():
-    dx = DifferentialForm.coordinate(XY, "x")
-    dy = DifferentialForm.coordinate(XY, "y")
-    assert contract_std(dx).as_vector_field() == VectorField.coordinate(XY, "y")
-    assert contract_std(dy).as_vector_field() == -VectorField.coordinate(XY, "x")
+def test_jacobian_pairing_signs_match_permutation_parity():
+    # cutting out the coordinate subspace {x_c = 0 : c in C} leaves one
+    # nonzero entry, at A = C^c, equal to the sign of (A, C)
+    for k in range(4):
+        for cols in itertools.combinations(range(3), k):
+            rest = tuple(i for i in range(3) if i not in cols)
+            table = jacobian_pairing([XYZ.var(XYZ.variables[c]) for c in cols], XYZ)
+            assert set(table) == set(itertools.combinations(range(3), 3 - k))
+            nonzero = {a: p for a, p in table.items() if not p.is_zero()}
+            assert nonzero == {rest: XYZ.const(permutation_sign(rest + cols))}
 
 
-def test_contract_std_signs_match_permutation_parity():
-    for p in (0, 1, 2, 3):
-        for idx in itertools.combinations(range(3), p):
-            form = DifferentialForm(XYZ, p, {idx: XYZ.one()})
-            pv = contract_std(form)
-            comp = tuple(i for i in range(3) if i not in idx)
-            expected = permutation_sign(idx + comp)
-            assert pv.terms == ({comp: XYZ.const(expected)} if expected else {})
-
-
-def test_contract_std_wedge_relation():
-    # pairing omega ^ dx_i against the top polyvector reads off exactly
-    # the i-th component of the contraction of omega
+def test_jacobian_pairing_matches_brute_determinant():
     rng = random.Random(59)
-    for _ in range(10):
-        idx = tuple(sorted(rng.sample(range(3), 2)))
-        coeff = random_polynomial(rng, XYZ, zero_ok=False)
-        omega = DifferentialForm(XYZ, 2, {idx: coeff})
-        pv = contract_std(omega)
-        for i in range(3):
-            wedge = omega.wedge(DifferentialForm.coordinate(XYZ, XYZ.variables[i]))
-            scalar = contract_std(wedge).scalar() if wedge.terms else XYZ.zero()
-            component = pv.terms.get((i,), XYZ.zero())
-            assert scalar == component
+    for n in range(1, 6):
+        ring = PolyRing([f"x{i}" for i in range(n)])
+        for k in range(min(3, n) + 1):
+            for _ in range(3):
+                gens = random_gens(rng, ring, k)
+                jac = [[f.partial_derivative(v) for v in ring.variables] for f in gens]
+                expected = {}
+                for rest in itertools.combinations(range(n), n - k):
+                    cols = tuple(i for i in range(n) if i not in rest)
+                    det = leibniz_determinant([[row[c] for c in cols] for row in jac], ring)
+                    expected[rest] = det if permutation_sign(rest + cols) > 0 else -det
+                assert jacobian_pairing(gens, ring) == expected
+
+
+def test_jacobian_pairing_wedge_relation():
+    # df_r ^ dx_B ^ df_1 ^ ... ^ df_k = 0 for each generator f_r and each
+    # sorted B of n - k - 1 indices; expanded in dx_i this reads
+    # sum_i d_i f_r * sgn(i, B) * P_sort(i, B) = 0
+    rng = random.Random(61)
+    for n, k in ((2, 1), (3, 1), (3, 2), (4, 1), (4, 2), (5, 3)):
+        ring = PolyRing([f"x{i}" for i in range(n)])
+        gens = random_gens(rng, ring, k)
+        table = jacobian_pairing(gens, ring)
+        for f in gens:
+            partials = [f.partial_derivative(v) for v in ring.variables]
+            for rest in itertools.combinations(range(n), n - k - 1):
+                total = ring.zero()
+                for i in range(n):
+                    if i in rest:
+                        continue
+                    term = partials[i] * table[tuple(sorted((i,) + rest))]
+                    total = total + term if permutation_sign((i,) + rest) > 0 else total - term
+                assert total.is_zero()
+
+
+def test_field_from_form_matches_explicit_sum():
+    rng = random.Random(73)
+    cases = (
+        (XY, []),
+        (XYZ, ["x^3 + y^3 + z^3"]),
+        (XYZW, []),
+        (XYZW, ["x^2 + y^2 + z^2 + w^2"]),
+        (XYZWV, ["x^3 + y^3 + z^3 + w^3 + v^3", "x*y*z + w*v^2"]),
+    )
+    for ring, eqs in cases:
+        table = jacobian_pairing(polys(ring, *eqs), ring)
+        n = ring.arity
+        for J in itertools.combinations(range(n), n - len(eqs) - 2):
+            for _ in range(3):
+                g = random_polynomial(rng, ring, zero_ok=False)
+                expected = []
+                for i in range(n):
+                    total = ring.zero()
+                    for l, name in enumerate(ring.variables):
+                        seq = (l,) + J + (i,)
+                        if len(set(seq)) < len(seq):
+                            continue
+                        term = g.partial_derivative(name) * table[tuple(sorted(seq))]
+                        total = total + term if permutation_sign(seq) > 0 else total - term
+                    expected.append(total)
+                assert field_from_form(g, J, table) == VectorField(ring, expected)
+
+
+def test_field_from_function_matches_bracket_route():
+    # on a surface the field of the 0-form g is xi_g of the Jacobian bracket
+    rng = random.Random(79)
+    for ring, eqs in ((XYZ, ["x^3 + y^3 + z^3"]), (XYZW, ["x^2 + y^2 + z^2 + w^2", "x*y + z*w"])):
+        X = Variety(ring, polys(ring, *eqs), JacobianPolyvector())
+        table = jacobian_pairing(X.ideal_gens, ring)
+        pi = jacobian_bracket_matrix(X)
+        for _ in range(5):
+            g = random_polynomial(rng, ring, zero_ok=False)
+            assert field_from_form(g, (), table) == hamiltonian_from_bracket(g, pi)
 
 
 def test_hamiltonian_from_bracket_fermat():
     X = Variety(XYZ, polys(XYZ, "x^3 + y^3 + z^3"), JacobianPolyvector())
-    from leafalg.geom import jacobian_bracket_matrix
-
     pi = jacobian_bracket_matrix(X)
     xi = hamiltonian_from_bracket(parse_poly("x", XYZ), pi)
     assert xi == field(XYZ, "0", "3*z^2", "-3*y^2")
@@ -183,8 +229,6 @@ def test_hamiltonian_from_bracket_symplectic_plane():
 
 def test_hamiltonian_family_matches_bracket_route():
     X = Variety(XYZ, polys(XYZ, "x^3 + y^3 + z^3"), JacobianPolyvector())
-    from leafalg.geom import jacobian_bracket_matrix
-
     pi = jacobian_bracket_matrix(X)
     family = hamiltonian_family_top(X, 1)
     xi_z = hamiltonian_from_bracket(parse_poly("z", XYZ), pi)
@@ -226,8 +270,6 @@ def test_hamiltonian_field_annihilates_hamiltonian():
     # apply(xi_f, f) = 0 already on the ambient space, by skewness
     rng = random.Random(67)
     X = Variety(XYZ, polys(XYZ, "x^3 + y^3 + z^3"), JacobianPolyvector())
-    from leafalg.geom import jacobian_bracket_matrix
-
     pi = jacobian_bracket_matrix(X)
     for _ in range(10):
         f = random_polynomial(rng, XYZ, zero_ok=False)
@@ -240,11 +282,8 @@ def test_top_polyvector_field_cuspidal():
 
 
 def test_field_from_zero_form_is_zero():
-    from leafalg.vfields import DifferentialForm, field_from_form
-
-    alpha = DifferentialForm.from_poly(XYZ.zero())
-    xi = field_from_form(alpha, polys(XYZ, "x^3 + y^3 + z^3"))
-    assert xi.is_zero()
+    pairing = jacobian_pairing(polys(XYZ, "x^3 + y^3 + z^3"), XYZ)
+    assert field_from_form(XYZ.zero(), (), pairing).is_zero()
 
 
 def test_jacobi_structure_validation():

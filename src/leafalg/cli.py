@@ -381,7 +381,7 @@ def run(command: str, doc: InputDocument, flags) -> dict:
     elif command == "hamgen":
         degree = _default_degree(X, flags, doc.options)
         if X.expected_dimension == 1:
-            fields = [top_polyvector_field(list(X.ideal_gens))]
+            fields = [top_polyvector_field(list(X.ideal_gens), X.ring)]
         else:
             fields = hamiltonian_family_top(X, degree)
         result["max_degree"] = degree

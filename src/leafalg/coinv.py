@@ -50,7 +50,7 @@ def _resolve_family(X: Variety, family, max_degree: int):
             if X.expected_dimension == 1:
                 # a curve has no (m-2)-forms; its locally Hamiltonian
                 # algebra is spanned by the top polyvector itself
-                return [top_polyvector_field(list(X.ideal_gens))], "hamiltonian-top"
+                return [top_polyvector_field(list(X.ideal_gens), X.ring)], "hamiltonian-top"
             # a form of weight a yields a field of weight a + shift; cap
             # the forms so every field of weight <= max_degree is present
             shift = sum(g.weighted_degree() for g in X.ideal_gens) - sum(X.ring.weights)

@@ -14,6 +14,12 @@ Leading terms are computed once per element, both while the basis grows
 and in a finished ``GroebnerBasis``; reduction takes the next term from a
 max-heap of pending monomials.
 
+Arithmetic inside is on integers.  Elements under completion are
+primitive ``{monomial: int}`` dicts, and the one reducer, fraction-free,
+returns a remainder r with its multiplier mult: mult * p = r modulo the
+basis.  A reduced basis is made monic, in ``Fraction``s, once at the end;
+``normal_form`` clears p's denominator D and returns r / (mult * D).
+
 The same completion, run in k[x]/m^N under a local degree order (lowest
 total degree leads, grevlex breaks ties) with every term of degree >= N
 dropped, gives truncated local standard bases; N falls to the highest
@@ -35,6 +41,7 @@ import math
 from fractions import Fraction
 
 from .errors import DomainError, InputError
+from .linalg import _integer_row
 from .poly import (
     Monomial,
     Polynomial,
@@ -90,9 +97,10 @@ def leading_monomial(p: Polynomial, key) -> Monomial:
     return max(p.terms, key=key)
 
 
-def leading_term(p: Polynomial, key) -> tuple[Monomial, Fraction]:
-    m = leading_monomial(p, key)
-    return m, p.terms[m]
+def leading_term(terms: dict, key) -> tuple:
+    """(leading monomial, coefficient) of the ``{monomial: coefficient}`` terms."""
+    m = max(terms, key=key)
+    return m, terms[m]
 
 
 class GroebnerBasis:
@@ -100,19 +108,20 @@ class GroebnerBasis:
     divisible by another element's leading monomial, sorted by leading
     monomial.  Unique for a given ideal and order."""
 
-    __slots__ = ("ring", "order", "elements", "reduced", "_key", "_leads", "_table")
+    __slots__ = ("ring", "order", "elements", "reduced", "_key", "_leads", "_table", "_integer")
 
     def __init__(self, ring: PolyRing, order: MonomialOrder, elements: list[Polynomial]):
         self.ring = ring
         self.order = order
         self._key = key = order.key(ring)
-        ranked = sorted(((leading_term(p, key), p) for p in elements), key=lambda t: key(t[0][0]))
+        ranked = sorted(((leading_term(p.terms, key), p) for p in elements), key=lambda t: key(t[0][0]))
         self.elements = [p for _, p in ranked]
         self.reduced = True
         # (leading monomial, leading coefficient) per element, for normal_form
         self._leads = [lt for lt, _ in ranked]
         # monomial -> its normal form {standard monomial: coefficient}, for _nf_terms
         self._table: dict = {}
+        self._integer = None  # integer (elements, leads), for normal_form
 
     def leading_monomials(self) -> list[Monomial]:
         return [lm for lm, _ in self._leads]
@@ -155,22 +164,22 @@ class _Descending:
         return self.rank > other.rank
 
 
-def _reduce_full(p: Polynomial, basis: list[Polynomial], leads, key, below=None) -> Polynomial:
-    """Fully reduced remainder of p modulo the listed polynomials.
-
-    ``leads`` holds each basis element's (leading monomial, leading
-    coefficient).  Pending terms are taken largest first from a heap with
-    one entry per monomial of ``work``: a cancelled term stays in ``work``
-    with coefficient 0 until its entry is popped, and a popped monomial
-    never returns, since every step only adds terms below it.  With
-    ``below`` set, the reduction runs in k[x]/m^below: every term of
-    total degree >= below is dropped.
+def _reduce_full(terms: dict, basis: list[dict], leads, key, below=None) -> tuple[dict, int]:
+    """Fraction-free full reduction of p, given as ``{monomial: int}``
+    terms, by integer polynomials with (leading monomial, coefficient)
+    ``leads``: (r, mult) with mult * p = r modulo them.  The next term
+    c * m meets the first lead lc * lm dividing m; with a / b = c / lc in
+    lowest terms, the pending terms and mult are scaled by b and
+    a * x^(m - lm) * tail is subtracted.  Pending terms come largest first
+    from a heap with one entry per monomial of ``work``: a cancelled term
+    stays in ``work`` with coefficient 0 until its entry is popped, and a
+    popped monomial never returns, since every step only adds terms below
+    it.  With ``below`` set, every term of total degree >= below is
+    dropped: the reduction runs in k[x]/m^below.
     """
-    remainder: dict = {}
-    if below is None:
-        work = dict(p.terms)
-    else:
-        work = {m: c for m, c in p.terms.items() if sum(m) < below}
+    remainder = []  # (monomial, coefficient, mult when it was set aside)
+    mult = 1
+    work = {m: c for m, c in terms.items() if below is None or sum(m) < below}
     heap = [_Descending(key(m), m) for m in work]
     heapq.heapify(heap)
     while heap:
@@ -180,31 +189,43 @@ def _reduce_full(p: Polynomial, basis: list[Polynomial], leads, key, below=None)
             continue
         for g, (lm, lc) in zip(basis, leads):
             if mono_divides(lm, m):
-                shift = mono_div(m, lm)
-                factor = c / lc
-                for gm, gc in g.terms.items():
-                    if gm == lm:
-                        continue
-                    t = mono_mul(gm, shift)
-                    if below is not None and sum(t) >= below:
-                        continue
-                    s = work.get(t)
-                    if s is None:
-                        work[t] = -factor * gc
-                        heapq.heappush(heap, _Descending(key(t), t))
-                    else:
-                        work[t] = s - factor * gc
                 break
         else:
-            remainder[m] = c
-    return Polynomial(p.ring, remainder)
+            remainder.append((m, c, mult))
+            continue
+        d = math.gcd(c, lc)
+        a, b = c // d, lc // d
+        if b != 1:
+            mult *= b
+            work = {t: b * s for t, s in work.items()}
+        shift = mono_div(m, lm)
+        for gm, gc in g.items():
+            if gm == lm:
+                continue
+            t = mono_mul(gm, shift)
+            if below is not None and sum(t) >= below:
+                continue
+            s = work.get(t)
+            if s is None:
+                work[t] = -a * gc
+                heapq.heappush(heap, _Descending(key(t), t))
+            else:
+                work[t] = s - a * gc
+    return {m: c * (mult // at) for m, c, at in remainder}, mult
 
 
 def normal_form(p: Polynomial, gb: GroebnerBasis) -> Polynomial:
-    """Canonical remainder of p modulo the ideal; zero iff p is a member."""
+    """Canonical remainder of p modulo the ideal; zero iff p is a member:
+    r / (mult * D) for D * p, D the denominator of p, reduced in integers."""
     if p.ring != gb.ring:
         raise InputError("ring mismatch between polynomial and basis")
-    return _reduce_full(p, gb.elements, gb._leads, gb._key)
+    if gb._integer is None:
+        copies = [_integer_row(g.terms)[0] for g in gb.elements]
+        gb._integer = copies, [(lm, t[lm]) for (lm, _), t in zip(gb._leads, copies)]
+    terms, den = _integer_row(p.terms)
+    r, mult = _reduce_full(terms, *gb._integer, gb._key)
+    den *= mult
+    return Polynomial(p.ring, {m: Fraction(c, den) for m, c in r.items()})
 
 
 def _nf_terms(gb: GroebnerBasis, terms) -> dict:
@@ -291,16 +312,18 @@ def buchberger(
     reduced: list[Polynomial] = []
     for i in minimal:
         others = [j for j in minimal if j != i]
-        r = _reduce_full(basis[i], [basis[j] for j in others], [leads[j] for j in others], key)
+        r, _ = _reduce_full(basis[i], [basis[j] for j in others], [leads[j] for j in others], key)
         # no other minimal lead divides leads[i], so it stays the leading term
-        reduced.append(r.scale(Fraction(1) / leads[i][1]))
+        lc = r[leads[i][0]]
+        reduced.append(Polynomial(ring, {m: Fraction(c, lc) for m, c in r.items()}))
     return GroebnerBasis(ring, order, reduced)
 
 
 def _complete(gens: list[Polynomial], ring: PolyRing, key, below: int | None = None):
     """Buchberger's completion of the nonzero ``gens`` under the order
     ``key``: (elements, their (leading monomial, coefficient), final
-    ``below``).  The elements are neither minimal nor monic.
+    ``below``).  The elements are primitive integer ``{monomial: int}``
+    dicts, neither minimal nor monic.
 
     With ``below`` set it runs in k[x]/m^below under a local degree
     order: terms of total degree >= below vanish, pairs rank by the total
@@ -313,19 +336,21 @@ def _complete(gens: list[Polynomial], ring: PolyRing, key, below: int | None = N
 
     # seed with an interreduced, deterministic generating set;
     # leads[i] is the (leading monomial, coefficient) of basis[i]
-    basis: list[Polynomial] = []
-    leads: list[tuple[Monomial, Fraction]] = []
+    basis: list[dict] = []
+    leads: list[tuple[Monomial, int]] = []
 
     def add(r):
         nonlocal below
+        content = math.gcd(*r.values())
+        r = {m: c // content for m, c in r.items()}
         basis.append(r)
         leads.append(leading_term(r, key))
         if below is not None:
             below = min(below, _staircase_top([lm for lm, _ in leads], ring.arity, below) + 1)
 
     for g in sorted(gens, key=lambda p: (key(leading_monomial(p, key)), sorted(p.terms.items()))):
-        r = _reduce_full(g, basis, leads, key, below)
-        if not r.is_zero():
+        r, _ = _reduce_full(_integer_row(g.terms)[0], basis, leads, key, below)
+        if r:
             add(r)
 
     # queued pairs: ``pairs`` answers the chain criterion's membership
@@ -359,11 +384,15 @@ def _complete(gens: list[Polynomial], ring: PolyRing, key, below: int | None = N
             for k, (lk, _) in enumerate(leads)
         ):
             continue
-        si = ring.monomial(mono_div(lcm, li), Fraction(1) / ci)
-        sj = ring.monomial(mono_div(lcm, lj), Fraction(1) / cj)
-        spoly = si * basis[i] - sj * basis[j]
-        r = _reduce_full(spoly, basis, leads, key, below)
-        if r.is_zero():
+        # (cj/d) x^(lcm - li) f_i - (ci/d) x^(lcm - lj) f_j, leads cancelled
+        d = math.gcd(ci, cj)
+        si, sj = mono_div(lcm, li), mono_div(lcm, lj)
+        spoly = {mono_mul(m, si): cj // d * c for m, c in basis[i].items()}
+        for m, c in basis[j].items():
+            t = mono_mul(m, sj)
+            spoly[t] = spoly.get(t, 0) - ci // d * c
+        r, _ = _reduce_full(spoly, basis, leads, key, below)
+        if not r:
             continue
         new = len(basis)
         add(r)
@@ -644,7 +673,8 @@ def poincare_series(gb: GroebnerBasis) -> PoincareSeries:
 
 def minors(matrix: list[list[Polynomial]], size: int) -> list[Polynomial]:
     """All size x size minor determinants, in lexicographic order of
-    (row subset, column subset).  Exact cofactor expansion."""
+    (row subset, column subset).  Exact cofactor expansion; each sub-minor
+    is computed once per call."""
     if not matrix or not matrix[0]:
         raise InputError("empty matrix")
     nrows, ncols = len(matrix), len(matrix[0])
@@ -652,27 +682,32 @@ def minors(matrix: list[list[Polynomial]], size: int) -> list[Polynomial]:
         raise InputError("ragged matrix")
     if size < 1 or size > min(nrows, ncols):
         raise InputError(f"minor size {size} out of range for {nrows}x{ncols} matrix")
-    out = []
-    for rows in itertools.combinations(range(nrows), size):
-        for cols in itertools.combinations(range(ncols), size):
-            out.append(_determinant([[matrix[r][c] for c in cols] for r in rows]))
-    return out
+    memo: dict = {}
+    return [
+        _determinant(matrix, rows, cols, memo)
+        for rows in itertools.combinations(range(nrows), size)
+        for cols in itertools.combinations(range(ncols), size)
+    ]
 
 
-def _determinant(mat: list[list[Polynomial]]) -> Polynomial:
-    n = len(mat)
-    if n == 1:
-        return mat[0][0]
-    ring = mat[0][0].ring
-    total = ring.zero()
-    for j in range(n):
-        entry = mat[0][j]
+def _determinant(matrix, rows: tuple, cols: tuple, memo: dict) -> Polynomial:
+    """Minor on the sorted ``rows`` and ``cols`` by Laplace expansion along
+    its first row, each sub-minor memoized under its (rows, cols)."""
+    if len(rows) == 1:
+        return matrix[rows[0]][cols[0]]
+    det = memo.get((rows, cols))
+    if det is not None:
+        return det
+    first = matrix[rows[0]]
+    det = first[cols[0]].ring.zero()
+    for j, c in enumerate(cols):
+        entry = first[c]
         if entry.is_zero():
             continue
-        sub = [[row[c] for c in range(n) if c != j] for row in mat[1:]]
-        cofactor = entry * _determinant(sub)
-        total = total + cofactor if j % 2 == 0 else total - cofactor
-    return total
+        cofactor = entry * _determinant(matrix, rows[1:], cols[:j] + cols[j + 1 :], memo)
+        det = det + cofactor if j % 2 == 0 else det - cofactor
+    memo[rows, cols] = det
+    return det
 
 
 def monomial_basis(gb: GroebnerBasis, degree: int, zero_weight_cap: int | None = None) -> list[Monomial]:

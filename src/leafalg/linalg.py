@@ -32,7 +32,7 @@ class Echelon:
 
     def add(self, vector) -> bool:
         """Add the vector; True if it was not already in the span."""
-        lead, row = self._reduce(_integer_row(vector))
+        lead, row = self._reduce(_integer_row(vector)[0])
         if lead is None:
             return False
         self.rows[lead] = row
@@ -78,12 +78,12 @@ class Echelon:
         return None, {}
 
 
-def _integer_row(vector) -> dict:
-    """The nonzero entries of a rational vector times the lcm of their
-    denominators."""
+def _integer_row(vector) -> tuple[dict, int]:
+    """The nonzero entries of a rational vector times the lcm D of their
+    denominators, and D."""
     row = {k: c for k, c in vector.items() if c}
     den = lcm(*(c.denominator for c in row.values()))
-    return {k: c.numerator * (den // c.denominator) for k, c in row.items()}
+    return {k: c.numerator * (den // c.denominator) for k, c in row.items()}, den
 
 
 def _columns(vectors) -> dict:
@@ -115,7 +115,7 @@ def relations(vectors) -> list[dict[int, Fraction]]:
     echelon = Echelon()
     basis = []
     for i, v in enumerate(vectors):
-        row = _integer_row({cols[k]: c for k, c in v.items()} | {n + i: Fraction(1)})
+        row, _ = _integer_row({cols[k]: c for k, c in v.items()} | {n + i: Fraction(1)})
         lead, row = echelon._reduce(row)
         if lead < n:
             echelon.rows[lead] = row

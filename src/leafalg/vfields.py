@@ -331,11 +331,10 @@ def field_from_form(g: Polynomial, J: tuple, pairing: dict) -> VectorField:
     return VectorField(ring, coeffs)
 
 
-def top_polyvector_field(gens) -> VectorField:
-    """The field xi(x_i) = (-1)^k P_i of a curve cut out by k = n - 1
-    equations (its span is the locally Hamiltonian algebra of the
-    curve)."""
-    ring = gens[0].ring
+def top_polyvector_field(gens, ring: PolyRing) -> VectorField:
+    """The field xi(x_i) = (-1)^k P_i of a curve in ``ring`` cut out by
+    k = n - 1 equations (its span is the locally Hamiltonian algebra of
+    the curve); the affine line (k = 0) gives d_x."""
     k = len(gens)
     if k != ring.arity - 1:
         raise DomainError("top polyvector field of a curve needs codimension arity-1")

@@ -1,0 +1,31 @@
+"""The named ``ideals`` jobs of the benchmark, run through its own runner:
+exit code and output digests must equal ``bench/expected.json``, so a
+change to the Groebner core that alters any printed basis, membership
+answer or stratum fails here before the benchmark runs."""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+from leafalg import cli
+
+JOBS = Path(__file__).resolve().parent.parent / "bench" / "jobs.py"
+
+
+def load_jobs():
+    spec = importlib.util.spec_from_file_location("bench_jobs", JOBS)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+jobs = load_jobs()
+
+
+@pytest.mark.parametrize("job", jobs.NAMED["ideals"], ids=lambda job: job.name)
+def test_ideals_job_output_matches_recorded_digests(job):
+    outcome = jobs.run_job(cli, job)
+    assert jobs.is_correct(job, outcome, jobs.load_expected()), (outcome.code, outcome.stderr)

@@ -342,3 +342,21 @@ def test_vector_fields_structure_strata(tmp_path):
     _, payload, _ = invoke(tmp_path, doc, "strata")
     ranks = {s["rank"]: s["dimension"] for s in payload["result"]["strata"]}
     assert ranks[0] == 0 and ranks[2] == 2
+
+
+AFFINE_LINE = {
+    "ring": {"vars": ["x"], "weights": [1]},
+    "ideal": [],
+    "structure": {"kind": "jacobian"},
+}
+
+
+def test_affine_line_hamiltonian_field_and_coinvariants(tmp_path, capsys):
+    # no equations: the Jacobian pairing is the volume entry 1, so the one
+    # field is d_x, and d_x maps onto k[x], leaving no coinvariants
+    line = write(tmp_path, "line.json", AFFINE_LINE)
+    assert main(["hamgen", "-i", line, "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["result"]["fields"] == ["d_x"]
+    assert main(["coinv", "-i", line, "--format", "json"]) == 0
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert result["total"] == 0 and set(result["dimensions"].values()) == {0}

@@ -29,7 +29,9 @@ from leafalg.poly import Polynomial, PolyRing, parse_poly
 from oracles import (
     graded_member,
     graded_quotient_dims,
+    leibniz_determinant,
     local_colength_brute,
+    random_polynomial,
     random_quasihomogeneous,
 )
 
@@ -313,6 +315,22 @@ def test_minors_alternating_in_rows():
     assert original[6:9] == flipped[3:6]
 
 
+def test_minors_match_leibniz_determinant():
+    # square and non-square matrices with some zero entries; every minor
+    # against a sum over permutations, which shares no sub-minors
+    rng = random.Random(53)
+    for _ in range(40):
+        nrows, ncols = rng.randint(1, 4), rng.randint(1, 4)
+        mat = [[random_polynomial(rng, XY, max_degree=2, terms=2) for _ in range(ncols)] for _ in range(nrows)]
+        for size in range(1, min(nrows, ncols) + 1):
+            expected = [
+                leibniz_determinant([[mat[r][c] for c in cols] for r in rows], XY)
+                for rows in itertools.combinations(range(nrows), size)
+                for cols in itertools.combinations(range(ncols), size)
+            ]
+            assert minors(mat, size) == expected
+
+
 def test_minors_out_of_range():
     with pytest.raises(InputError):
         minors([polys(XY, "x", "y")], 2)
@@ -437,6 +455,8 @@ TABLE_CASES = {
     "katsura3 wgrevlex": lambda: buchberger(corpus_ideal("katsura3")),
     "non-homogeneous": lambda: buchberger(polys(XYZ, "x^2 - y + 1", "y*z - x^3", "z^2 - 2*x")),
     "zero weight": lambda: buchberger(polys(ZERO_WEIGHT, "x^2 + t^3", "y^2 - x*t", "t^4 + x*y")),
+    # the rational systems that do not generate the unit ideal
+    **{f"rational system {i}": (lambda i=i: buchberger(rational_systems()[i])) for i in (1, 2, 3, 6)},
 }
 
 
@@ -450,6 +470,16 @@ def test_tabled_normal_form_matches_normal_form(seed, name):
     # members reduce to nothing, through rows already in the table
     for g in gb.elements:
         assert _nf_terms(gb, (g * random_poly(rng, gb.ring, top=3, terms=3)).terms) == {}
+
+
+@pytest.mark.parametrize("name", TABLE_CASES)
+def test_normal_form_is_linear_over_rationals(name):
+    gb = TABLE_CASES[name]()
+    rng = random.Random(59)
+    for _ in range(10):
+        p = random_poly(rng, gb.ring)
+        c = Fraction(rng.choice([-5, -1, 2, 7]), rng.choice([1, 2, 3, 7]))
+        assert normal_form(p.scale(c), gb) == normal_form(p, gb).scale(c)
 
 
 def test_tabled_normal_form_of_a_long_chain_needs_no_recursion():
@@ -485,24 +515,32 @@ def monic_terms(terms):
     return frozenset((m, c / scale) for m, c in terms.items())
 
 
-def random_system(rng):
-    """Two or three trinomials (constant plus two terms of degree 1..3) in
-    two or three variables of weight 1."""
+def random_system(rng, coefficients=(-3, -2, -1, 1, 2, 3)):
+    """Two or three trinomials (constant plus two terms of degree 1..3,
+    drawn from ``coefficients``) in two or three variables of weight 1."""
     ring = PolyRing(["x", "y", "z"][: rng.randint(2, 3)])
     monos = [m for d in range(1, 4) for m in ring.monomials_of_weight(d)]
     gens = []
     for _ in range(rng.randint(2, 3)):
         g = ring.const(rng.randint(-2, 2))
         for m in rng.sample(monos, 2):
-            g = g + ring.monomial(m, rng.choice([-3, -2, -1, 1, 2, 3]))
+            g = g + ring.monomial(m, rng.choice(coefficients))
         gens.append(g)
     return gens
+
+
+def rational_systems():
+    """Random systems whose coefficients are not integers."""
+    rng = random.Random(43)
+    fractions = [Fraction(-5, 7), Fraction(7, 2), Fraction(-2, 3), Fraction(3, 4), Fraction(-9, 5)]
+    return [random_system(rng, fractions) for _ in range(8)]
 
 
 def differential_cases():
     rng = random.Random(41)
     systems = [corpus_ideal("cyclic4"), corpus_ideal("katsura3")]
     systems += [random_system(rng) for _ in range(12)]
+    systems += rational_systems()
     return [(gens, order) for gens in systems for order in (WGREVLEX, LEX)]
 
 

@@ -120,8 +120,8 @@ def test_jacobian_pairing_plane_signs():
     x, y = polys(XY, "x", "y")
     assert jacobian_pairing([x], XY) == {(0,): XY.zero(), (1,): -XY.one()}
     assert jacobian_pairing([y], XY) == {(0,): XY.one(), (1,): XY.zero()}
-    assert top_polyvector_field([x]) == VectorField.coordinate(XY, "y")
-    assert top_polyvector_field([y]) == -VectorField.coordinate(XY, "x")
+    assert top_polyvector_field([x], XY) == VectorField.coordinate(XY, "y")
+    assert top_polyvector_field([y], XY) == -VectorField.coordinate(XY, "x")
 
 
 def test_jacobian_pairing_signs_match_permutation_parity():
@@ -277,7 +277,7 @@ def test_hamiltonian_field_annihilates_hamiltonian():
 
 
 def test_top_polyvector_field_cuspidal():
-    eta = top_polyvector_field(polys(CUSP_RING, "x^2 - y^3"))
+    eta = top_polyvector_field(polys(CUSP_RING, "x^2 - y^3"), CUSP_RING)
     assert eta == cusp_tangent() or eta == -cusp_tangent()
 
 

@@ -1,9 +1,12 @@
 """Command-line front end.
 
 Input is a JSON document describing a ring, an ideal, and an optional
-structure; commands dispatch to the library and print a text or JSON
-report.  Exit codes: 0 success, 1 mathematical-domain error
-(non-isolated, inhomogeneous where required), 2 input error.
+structure; each command is a handler in ``COMMANDS`` that calls the
+library, and the report is printed as text or JSON.  ``COMMANDS`` also
+names the flags each handler reads, and the parser registers only those.
+Exit codes: 0 success, 1 mathematical-domain error (non-isolated,
+inhomogeneous where required), 2 input error (bad flags included),
+3 internal error.
 """
 
 from __future__ import annotations
@@ -44,28 +47,6 @@ from .vfields import (
     jacobi_bracket,
     jacobi_hamiltonian,
     top_polyvector_field,
-)
-
-COMMANDS = (
-    "gb",
-    "member",
-    "milnor",
-    "tjurina",
-    "gap",
-    "hp0",
-    "coinv",
-    "verify-hp0",
-    "strata",
-    "leaves",
-    "degenerate",
-    "bracket",
-    "hamvec",
-    "hamgen",
-    "derivations",
-    "exceptional",
-    "incompressible",
-    "sympower",
-    "sym2-brute",
 )
 
 
@@ -194,21 +175,45 @@ def load_input(path: str) -> InputDocument:
     return InputDocument(ring, ideal, structure, options, warnings, path)
 
 
-def _variety(doc: InputDocument, order) -> Variety:
-    return Variety(doc.ring, doc.ideal, doc.structure, order=order)
+
+# -- commands ----------------------------------------------------------
+#
+# A handler takes the loaded document and the parsed flags and returns
+# (result, text lines).  It reads only the flags its COMMANDS entry
+# declares, and calls the library through this module's globals, so a
+# rebinding of, say, ``cli.buchberger`` is seen by every command.
+
+ORDERS = {"wgrevlex": WGREVLEX, "lex": LEX}
+
+
+def _basis(doc: InputDocument, flags):
+    return buchberger(list(doc.ideal), ORDERS[flags.order], ring=doc.ring)
+
+
+def _variety(doc: InputDocument, flags) -> Variety:
+    return Variety(doc.ring, doc.ideal, doc.structure, order=ORDERS[flags.order])
 
 
 def _fmt_dim(value):
     return "infinite" if value == INFINITE else value
 
 
+def _by_weight(table: dict) -> dict:
+    """A weight -> value table as JSON, keys in increasing weight."""
+    return {str(w): d for w, d in sorted(table.items())}
+
+
+def _ideal_text(gens) -> str:
+    return ", ".join(gens) or "0"
+
+
 def _series_json(series):
     out = {"display": str(series), "finite": series.finite}
     if series.finite:
-        out["coefficients"] = {str(k): v for k, v in series.coefficients().items()}
+        out["coefficients"] = _by_weight(series.coefficients())
         out["total"] = series.total_dimension()
     else:
-        out["numerator"] = {str(k): v for k, v in sorted(series.numerator.items())}
+        out["numerator"] = _by_weight(series.numerator)
         out["denominator_weights"] = list(series.denominator)
     return out
 
@@ -221,13 +226,20 @@ def _stratum_json(stratum):
     }
 
 
-def _default_degree(X: Variety, flags, options: dict) -> int:
-    """Truncation default: socle degree of the closed form plus 3 when
-    available, else 6."""
+def _max_degree(doc: InputDocument, flags, default=None):
+    """``--max-degree``, else the document's ``options.max_degree``, else
+    ``default``."""
     if flags.max_degree is not None:
         return flags.max_degree
-    if "max_degree" in options:
-        return options["max_degree"]
+    return doc.options.get("max_degree", default)
+
+
+def _default_degree(X: Variety, doc: InputDocument, flags) -> int:
+    """Truncation of the solver commands: the requested degree, else the
+    socle degree of the closed form plus 3 when available, else 6."""
+    degree = _max_degree(doc, flags)
+    if degree is not None:
+        return degree
     try:
         return max(hp0_series(X).socle_degree(), 0) + 3
     except (DomainError, InputError):
@@ -244,223 +256,245 @@ def _family_fields(X: Variety, flags, degree: int):
     return fields, f"derivations up to weight {degree}"
 
 
+def _hamiltonian(X: Variety, f, g=None):
+    """The Hamiltonian field of f for the variety's bracket, or the
+    bracket {f, g} when g is given.  A Jacobi structure has its own
+    formulas; a bracket structure gives its matrix, any other structure
+    the Jacobian bracket."""
+    s = X.structure
+    if isinstance(s, JacobiStructure):
+        return jacobi_hamiltonian(f, s) if g is None else jacobi_bracket(f, g, s)
+    matrix = s.matrix if isinstance(s, BracketStructure) else jacobian_bracket_matrix(X)
+    xi = hamiltonian_from_bracket(f, matrix)
+    return xi if g is None else xi.apply(g)
+
+
+def _gb(doc, flags):
+    basis = [str(g) for g in _basis(doc, flags).elements]
+    lines = [f"  {g}" for g in basis] or ["  (zero ideal)"]
+    return {"basis": basis}, ["reduced Groebner basis:", *lines]
+
+
+def _member(doc, flags):
+    gb = _basis(doc, flags)
+    p = _parse_entry(doc.ring, flags.poly, "-f")
+    nf = normal_form(p, gb)
+    result = {"polynomial": str(p), "normal_form": str(nf), "member": nf.is_zero()}
+    return result, [f"normal form: {nf}", "member: yes" if nf.is_zero() else "member: no"]
+
+
+def _milnor(doc, flags):
+    lengths = milnor_breakdown(_variety(doc, flags))
+    mu = milnor_from_chain(lengths)
+    result = {"mu": _fmt_dim(mu), "chain_colengths": [_fmt_dim(c) for c in lengths]}
+    if mu != INFINITE:
+        return result, [f"mu = {mu}"]
+    first = next(i for i, c in enumerate(lengths, start=1) if c == INFINITE)
+    result["offending_chain_index"] = first
+    return result, [f"mu = infinite (chain ideal J_{first} has infinite colength)"]
+
+
+def _tjurina(doc, flags):
+    # tjurina raises DomainError unless every number is finite
+    rep = tjurina(_variety(doc, flags))
+    result = {"mu": rep.milnor, "tau": rep.tjurina, "gap": rep.gap}
+    result["predicted_local_coinvariant_dim"] = rep.predicted_local_coinv_dim
+    text = [f"tau = {rep.tjurina}", f"mu = {rep.milnor}, gap = {rep.gap}"]
+    if rep.singularity_ring_series is not None:
+        result["singularity_ring_series"] = _series_json(rep.singularity_ring_series)
+        text.append(f"singularity ring series: {rep.singularity_ring_series}")
+    return result, text
+
+
+def _gap(doc, flags):
+    result, _ = _tjurina(doc, flags)
+    return result, [f"mu - tau = {result['gap']}"]
+
+
+def _hp0(doc, flags):
+    series = hp0_series(_variety(doc, flags))
+    return {"series": _series_json(series)}, [
+        f"coinvariant Poincare polynomial: {series}",
+        f"total dimension: {series.total_dimension()}",
+    ]
+
+
+def _coinv(doc, flags):
+    X = _variety(doc, flags)
+    table = coinvariants_truncated(X, flags.family, _default_degree(X, doc, flags))
+    result = {"family": table.family, "truncation": table.truncation, "total": table.total()}
+    result["dimensions"] = _by_weight(table.dimensions)
+    return result, [str(table)]
+
+
+def _verify_hp0(doc, flags):
+    rep = verify_hp0(_variety(doc, flags), margin=flags.margin)
+    result = {"match": rep.match, "oracle": _by_weight(rep.table.dimensions)}
+    result["closed_form"] = _by_weight(rep.series_coefficients)
+    if not rep.match:
+        result["mismatches"] = [
+            {"weight": w, "oracle": o, "closed_form": c} for w, o, c in rep.mismatches
+        ]
+    return result, [str(rep)]
+
+
+def _strata(doc, flags):
+    strata = rank_strata(_variety(doc, flags), bracket_depth=flags.bracket_depth)
+    result = {"strata": [_stratum_json(s) for s in strata]}
+    return result, [
+        f"rank <= {s['rank']}: ideal ({_ideal_text(s['ideal'])}), dimension {s['dimension']}"
+        for s in result["strata"]
+    ]
+
+
+def _leaves(doc, flags):
+    rep = leaves_check(_variety(doc, flags), bracket_depth=flags.bracket_depth)
+    result = {"passed": rep.passed, "strata": [_stratum_json(s) for s in rep.strata]}
+    if rep.passed:
+        return result, ["PASS: every rank stratum has dimension at most its rank"]
+    w = rep.witness
+    result["witness"] = _stratum_json(w)
+    gens = _ideal_text(result["witness"]["ideal"])
+    fail = f"FAIL: stratum i={w.rank} ideal ({gens}) has dimension {w.dimension} > {w.rank}"
+    return result, [fail]
+
+
+def _degenerate(doc, flags):
+    rep = degenerate_locus(_variety(doc, flags))
+    result = {"ideal": [str(g) for g in rep.ideal.elements], "dimension": rep.dimension}
+    result["finite"] = rep.finite
+    verdict = "finite" if rep.finite else "not finite"
+    return result, [f"degenerate locus dimension {rep.dimension}: {verdict}"]
+
+
+def _bracket(doc, flags):
+    X = _variety(doc, flags)
+    f = _parse_entry(doc.ring, flags.poly, "-f")
+    g = _parse_entry(doc.ring, flags.second, "-g")
+    value = str(_hamiltonian(X, f, g))
+    return {"bracket": value}, [value]
+
+
+def _hamvec(doc, flags):
+    X = _variety(doc, flags)
+    xi = str(_hamiltonian(X, _parse_entry(doc.ring, flags.poly, "-f")))
+    return {"field": xi}, [xi]
+
+
+def _hamgen(doc, flags):
+    X = _variety(doc, flags)
+    degree = _default_degree(X, doc, flags)
+    if X.expected_dimension == 1:
+        fields = [top_polyvector_field(list(X.ideal_gens), X.ring)]
+    else:
+        fields = hamiltonian_family_top(X, degree)
+    result = {"max_degree": degree, "fields": [str(xi) for xi in fields]}
+    text = [f"{len(fields)} Hamiltonian fields up to weight {degree}:"]
+    return result, text + [f"  {xi}" for xi in result["fields"]]
+
+
+def _derivations(doc, flags):
+    X = _variety(doc, flags)
+    degree = _default_degree(X, doc, flags)
+    table = derivations_up_to_degree(X.groebner(), degree, zero_weight_cap=flags.zero_weight_cap)
+    by_weight = _by_weight({w: [str(xi) for xi in fs] for w, fs in table.items()})
+    text = []
+    for w, fs in by_weight.items():
+        text.append(f"weight {w}:")
+        text.extend(f"  {xi}" for xi in fs)
+    return {"max_degree": degree, "fields_by_weight": by_weight}, text
+
+
+def _exceptional(doc, flags):
+    X = _variety(doc, flags)
+    fields, label = _family_fields(X, flags, _default_degree(X, doc, flags))
+    gb = exceptional_ideal(fields, X.groebner())
+    result = {"family": label, "ideal": [str(g) for g in gb.elements]}
+    text = [f"exceptional ideal ({_ideal_text(result['ideal'])}) [family: {label}]"]
+    try:
+        series = poincare_series(gb)
+    except DomainError:
+        return result, text
+    result["quotient_series"] = _series_json(series)
+    result["quotient_dimension"] = _fmt_dim(series.total_dimension())
+    return result, text + [f"quotient dimension: {result['quotient_dimension']}"]
+
+
+def _incompressible(doc, flags):
+    X = _variety(doc, flags)
+    degree = _default_degree(X, doc, flags)
+    fields, label = _family_fields(X, flags, degree)
+    rep = incompressibility_truncated(
+        fields, X.groebner(), degree, zero_weight_cap=flags.zero_weight_cap
+    )
+    result = {"family": label, "verdict": rep.verdict}
+    text = [f"verdict: {rep.verdict} [family: {label}]"]
+    if rep.consistent:
+        return result, text
+    result["witness"] = [str(p) for p in rep.witness_coefficients]
+    result["residue"] = str(rep.witness_residue)
+    return result, text + [f"witness coefficients: ({', '.join(result['witness'])})"]
+
+
+def _sympower(doc, flags):
+    X = _variety(doc, flags)
+    nmax = _max_degree(doc, flags, 3)
+    corrected = hp0_sym_series(X, nmax, corrected=True)
+    plain = hp0_sym_series(X, nmax, corrected=False)
+    result = {"truncation": nmax}
+    for key, series in (("corrected", corrected), ("uncorrected", plain)):
+        result[key] = {str(r): _by_weight(series.s_layer(r)) for r in range(nmax + 1)}
+    return result, [
+        f"uncorrected: {plain}",
+        f"corrected (power variable carries minus the equation weight): {corrected}",
+    ]
+
+
+def _sym2_brute(doc, flags):
+    X = _variety(doc, flags)
+    degree = _default_degree(X, doc, flags)
+    dims = _by_weight(brute_sym2_coinvariants(X, degree))
+    conjectural = X.expected_dimension < 2
+    result = {"dimensions": dims, "truncation": degree, "conjectural_comparison": conjectural}
+    table = ", ".join(f"{w}: {d}" for w, d in dims.items())
+    text = [f"second symmetric power coinvariant dimensions: {{{table}}}"]
+    if conjectural:
+        text.append(
+            "note: outside the surface hypotheses; comparison with the "
+            "symmetric-power series is conjectural"
+        )
+    return result, text
+
+
+# name -> (handler, the flags it reads besides -i, --format and --order)
+COMMANDS = {
+    "gb": (_gb, ()),
+    "member": (_member, ("-f",)),
+    "milnor": (_milnor, ()),
+    "tjurina": (_tjurina, ()),
+    "gap": (_gap, ()),
+    "hp0": (_hp0, ()),
+    "coinv": (_coinv, ("--max-degree", "--family")),
+    "verify-hp0": (_verify_hp0, ("--margin",)),
+    "strata": (_strata, ("--bracket-depth",)),
+    "leaves": (_leaves, ("--bracket-depth",)),
+    "degenerate": (_degenerate, ()),
+    "bracket": (_bracket, ("-f", "-g")),
+    "hamvec": (_hamvec, ("-f",)),
+    "hamgen": (_hamgen, ("--max-degree",)),
+    "derivations": (_derivations, ("--max-degree", "--zero-weight-cap")),
+    "exceptional": (_exceptional, ("--max-degree", "--zero-weight-cap")),
+    "incompressible": (_incompressible, ("--max-degree", "--zero-weight-cap")),
+    "sympower": (_sympower, ("--max-degree",)),
+    "sym2-brute": (_sym2_brute, ("--max-degree",)),
+}
+
+
 def run(command: str, doc: InputDocument, flags) -> dict:
     """Execute a command and return the report object (the 'result' part
     plus rendering hints)."""
-    order = LEX if flags.order == "lex" else WGREVLEX
-    result: dict = {}
-    text: list[str] = []
-
-    # plain ideal commands work on any generator list; the rest go
-    # through a Variety, whose invariants cap the codimension
-    if command == "gb":
-        gb = buchberger(list(doc.ideal), order, ring=doc.ring)
-        result["basis"] = [str(g) for g in gb.elements]
-        text.append("reduced Groebner basis:")
-        if gb.elements:
-            text.extend(f"  {g}" for g in result["basis"])
-        else:
-            text.append("  (zero ideal)")
-        return {"result": result, "text": text}
-    if command == "member":
-        if not flags.poly:
-            raise InputError("member needs -f <polynomial>")
-        gb = buchberger(list(doc.ideal), order, ring=doc.ring)
-        p = parse_poly(flags.poly, doc.ring)
-        nf = normal_form(p, gb)
-        result["polynomial"] = str(p)
-        result["normal_form"] = str(nf)
-        result["member"] = nf.is_zero()
-        text.append(f"normal form: {nf}")
-        text.append("member: yes" if nf.is_zero() else "member: no")
-        return {"result": result, "text": text}
-
-    X = _variety(doc, order)
-    if command == "milnor":
-        lengths = milnor_breakdown(X)
-        mu = milnor_from_chain(lengths)
-        result["mu"] = _fmt_dim(mu)
-        result["chain_colengths"] = [_fmt_dim(c) for c in lengths]
-        if mu == INFINITE:
-            offenders = [i + 1 for i, c in enumerate(lengths) if c == INFINITE]
-            result["offending_chain_index"] = offenders[0]
-            text.append(f"mu = infinite (chain ideal J_{offenders[0]} has infinite colength)")
-        else:
-            text.append(f"mu = {mu}")
-    elif command in ("tjurina", "gap"):
-        rep = tjurina(X)
-        result["mu"] = _fmt_dim(rep.milnor)
-        result["tau"] = _fmt_dim(rep.tjurina)
-        result["gap"] = _fmt_dim(rep.gap)
-        result["predicted_local_coinvariant_dim"] = _fmt_dim(rep.predicted_local_coinv_dim)
-        if rep.singularity_ring_series is not None:
-            result["singularity_ring_series"] = _series_json(rep.singularity_ring_series)
-        if command == "gap":
-            text.append(f"mu - tau = {rep.gap}")
-        else:
-            text.append(f"tau = {rep.tjurina}")
-            text.append(f"mu = {rep.milnor}, gap = {rep.gap}")
-            if rep.singularity_ring_series is not None:
-                text.append(f"singularity ring series: {rep.singularity_ring_series}")
-    elif command == "hp0":
-        series = hp0_series(X)
-        result["series"] = _series_json(series)
-        text.append(f"coinvariant Poincare polynomial: {series}")
-        text.append(f"total dimension: {series.total_dimension()}")
-    elif command == "coinv":
-        degree = _default_degree(X, flags, doc.options)
-        table = coinvariants_truncated(X, flags.family, degree)
-        result["dimensions"] = {str(w): d for w, d in sorted(table.dimensions.items())}
-        result["total"] = table.total()
-        result["family"] = table.family
-        result["truncation"] = table.truncation
-        text.append(str(table))
-    elif command == "verify-hp0":
-        rep = verify_hp0(X, margin=flags.margin)
-        result["match"] = rep.match
-        result["oracle"] = {str(w): d for w, d in sorted(rep.table.dimensions.items())}
-        result["closed_form"] = {str(w): d for w, d in sorted(rep.series_coefficients.items())}
-        if not rep.match:
-            result["mismatches"] = [
-                {"weight": w, "oracle": o, "closed_form": c} for w, o, c in rep.mismatches
-            ]
-        text.append(str(rep))
-    elif command == "strata":
-        strata = rank_strata(X, bracket_depth=flags.bracket_depth)
-        result["strata"] = [_stratum_json(s) for s in strata]
-        for s in result["strata"]:
-            gens = ", ".join(s["ideal"]) or "0"
-            text.append(f"rank <= {s['rank']}: ideal ({gens}), dimension {s['dimension']}")
-    elif command == "leaves":
-        rep = leaves_check(X, bracket_depth=flags.bracket_depth)
-        result["passed"] = rep.passed
-        result["strata"] = [_stratum_json(s) for s in rep.strata]
-        if rep.passed:
-            text.append("PASS: every rank stratum has dimension at most its rank")
-        else:
-            w = rep.witness
-            result["witness"] = result["strata"][rep.strata.index(w)]
-            gens = ", ".join(result["witness"]["ideal"]) or "0"
-            text.append(f"FAIL: stratum i={w.rank} ideal ({gens}) has dimension {w.dimension} > {w.rank}")
-    elif command == "degenerate":
-        rep = degenerate_locus(X)
-        result["ideal"] = [str(g) for g in rep.ideal.elements]
-        result["dimension"] = rep.dimension
-        result["finite"] = rep.finite
-        text.append(
-            f"degenerate locus dimension {rep.dimension}: "
-            + ("finite" if rep.finite else "not finite")
-        )
-    elif command == "bracket":
-        if not flags.poly or not flags.second:
-            raise InputError("bracket needs -f and -g")
-        f = parse_poly(flags.poly, doc.ring)
-        g = parse_poly(flags.second, doc.ring)
-        if isinstance(X.structure, BracketStructure):
-            matrix = [list(r) for r in X.structure.matrix]
-            value = hamiltonian_from_bracket(f, matrix).apply(g)
-        elif isinstance(X.structure, JacobiStructure):
-            value = jacobi_bracket(f, g, X.structure)
-        else:
-            matrix = jacobian_bracket_matrix(X)
-            value = hamiltonian_from_bracket(f, matrix).apply(g)
-        result["bracket"] = str(value)
-        text.append(result["bracket"])
-    elif command == "hamvec":
-        if not flags.poly:
-            raise InputError("hamvec needs -f <polynomial>")
-        f = parse_poly(flags.poly, doc.ring)
-        if isinstance(X.structure, JacobiStructure):
-            xi = jacobi_hamiltonian(f, X.structure)
-        elif isinstance(X.structure, BracketStructure):
-            xi = hamiltonian_from_bracket(f, [list(r) for r in X.structure.matrix])
-        else:
-            xi = hamiltonian_from_bracket(f, jacobian_bracket_matrix(X))
-        result["field"] = str(xi)
-        text.append(result["field"])
-    elif command == "hamgen":
-        degree = _default_degree(X, flags, doc.options)
-        if X.expected_dimension == 1:
-            fields = [top_polyvector_field(list(X.ideal_gens), X.ring)]
-        else:
-            fields = hamiltonian_family_top(X, degree)
-        result["max_degree"] = degree
-        result["fields"] = [str(xi) for xi in fields]
-        text.append(f"{len(fields)} Hamiltonian fields up to weight {degree}:")
-        text.extend(f"  {xi}" for xi in result["fields"])
-    elif command == "derivations":
-        degree = _default_degree(X, flags, doc.options)
-        table = derivations_up_to_degree(
-            X.groebner(), degree, zero_weight_cap=flags.zero_weight_cap
-        )
-        result["max_degree"] = degree
-        result["fields_by_weight"] = {
-            str(w): [str(xi) for xi in fs] for w, fs in sorted(table.items())
-        }
-        for w, fs in result["fields_by_weight"].items():
-            text.append(f"weight {w}:")
-            text.extend(f"  {xi}" for xi in fs)
-    elif command == "exceptional":
-        degree = _default_degree(X, flags, doc.options)
-        fields, label = _family_fields(X, flags, degree)
-        gb = exceptional_ideal(fields, X.groebner())
-        result["family"] = label
-        result["ideal"] = [str(g) for g in gb.elements]
-        try:
-            series = poincare_series(gb)
-            result["quotient_series"] = _series_json(series)
-            result["quotient_dimension"] = _fmt_dim(series.total_dimension())
-        except DomainError:
-            pass
-        gens = ", ".join(result["ideal"]) or "0"
-        text.append(f"exceptional ideal ({gens}) [family: {label}]")
-        if "quotient_dimension" in result:
-            text.append(f"quotient dimension: {result['quotient_dimension']}")
-    elif command == "incompressible":
-        degree = _default_degree(X, flags, doc.options)
-        fields, label = _family_fields(X, flags, degree)
-        rep = incompressibility_truncated(
-            fields, X.groebner(), degree, zero_weight_cap=flags.zero_weight_cap
-        )
-        result["family"] = label
-        result["verdict"] = rep.verdict
-        if not rep.consistent:
-            result["witness"] = [str(p) for p in rep.witness_coefficients]
-            result["residue"] = str(rep.witness_residue)
-        text.append(f"verdict: {rep.verdict} [family: {label}]")
-        if not rep.consistent:
-            text.append(f"witness coefficients: ({', '.join(result['witness'])})")
-    elif command == "sympower":
-        nmax = flags.max_degree if flags.max_degree is not None else 3
-        corrected = hp0_sym_series(X, nmax, corrected=True)
-        plain = hp0_sym_series(X, nmax, corrected=False)
-        result["truncation"] = nmax
-        result["corrected"] = {
-            str(r): {str(u): c for u, c in sorted(corrected.s_layer(r).items())}
-            for r in range(nmax + 1)
-        }
-        result["uncorrected"] = {
-            str(r): {str(u): c for u, c in sorted(plain.s_layer(r).items())}
-            for r in range(nmax + 1)
-        }
-        text.append(f"uncorrected: {plain}")
-        text.append(f"corrected (power variable carries minus the equation weight): {corrected}")
-    elif command == "sym2-brute":
-        degree = _default_degree(X, flags, doc.options)
-        dims = brute_sym2_coinvariants(X, degree)
-        result["dimensions"] = {str(w): d for w, d in sorted(dims.items())}
-        result["truncation"] = degree
-        result["conjectural_comparison"] = X.expected_dimension < 2
-        table = ", ".join(f"{w}: {d}" for w, d in sorted(dims.items()))
-        text.append(f"second symmetric power coinvariant dimensions: {{{table}}}")
-        if X.expected_dimension < 2:
-            text.append(
-                "note: outside the surface hypotheses; comparison with the "
-                "symmetric-power series is conjectural"
-            )
-    else:
-        raise InputError(f"unknown command {command!r}")
-
+    handler, _ = COMMANDS[command]
+    result, text = handler(doc, flags)
     return {"result": result, "text": text}
 
 
@@ -471,31 +505,42 @@ def _count(text: str) -> int:
     return int(text)
 
 
+# add_argument keywords of each flag in COMMANDS
+FLAGS = {
+    "-f": {"dest": "poly", "required": True, "help": "polynomial argument"},
+    "-g": {"dest": "second", "required": True, "help": "second polynomial argument"},
+    "--max-degree": {"type": _count, "default": None},
+    "--bracket-depth": {"type": _count, "default": 2},
+    "--zero-weight-cap": {"type": _count, "default": None},
+    "--family": {"choices": ("hamiltonian-top", "derivations"), "default": "hamiltonian-top"},
+    "--margin": {"type": _count, "default": 2},
+}
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as an InputError, which ``main`` prints as
+    one line and exit code 2; ``-h`` still prints help and exits 0."""
+
+    def error(self, message):
+        raise InputError(f"{self.prog}: {message}")
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built on first use and shared by every
     later call in the process: parse with it, never modify it."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="leafalg",
         description="invariants of affine varieties carrying Lie algebras of vector fields",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
+    for name, (_, flags) in COMMANDS.items():
         p = sub.add_parser(name)
         p.add_argument("-i", "--input", required=True, help="input JSON document")
-        p.add_argument("--max-degree", type=_count, default=None, dest="max_degree")
         p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument("--order", choices=("wgrevlex", "lex"), default="wgrevlex")
-        p.add_argument("--bracket-depth", type=_count, default=2, dest="bracket_depth")
-        p.add_argument("--zero-weight-cap", type=_count, default=None, dest="zero_weight_cap")
-        p.add_argument("-f", dest="poly", default=None, help="polynomial argument")
-        p.add_argument("-g", dest="second", default=None, help="second polynomial argument")
-        p.add_argument(
-            "--family",
-            choices=("hamiltonian-top", "derivations"),
-            default="hamiltonian-top",
-        )
-        p.add_argument("--margin", type=_count, default=2)
+        p.add_argument("--order", choices=tuple(ORDERS), default="wgrevlex")
+        for flag in flags:
+            p.add_argument(flag, **FLAGS[flag])
     return parser
 
 
@@ -514,9 +559,8 @@ def render_report(command: str, doc: InputDocument, payload: dict, fmt: str) -> 
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    flags = parser.parse_args(argv)
     try:
+        flags = build_parser().parse_args(argv)
         doc = load_input(flags.input)
         payload = run(flags.command, doc, flags)
         report = render_report(flags.command, doc, payload, flags.format)

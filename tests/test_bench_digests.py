@@ -29,3 +29,12 @@ jobs = load_jobs()
 def test_ideals_job_output_matches_recorded_digests(job):
     outcome = jobs.run_job(cli, job)
     assert jobs.is_correct(job, outcome, jobs.load_expected()), (outcome.code, outcome.stderr)
+
+
+@pytest.mark.parametrize("workload", jobs.WORKLOADS)
+def test_named_job_argv_parses(workload):
+    # a command's flags may only narrow while no benchmark job passes them
+    parser = cli.build_parser()
+    for job in jobs.NAMED[workload]:
+        flags = parser.parse_args(list(job.argv))
+        assert flags.command == job.argv[0]

@@ -1,6 +1,9 @@
 """Input documents, command dispatch, report rendering, exit codes."""
 
+import argparse
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -181,15 +184,12 @@ def test_main_parser_is_built_once_and_keeps_no_state(tmp_path, capsys):
         ["gb", "-i", pair],
         ["coinv", "-i", fermat, "--max-degree", "2"],
         ["coinv", "-i", fermat],
-        ["strata", "-i", fermat, "--max-degree", "-5"],  # argparse exits 2
+        ["coinv", "-i", fermat, "--max-degree", "-5"],  # a flag error: exit 2
         ["milnor", "-i", fermat, "--format", "json"],
     ]
 
     def outcome(argv):
-        try:
-            code = main(argv)
-        except SystemExit as exc:
-            code = exc.code
+        code = main(argv)
         captured = capsys.readouterr()
         return code, captured.out, captured.err
 
@@ -219,13 +219,90 @@ def test_main_rejects_bad_max_degree_option(tmp_path, capsys, value):
     assert err.startswith("input error: options.max_degree") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("flag", ["--max-degree", "--bracket-depth"])
-def test_main_rejects_negative_count_flags(tmp_path, capsys, flag):
+@pytest.mark.parametrize(
+    "command, flag",
+    [("coinv", "--max-degree"), ("strata", "--bracket-depth")],
+    ids=["--max-degree", "--bracket-depth"],
+)
+def test_main_rejects_negative_count_flags(tmp_path, capsys, command, flag):
     fermat = write(tmp_path, "fermat.json", FERMAT)
+    assert main([command, "-i", fermat, flag, "-5"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"input error: leafalg {command}: argument {flag}: ")
+    assert "non-negative integer" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gb", "--margin", "5"],  # a flag gb does not read
+        ["member"],
+        ["hamvec"],
+        ["bracket", "-f", "x"],
+        ["strata", "--bracket-depth", "x"],
+        ["mystery"],
+    ],
+)
+def test_main_reports_flag_errors_in_one_line(tmp_path, capsys, argv):
+    fermat = write(tmp_path, "fermat.json", FERMAT)
+    assert main([argv[0], "-i", fermat, *argv[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("input error: leafalg") and captured.err.count("\n") == 1
+
+
+def test_main_help_still_exits_zero(capsys):
     with pytest.raises(SystemExit) as exited:
-        main(["strata", "-i", fermat, flag, "-5"])
-    assert exited.value.code == 2
-    assert "non-negative integer" in capsys.readouterr().err
+        main(["gb", "-h"])
+    assert exited.value.code == 0
+    assert "--order" in capsys.readouterr().out
+
+
+def test_each_command_accepts_exactly_the_flags_it_reads():
+    parser = build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    for name, (_, flags) in cli.COMMANDS.items():
+        accepted = {opt for action in sub.choices[name]._actions for opt in action.option_strings}
+        assert accepted == {"-h", "--help", "-i", "--input", "--format", "--order", *flags}, name
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["member", "-f", "x +"], "-f"),
+        (["bracket", "-f", "x +", "-g", "y"], "-f"),
+        (["bracket", "-f", "x", "-g", "x +"], "-g"),
+    ],
+)
+def test_bad_polynomial_flag_is_named(tmp_path, capsys, argv, flag):
+    fermat = write(tmp_path, "fermat.json", FERMAT)
+    assert main([argv[0], "-i", fermat, *argv[1:]]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"input error: {flag}: expected a number") and err.count("\n") == 1
+
+
+def test_sympower_reads_the_document_max_degree(tmp_path):
+    doc = {
+        "ring": {"vars": ["x", "y"], "weights": [3, 2]},
+        "ideal": ["x^2 - y^3"],
+        "structure": {"kind": "jacobian"},
+        "options": {"max_degree": 1},
+    }
+    _, payload, _ = invoke(tmp_path, doc, "sympower")
+    assert payload["result"]["truncation"] == 1
+    assert sorted(payload["result"]["corrected"]) == ["0", "1"]
+    _, payload, _ = invoke(tmp_path, doc, "hamgen")
+    assert payload["result"]["max_degree"] == 1
+    # the flag still wins over the document
+    _, payload, _ = invoke(tmp_path, doc, "sympower", "--max-degree", "2")
+    assert payload["result"]["truncation"] == 2
+
+
+def test_readme_lists_the_flags_of_every_command():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    rows = re.findall(r"^\| `([a-z0-9-]+)` \|(.*)\|$", readme, re.MULTILINE)
+    listed = {name: tuple(re.findall(r"`([^`]+)`", flags)) for name, flags in rows}
+    assert listed == {name: flags for name, (_, flags) in cli.COMMANDS.items()}
 
 
 def test_main_rejects_deep_nesting(tmp_path, capsys):

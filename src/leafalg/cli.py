@@ -259,9 +259,12 @@ def _family_fields(X: Variety, flags, degree: int):
 def _hamiltonian(X: Variety, f, g=None):
     """The Hamiltonian field of f for the variety's bracket, or the
     bracket {f, g} when g is given.  A Jacobi structure has its own
-    formulas; a bracket structure gives its matrix, any other structure
-    the Jacobian bracket."""
+    formulas; a bracket structure gives its matrix, the Jacobian
+    structure or none the Jacobian bracket.  Explicit vector fields
+    carry no bracket."""
     s = X.structure
+    if isinstance(s, VectorFieldFamily):
+        raise DomainError(f"a {s.kind} structure has no bracket; use a bracket, jacobi or jacobian one")
     if isinstance(s, JacobiStructure):
         return jacobi_hamiltonian(f, s) if g is None else jacobi_bracket(f, g, s)
     matrix = s.matrix if isinstance(s, BracketStructure) else jacobian_bracket_matrix(X)
@@ -298,7 +301,7 @@ def _tjurina(doc, flags):
     # tjurina raises DomainError unless every number is finite
     rep = tjurina(_variety(doc, flags))
     result = {"mu": rep.milnor, "tau": rep.tjurina, "gap": rep.gap}
-    result["predicted_local_coinvariant_dim"] = rep.predicted_local_coinv_dim
+    result["predicted_local_coinvariant_dim"] = rep.milnor
     text = [f"tau = {rep.tjurina}", f"mu = {rep.milnor}, gap = {rep.gap}"]
     if rep.singularity_ring_series is not None:
         result["singularity_ring_series"] = _series_json(rep.singularity_ring_series)

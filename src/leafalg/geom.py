@@ -93,10 +93,6 @@ class Variety:
         self._sing_gb = None
 
     @property
-    def codimension(self) -> int:
-        return len(self.ideal_gens)
-
-    @property
     def expected_dimension(self) -> int:
         return self.ring.arity - len(self.ideal_gens)
 
@@ -166,7 +162,6 @@ class SingularityReport:
     tjurina: object
     gap: object
     singularity_ring_series: PoincareSeries | None
-    predicted_local_coinv_dim: object
 
 
 def _singularity_ring_gens(X: Variety) -> list:
@@ -198,7 +193,6 @@ def tjurina(X: Variety) -> SingularityReport:
         tjurina=tau,
         gap=mu - tau,
         singularity_ring_series=series,
-        predicted_local_coinv_dim=mu,
     )
 
 

@@ -181,22 +181,11 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def is_constant(self) -> bool:
-        return all(sum(m) == 0 for m in self.terms)
-
-    def constant_term(self) -> Fraction:
-        return self.terms.get((0,) * self.ring.arity, Fraction(0))
-
     def weighted_degree(self) -> int | None:
         """Largest weighted degree of a term, or None for the zero polynomial."""
         if not self.terms:
             return None
         return max(self.ring.weighted_degree(m) for m in self.terms)
-
-    def total_degree(self) -> int | None:
-        if not self.terms:
-            return None
-        return max(sum(m) for m in self.terms)
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -230,11 +219,7 @@ class Polynomial:
             return NotImplemented
         terms = dict(self.terms)
         for m, c in other.terms.items():
-            s = terms.get(m, Fraction(0)) + c
-            if s == 0:
-                terms.pop(m, None)
-            else:
-                terms[m] = s
+            terms[m] = terms.get(m, 0) + c
         return Polynomial(self.ring, terms)
 
     __radd__ = __add__
@@ -259,11 +244,7 @@ class Polynomial:
         for ma, ca in self.terms.items():
             for mb, cb in other.terms.items():
                 m = mono_mul(ma, mb)
-                s = terms.get(m, Fraction(0)) + ca * cb
-                if s == 0:
-                    terms.pop(m, None)
-                else:
-                    terms[m] = s
+                terms[m] = terms.get(m, 0) + ca * cb
         return Polynomial(self.ring, terms)
 
     __rmul__ = __mul__

@@ -77,13 +77,6 @@ class BigradedSeries:
                 out[key] = out.get(key, 0) + ca * cb
         return BigradedSeries(trunc, out)
 
-    def specialize_u(self) -> dict[int, int]:
-        """Set u = 1: the s-series of total dimensions per power."""
-        out: dict[int, int] = {}
-        for (s, _), c in self.coefficients.items():
-            out[s] = out.get(s, 0) + c
-        return out
-
     def __eq__(self, other):
         return (
             isinstance(other, BigradedSeries)
@@ -137,7 +130,7 @@ def hp0_sym_series(X: Variety, truncation: int, corrected: bool = True) -> Bigra
     return sym_power_series(p, d or 0, truncation)
 
 
-def brute_sym2_coinvariants(X: Variety, max_degree: int, family="hamiltonian-top") -> dict[int, int]:
+def brute_sym2_coinvariants(X: Variety, max_degree: int) -> dict[int, int]:
     """Per-weight dimensions of the coinvariants of the second symmetric
     power under the diagonal action xi.(f g) = xi(f) g + f xi(g),
     computed by exact linear algebra on symmetrized monomial pairs.
@@ -151,7 +144,7 @@ def brute_sym2_coinvariants(X: Variety, max_degree: int, family="hamiltonian-top
         raise DomainError("second symmetric power oracle needs a weighted-homogeneous ideal")
     if X.ideal_gens and hp0_series(X).socle_degree() > 6:
         raise DomainError("size guard: socle degree above 6")
-    graded, _ = graded_family(X, family, max_degree)
+    graded, _ = graded_family(X, "hamiltonian-top", max_degree)
     gb = X.groebner()
     ring = X.ring
     monos = {d: monomial_basis(gb, d) for d in range(0, max_degree + 1)}

@@ -80,13 +80,14 @@ class VectorField:
         return all(c.is_zero() for c in self.coefficients)
 
     def apply(self, g: Polynomial) -> Polynomial:
+        """xi(g), the sum of c * xi(x^m) over the terms c x^m of g."""
         if g.ring != self.ring:
             raise InputError("ring mismatch")
-        total = self.ring.zero()
-        for name, c in zip(self.ring.variables, self.coefficients):
-            if not c.is_zero():
-                total = total + c * g.partial_derivative(name)
-        return total
+        out: dict = {}
+        for m, c in g.terms.items():
+            for t, v in self.apply_monomial(m).items():
+                out[t] = out.get(t, 0) + c * v
+        return Polynomial(self.ring, out)
 
     def apply_monomial(self, m: Monomial) -> dict:
         """Terms of xi(x^m) = sum_i m_i c_i x^(m - e_i), zeros included."""
@@ -399,14 +400,34 @@ def _stack(polys) -> dict:
     return {(j, m): c for j, p in enumerate(polys) for m, c in p.terms.items()}
 
 
-def _shifted_images(slots, mono: Monomial, gb: GroebnerBasis) -> dict:
-    """One sparse vector keyed by (slot, monomial): the normal forms of
-    x^mono times each slot's terms."""
-    return {
-        (j, m): c
-        for j, terms in enumerate(slots)
-        for m, c in _nf_terms(gb, {mono_mul(t, mono): v for t, v in terms.items()}).items()
-    }
+def _graded_syzygies(gb: GroebnerBasis, vectors, weights, w: int, top, zero_weight_cap) -> list:
+    """Relations modulo the ideal among the multiples x^a v_j of weight w:
+    v_j is ``vectors[j]``, a list of ``{monomial: coefficient}`` components
+    of weight ``weights[j]``, and weight(x^a) = w - weights[j] <= ``top``
+    (unbounded for None).  Slots (j, a) go by j, then by the basis order;
+    each relation is one ``{monomial a: coefficient}`` dict per vector."""
+    slots = [
+        (j, mono)
+        for j, vw in enumerate(weights)
+        if top is None or w - vw <= top
+        for mono in sorted(gb.ring.monomials_of_weight(w - vw, zero_weight_cap), key=gb._key)
+    ]
+    images = [
+        {
+            (k, m): c
+            for k, terms in enumerate(vectors[j])
+            for m, c in _nf_terms(gb, {mono_mul(t, mono): v for t, v in terms.items()}).items()
+        }
+        for j, mono in slots
+    ]
+    out = []
+    for rel in linalg.relations(images):
+        coeffs = [{} for _ in vectors]
+        for a, c in rel.items():
+            j, mono = slots[a]
+            coeffs[j][mono] = c
+        out.append(coeffs)
+    return out
 
 
 # -- truncated solvers -------------------------------------------------
@@ -430,25 +451,15 @@ def derivations_up_to_degree(
             raise DomainError(f"ideal generator {g} is not weighted-homogeneous")
     if ring.has_zero_weights and zero_weight_cap is None:
         raise InputError("ring has zero-weight variables: pass zero_weight_cap")
-    key = gb.order.key(ring)
     partials = [[g.partial_derivative(v).terms for g in gb.elements] for v in ring.variables]
+    weights = [-mw for mw in ring.weights]
     out: dict[int, list[VectorField]] = {}
     lowest = -max(ring.weights) if ring.weights else 0
     for w in range(lowest, max_weight + 1):
-        candidates = []  # (variable index, monomial)
-        for i, mw in enumerate(ring.weights):
-            for mono in sorted(ring.monomials_of_weight(w + mw, zero_weight_cap), key=key):
-                candidates.append((i, mono))
-        if not candidates:
-            continue
-        images = [_shifted_images(partials[i], mono, gb) for i, mono in candidates]
-        fields = []
-        for rel in linalg.relations(images):
-            coeffs = [{} for _ in ring.weights]
-            for a, c in rel.items():
-                i, mono = candidates[a]
-                coeffs[i][mono] = c
-            fields.append(VectorField(ring, [Polynomial(ring, t) for t in coeffs]))
+        fields = [
+            VectorField(ring, [Polynomial(ring, t) for t in rel])
+            for rel in _graded_syzygies(gb, partials, weights, w, None, zero_weight_cap)
+        ]
         if fields:
             out[w] = fields
     return out
@@ -508,28 +519,11 @@ def incompressibility_truncated(
         if w is None:
             raise DomainError("incompressibility solver needs weight-homogeneous fields")
         weights.append(w)
-    key = gb.order.key(ring)
     coefficient_terms = [[c.terms for c in xi.coefficients] for xi in fields]
     for w in range(min(weights), max_degree + max(weights) + 1):
-        slots = []  # (field index, monomial)
-        for fi, fw in enumerate(weights):
-            d = w - fw
-            if d < 0 or d > max_degree:
-                continue
-            for mono in sorted(ring.monomials_of_weight(d, zero_weight_cap), key=key):
-                slots.append((fi, mono))
-        if not slots:
-            continue
-        # relation constraints: each vector-field component must vanish mod I
-        images = [_shifted_images(coefficient_terms[fi], mono, gb) for fi, mono in slots]
-        for rel in linalg.relations(images):
-            residue = ring.zero()
-            witness = [ring.zero()] * len(fields)
-            for a, c in rel.items():
-                fi, mono = slots[a]
-                piece = ring.monomial(mono, c)
-                witness[fi] = witness[fi] + piece
-                residue = residue + fields[fi].apply(piece)
+        for rel in _graded_syzygies(gb, coefficient_terms, weights, w, max_degree, zero_weight_cap):
+            witness = [Polynomial(ring, t) for t in rel]
+            residue = sum((xi.apply(f) for xi, f in zip(fields, witness)), ring.zero())
             if not normal_form(residue, gb).is_zero():
                 return IncompressibilityReport(
                     False, max_degree, witness_coefficients=witness, witness_residue=residue

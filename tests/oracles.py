@@ -144,6 +144,15 @@ def partition_count(n):
     return table[n]
 
 
+def apply_by_partials(xi, g):
+    """xi(g) = sum_i c_i * dg/dx_i, through partial derivatives and
+    polynomial products rather than a field's own term-by-term action."""
+    total = g.ring.zero()
+    for name, c in zip(g.ring.variables, xi.coefficients):
+        total = total + c * g.partial_derivative(name)
+    return total
+
+
 def random_polynomial(rng, ring, max_degree=3, terms=4, zero_ok=True):
     """Random sparse polynomial with small integer coefficients."""
     out = ring.zero()

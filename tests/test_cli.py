@@ -114,6 +114,31 @@ def test_bracket_text(tmp_path):
     assert payload["text"] == ["3*z^2"]
 
 
+def test_bracket_without_structure_is_the_jacobian_bracket(tmp_path):
+    doc = {key: value for key, value in FERMAT.items() if key != "structure"}
+    _, payload, _ = invoke(tmp_path, doc, "bracket", "-f", "x", "-g", "y")
+    assert payload["text"] == ["3*z^2"]
+
+
+@pytest.mark.parametrize("argv", [["bracket", "-f", "x", "-g", "y"], ["hamvec", "-f", "x"]])
+def test_bracket_and_hamvec_refuse_a_vector_fields_structure(tmp_path, capsys, argv):
+    doc = dict(FERMAT, structure={"kind": "vector-fields", "generators": [["y", "-x", "0"]]})
+    path = write(tmp_path, "fields.json", doc)
+    assert main([argv[0], "-i", path, *argv[1:]]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("domain error:") and "vector-fields" in captured.err
+
+
+def test_tjurina_json_keeps_the_predicted_coinvariant_dimension(capsys):
+    # a corpus curve with mu = 11 > tau = 10: the key carries mu
+    path = str(Path(__file__).resolve().parents[1] / "bench" / "corpus" / "nqh_curve_5.json")
+    assert main(["tjurina", "-i", path, "--format", "json"]) == 0
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert result["mu"] == 11 and result["tau"] == 10
+    assert result["predicted_local_coinvariant_dim"] == result["mu"]
+
+
 def test_leaves_fail_line(tmp_path):
     _, payload, _ = invoke(tmp_path, PLANE_XDXDY, "leaves")
     assert payload["text"][0] == "FAIL: stratum i=0 ideal (x) has dimension 1 > 0"

@@ -47,7 +47,10 @@ def test_u_specialization_counts_partitions_with_multiplicity():
     # partitions into parts of 2 colours
     series = sym_power_series({0: 1, 2: 1}, 0, 4)
     two_colour = sym_power_series({0: 2}, 0, 4)
-    assert series.specialize_u() == two_colour.specialize_u()
+    def at_u_1(s):
+        return {r: sum(s.s_layer(r).values()) for r in range(s.truncation + 1)}
+
+    assert at_u_1(series) == at_u_1(two_colour)
 
 
 def test_multiplicative_in_p():

@@ -29,7 +29,13 @@ from leafalg.vfields import (
     top_polyvector_field,
 )
 
-from oracles import leibniz_determinant, permutation_sign, random_polynomial, random_quasihomogeneous
+from oracles import (
+    apply_by_partials,
+    leibniz_determinant,
+    permutation_sign,
+    random_polynomial,
+    random_quasihomogeneous,
+)
 
 XYZ = PolyRing(["x", "y", "z"])
 XY = PolyRing(["x", "y"])
@@ -66,13 +72,15 @@ def test_apply_euler_identity():
     assert euler.apply(f) == f.scale(6)
 
 
-def test_apply_monomial_matches_apply():
+def test_apply_matches_partial_derivatives():
     rng = random.Random(17)
-    for ring in (XYZ, CUSP_RING):
+    for ring in (XYZ, CUSP_RING, PolyRing(["x", "y", "z"], [1, 2, 3])):
         for _ in range(20):
             xi = VectorField(ring, [random_polynomial(rng, ring) for _ in ring.variables])
+            g = random_polynomial(rng, ring, max_degree=4, terms=5)
+            assert xi.apply(g) == apply_by_partials(xi, g)
             m = tuple(rng.randint(0, 4) for _ in ring.variables)
-            assert Polynomial(ring, xi.apply_monomial(m)) == xi.apply(ring.monomial(m))
+            assert Polynomial(ring, xi.apply_monomial(m)) == apply_by_partials(xi, ring.monomial(m))
 
 
 def test_lie_bracket_examples():
@@ -342,6 +350,22 @@ def test_derivations_smooth_line():
     assert any(xi == VectorField.coordinate(XY, "x") for xi in flat)
 
 
+def test_derivations_basis_comes_in_slot_order():
+    # the basis is read off the relations among the slots x^a d_i, taken
+    # by variable and then ascending in the basis order; the printed
+    # fields depend on that order
+    gb = buchberger(polys(XYZ, "x^3 + y^3 + z^3"))
+    table = derivations_up_to_degree(gb, 1)
+    assert [str(xi) for xi in table[1]] == [
+        "-y^2*d_x + x^2*d_y",
+        "x*z*d_x + y*z*d_y + z^2*d_z",
+        "x*y*d_x + y^2*d_y + y*z*d_z",
+        "x^2*d_x + x*y*d_y + x*z*d_z",
+        "-z^2*d_y + y^2*d_z",
+        "-z^2*d_x + x^2*d_z",
+    ]
+
+
 def test_derivations_cone_family_no_constant_parts():
     ring = PolyRing(["x", "y", "z", "t"], [1, 1, 1, 0])
     gb = buchberger([parse_poly("x^3 + y^3 + z^3 + t*x*y*z", ring)])
@@ -351,7 +375,7 @@ def test_derivations_cone_family_no_constant_parts():
     for fs in table.values():
         for xi in fs:
             for c in xi.coefficients[:3]:
-                assert c.constant_term() == 0
+                assert (0,) * ring.arity not in c.terms
 
 
 def test_derivations_requires_homogeneous():
@@ -395,9 +419,24 @@ def test_incompressibility_violation_on_line():
     assert report.verdict == "violated"
     f1, f2 = report.witness_coefficients
     # the witness is a scalar multiple of (z, -1)
-    assert not f1.is_zero() and f2.is_constant()
-    scale = f2.constant_term()
+    assert not f1.is_zero() and list(f2.terms) == [(0,)]
+    scale = f2.terms[(0,)]
     assert f1 == parse_poly("z", line).scale(-scale)
+
+
+def test_incompressibility_bounds_every_coefficient_degree():
+    # f_1 d_z + f_2 z^2 d_z = 0 forces f_1 = -z^2 f_2, and every such
+    # relation is violated: d_z(f_1) + z^2 d_z(f_2) = -2 z f_2.  So no
+    # relation has deg f_1 <= 1, and the first one, (-z^2, 1), needs 2.
+    line = PolyRing(["z"])
+    gb = buchberger([line.zero()], ring=line)
+    fields = [VectorField.coordinate(line, "z"), VectorField(line, [parse_poly("z^2", line)])]
+    assert incompressibility_truncated(fields, gb, 1).verdict == "consistent-to-1"
+    report = incompressibility_truncated(fields, gb, 2)
+    assert report.verdict == "violated"
+    f1, f2 = report.witness_coefficients
+    assert f1 == parse_poly("z^2", line).scale(-f2.terms[(0,)])
+    assert report.witness_residue == parse_poly("z", line).scale(-2 * f2.terms[(0,)])
 
 
 def test_incompressibility_symplectic_plane():
@@ -439,7 +478,8 @@ def test_lie_closure_grows_and_stops():
     assert len(closed) == 4
 
     def is_dy_multiple(xi):
-        return xi.coefficients[0].is_zero() and xi.coefficients[1].is_constant() and not xi.is_zero()
+        a, b = xi.coefficients
+        return a.is_zero() and not b.is_zero() and all(sum(m) == 0 for m in b.terms)
 
     assert any(is_dy_multiple(xi) for xi in closed)
     assert not any(is_dy_multiple(xi) for xi in lie_closure([d_x, x2_dy], depth=1))

@@ -5,11 +5,27 @@ This is the independent linear-algebra oracle for the closed-form
 Poincare polynomial: for each weight w the quotient is (standard
 monomials of weight w) modulo the span of NF(xi(x^b)), over all family
 generators xi and standard monomials x^b of the compatible weight.  Each
-image is built term by term, xi(x^b) = sum_i b_i c_i x^(b - e_i), and
-reduced through the basis's table of monomial normal forms into a
-sparse row that ``linalg.span_rank`` takes directly.  The grading keeps
-every piece finite-dimensional, and capping generator weights at the
-truncation keeps it exact: no generator of weight above w maps into w.
+family field is scaled to integer coefficients once; each image is built
+term by term, xi(x^b) = sum_i b_i c_i x^(b - e_i), and reduced through
+the basis's table of monomial normal forms into a sparse integer row, a
+nonzero multiple of the normal form, that ``linalg.span_rank`` takes as
+it is.  The grading keeps every piece finite-dimensional, and capping
+generator weights at the truncation keeps it exact: no generator of
+weight above w maps into w.
+
+The Hamiltonian family is built over the quotient O_X, from standard
+monomials g only.  The equations f_i are Casimirs: the field of the form
+(a f_i) dx_J is f_i times the field of a dx_J, since the d f_i term of
+d(a f_i) dies against the d f_i already in the Jacobian pairing.  Its
+images lie in the ideal, so the field of g dx_J equals that of NF(g) dx_J
+modulo fields with images in the ideal, and NF(g) is a combination of
+standard monomials of g's weight.
+
+On a surface (m = 2, J = ()) the field of g is the Hamiltonian field of
+g, and its image of h is the bracket {g, h} = -{h, g}: both g and h run
+over the standard monomials whose weights sum to w minus the bracket's
+weight, so each unordered pair is taken once, as xi_g(h) for g < h as
+exponent tuples ({g, g} = 0).
 """
 
 from __future__ import annotations
@@ -20,12 +36,9 @@ from . import linalg
 from .errors import DomainError, InputError
 from .geom import Variety, hp0_series
 from .groebner import _nf_terms, monomial_basis
-from .vfields import (
-    VectorField,
-    derivations_up_to_degree,
-    hamiltonian_family_top,
-    top_polyvector_field,
-)
+from .linalg import _integer_components
+from .poly import Polynomial
+from .vfields import VectorField, _form_fields, derivations_up_to_degree, top_polyvector_field
 
 
 @dataclass
@@ -45,42 +58,52 @@ class CoinvariantTable:
 
 
 def _resolve_family(X: Variety, family, max_degree: int):
+    """The family as (field, floor) pairs, and its label.  A field with a
+    floor is the Hamiltonian field of a standard monomial g on a surface,
+    and the floor is g's exponent tuple: the oracle applies it only to
+    the standard monomials above g in tuple order."""
     if isinstance(family, str):
         if family == "hamiltonian-top":
             if X.expected_dimension == 1:
                 # a curve has no (m-2)-forms; its locally Hamiltonian
                 # algebra is spanned by the top polyvector itself
-                return [top_polyvector_field(list(X.ideal_gens), X.ring)], "hamiltonian-top"
+                return [(top_polyvector_field(list(X.ideal_gens), X.ring), None)], "hamiltonian-top"
             # a form of weight a yields a field of weight a + shift; cap
             # the forms so every field of weight <= max_degree is present
             shift = sum(g.weighted_degree() for g in X.ideal_gens) - sum(X.ring.weights)
-            form_cap = max_degree - shift
-            return hamiltonian_family_top(X, max(form_cap, 0)), "hamiltonian-top"
+            form_cap = max(max_degree - shift, 0)
+            gb = X.groebner()
+            forms = _form_fields(X, form_cap, lambda weight: monomial_basis(gb, weight))
+            return [(xi, None if J else g) for g, J, xi in forms], "hamiltonian-top"
         if family == "derivations":
             table = derivations_up_to_degree(X.groebner(), max_degree)
             fields = [xi for _, fs in sorted(table.items()) for xi in fs]
-            return fields, "derivations"
+            return [(xi, None) for xi in fields], "derivations"
         raise InputError(f"unknown family {family!r}; use 'hamiltonian-top', 'derivations', or a list of fields")
     fields = list(family)
     for xi in fields:
         if not isinstance(xi, VectorField):
             raise InputError("explicit family must be a list of vector fields")
-    return fields, "explicit"
+    return [(xi, None) for xi in fields], "explicit"
 
 
-def graded_family(X: Variety, family, max_degree: int) -> tuple[dict[int, list[VectorField]], str]:
-    """The nonzero fields of a family grouped by weight, and the family's
-    label.  ``family`` is 'hamiltonian-top', 'derivations', or an
-    explicit list of weight-homogeneous vector fields."""
+def graded_family(X: Variety, family, max_degree: int) -> tuple[dict[int, list[tuple]], str]:
+    """The nonzero fields of a family grouped by weight, each scaled to
+    integer coefficients and paired with its floor (see
+    ``_resolve_family``), and the family's label.  ``family`` is
+    'hamiltonian-top', 'derivations', or an explicit list of
+    weight-homogeneous vector fields."""
     fields, label = _resolve_family(X, family, max_degree)
-    graded: dict[int, list[VectorField]] = {}
-    for xi in fields:
+    graded: dict[int, list[tuple]] = {}
+    for xi, floor in fields:
         if xi.is_zero():
             continue
         w = xi.weight()
         if w is None:
             raise DomainError(f"family member {xi} is not weight-homogeneous")
-        graded.setdefault(w, []).append(xi)
+        coeffs, _ = _integer_components([c.terms for c in xi.coefficients])
+        integral = VectorField(X.ring, [Polynomial(X.ring, t) for t in coeffs])
+        graded.setdefault(w, []).append((integral, floor))
     return graded, label
 
 
@@ -109,7 +132,12 @@ def coinvariants_truncated(X: Variety, family, max_degree: int) -> CoinvariantTa
             if fw > w:
                 continue
             sources = monomial_basis(gb, w - fw)
-            images += [_nf_terms(gb, xi.apply_monomial(m)) for xi in fs for m in sources]
+            images += [
+                _nf_terms(gb, xi.apply_monomial(m))[0]
+                for xi, floor in fs
+                for m in sources
+                if floor is None or m > floor
+            ]
         dims[w] = len(basis) - linalg.span_rank(images)
     return CoinvariantTable(dimensions=dims, family=label, truncation=max_degree)
 

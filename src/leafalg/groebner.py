@@ -25,6 +25,9 @@ runs that reducer once; ``_nf_terms`` sums rows NF(x^a) kept on the basis
 for the graded solvers.  Tabling ``normal_form`` took katsura-4 with
 (u0+...+u4)^8 from 0.147 to 3.60 s (Python 3.11.7); reducing the graded
 solvers' images took the benchmark's ``oracle`` pass from 1.01 to 1.25 s.
+Both work from the same integer copies of the basis.  A table row is a
+primitive integer row with one positive denominator, and ``_nf_terms``
+returns (row, den), so a solver that only needs a span never divides.
 
 The same completion, run in k[x]/m^N under a local degree order (lowest
 total degree leads, grevlex breaks ties) with every term of degree >= N
@@ -47,7 +50,7 @@ import math
 from fractions import Fraction
 
 from .errors import DomainError, InputError
-from .linalg import _integer_row
+from .linalg import _integer_components, _integer_row
 from .poly import (
     Monomial,
     Polynomial,
@@ -120,9 +123,9 @@ class GroebnerBasis:
         self.elements = [p for _, p in ranked]
         # (leading monomial, leading coefficient) per element, for normal_form
         self._leads = [lt for lt, _ in ranked]
-        # monomial -> its normal form {standard monomial: coefficient}, for _nf_terms
+        # monomial -> its normal form as (primitive integer row, den), for _nf_terms
         self._table: dict = {}
-        self._integer = None  # integer (elements, leads), for normal_form
+        self._integer = None  # integer (elements, leads), from _integer_basis
 
     def leading_monomials(self) -> list[Monomial]:
         return [lm for lm, _ in self._leads]
@@ -209,61 +212,79 @@ def _reduce_full(terms: dict, basis: list[dict], leads, key, below=None) -> tupl
     return {m: c * (mult // at) for m, c, at in remainder}, mult
 
 
+def _integer_basis(gb: GroebnerBasis) -> tuple[list[dict], list]:
+    """Primitive integer copies of the basis elements and their (leading
+    monomial, coefficient), made on first use and kept on the basis."""
+    if gb._integer is None:
+        copies = [_integer_row(g.terms)[0] for g in gb.elements]
+        gb._integer = copies, [(lm, t[lm]) for (lm, _), t in zip(gb._leads, copies)]
+    return gb._integer
+
+
 def normal_form(p: Polynomial, gb: GroebnerBasis) -> Polynomial:
     """Canonical remainder of p modulo the ideal; zero iff p is a member:
     r / (mult * D) for D * p, D the denominator of p, reduced in integers."""
     if p.ring != gb.ring:
         raise InputError("ring mismatch between polynomial and basis")
-    if gb._integer is None:
-        copies = [_integer_row(g.terms)[0] for g in gb.elements]
-        gb._integer = copies, [(lm, t[lm]) for (lm, _), t in zip(gb._leads, copies)]
     terms, den = _integer_row(p.terms)
-    r, mult = _reduce_full(terms, *gb._integer, gb._key)
+    r, mult = _reduce_full(terms, *_integer_basis(gb), gb._key)
     den *= mult
     return Polynomial(p.ring, {m: Fraction(c, den) for m, c in r.items()})
 
 
-def _nf_terms(gb: GroebnerBasis, terms) -> dict:
+def _nf_terms(gb: GroebnerBasis, terms) -> tuple[dict, int]:
     """Normal form of the polynomial with the given ``{monomial:
-    coefficient}`` terms, as a sparse ``{standard monomial: Fraction}``.
+    coefficient}`` terms, as ``(row, den)``: NF = row / den, with row a
+    sparse ``{standard monomial: coefficient}`` of integers when the
+    coefficients are integers, and den a positive integer.
 
     Normal forms are linear, so this sums tabulated rows NF(x^a), one
-    per monomial, memoized on the basis.  A standard monomial is its own
-    row.  Any other x^a takes the first basis element g whose lead lm
+    per monomial, memoized on the basis as a primitive integer row with
+    one positive denominator.  A standard monomial is its own row.  Any
+    other x^a takes the first integer basis element g whose lead lc x^lm
     divides it: NF(x^a) = -(1/lc) sum over g's other terms c x^t of
     c NF(x^(a - lm + t)), and every such monomial is smaller than x^a.
     Missing rows are filled smallest-first from an explicit worklist, so
     long reduction chains need no recursion.
     """
     table = gb._table
+    elements, leads = _integer_basis(gb)
     todo = [m for m in terms if m not in table]
     while todo:
         a = todo.pop()
         if a in table:
             continue
-        for g, (lm, lc) in zip(gb.elements, gb._leads):
+        for g, (lm, lc) in zip(elements, leads):
             if mono_divides(lm, a):
                 break
         else:
-            table[a] = {a: Fraction(1)}
+            table[a] = {a: 1}, 1
             continue
         shift = mono_div(a, lm)
-        tail = [(mono_mul(t, shift), -c / lc) for t, c in g.terms.items() if t != lm]
+        tail = [(mono_mul(t, shift), c) for t, c in g.items() if t != lm]
         missing = [t for t, _ in tail if t not in table]
         if missing:
             todo += [a, *missing]  # back to a once its smaller terms are in
             continue
-        table[a] = _combine(tail, table)
+        row, den = _combine(tail, table)
+        den *= lc  # lc > 0: the integer copy of a monic element
+        content = math.gcd(den, *row.values())
+        table[a] = {s: -v // content for s, v in row.items()}, den // content
     return _combine(terms.items(), table)
 
 
-def _combine(pairs, table) -> dict:
-    """Sum of c * table[m] over the (m, c) pairs, without zero entries."""
+def _combine(pairs, table) -> tuple[dict, int]:
+    """Sum of c * table[m] over the (m, c) pairs, as ``(row, den)``
+    over the lcm den of the rows' denominators, without zero entries."""
+    den = math.lcm(*(table[m][1] for m, _ in pairs))
     out: dict = {}
     for m, c in pairs:
-        for s, v in table[m].items():
+        row, d = table[m]
+        if d != den:
+            c *= den // d
+        for s, v in row.items():
             out[s] = out.get(s, 0) + c * v
-    return {s: v for s, v in out.items() if v}
+    return {s: v for s, v in out.items() if v}, den
 
 
 def buchberger(
@@ -668,8 +689,10 @@ def poincare_series(gb: GroebnerBasis) -> PoincareSeries:
 
 def minors(matrix: list[list[Polynomial]], size: int) -> list[Polynomial]:
     """All size x size minor determinants, in lexicographic order of
-    (row subset, column subset).  Exact cofactor expansion; each sub-minor
-    is computed once per call."""
+    (row subset, column subset).  Exact cofactor expansion on integer
+    terms: row r is scaled to integers by the lcm D_r of its denominators,
+    each sub-minor is computed once per call, and a minor on the rows R
+    is divided by the product of the D_r once, at the end."""
     if not matrix or not matrix[0]:
         raise InputError("empty matrix")
     nrows, ncols = len(matrix), len(matrix[0])
@@ -677,32 +700,44 @@ def minors(matrix: list[list[Polynomial]], size: int) -> list[Polynomial]:
         raise InputError("ragged matrix")
     if size < 1 or size > min(nrows, ncols):
         raise InputError(f"minor size {size} out of range for {nrows}x{ncols} matrix")
+    if size == 1:  # the entries themselves, unscaled
+        return [p for row in matrix for p in row]
+    ring = matrix[0][0].ring
+    scaled, dens = zip(*(_integer_components([p.terms for p in row]) for row in matrix))
     memo: dict = {}
-    return [
-        _determinant(matrix, rows, cols, memo)
-        for rows in itertools.combinations(range(nrows), size)
-        for cols in itertools.combinations(range(ncols), size)
-    ]
+    out = []
+    for rows in itertools.combinations(range(nrows), size):
+        den = math.prod(dens[r] for r in rows)
+        for cols in itertools.combinations(range(ncols), size):
+            det = _determinant(scaled, rows, cols, memo)
+            out.append(Polynomial(ring, {m: Fraction(c, den) for m, c in det.items()}))
+    return out
 
 
-def _determinant(matrix, rows: tuple, cols: tuple, memo: dict) -> Polynomial:
-    """Minor on the sorted ``rows`` and ``cols`` by Laplace expansion along
-    its first row, each sub-minor memoized under its (rows, cols)."""
+def _determinant(matrix, rows: tuple, cols: tuple, memo: dict) -> dict:
+    """Minor on the sorted ``rows`` and ``cols`` of a matrix of integer
+    ``{monomial: int}`` entries by Laplace expansion along its first row,
+    each sub-minor memoized under its (rows, cols); the minor itself is
+    not kept."""
     if len(rows) == 1:
         return matrix[rows[0]][cols[0]]
-    det = memo.get((rows, cols))
-    if det is not None:
-        return det
     first = matrix[rows[0]]
-    det = first[cols[0]].ring.zero()
+    det = {}
     for j, c in enumerate(cols):
         entry = first[c]
-        if entry.is_zero():
+        if not entry:
             continue
-        cofactor = entry * _determinant(matrix, rows[1:], cols[:j] + cols[j + 1 :], memo)
-        det = det + cofactor if j % 2 == 0 else det - cofactor
-    memo[rows, cols] = det
-    return det
+        sub = rows[1:], cols[:j] + cols[j + 1 :]
+        cofactor = memo.get(sub)
+        if cofactor is None:
+            cofactor = memo[sub] = _determinant(matrix, *sub, memo)
+        sign = 1 if j % 2 == 0 else -1
+        for ma, ca in entry.items():
+            ca *= sign
+            for mb, cb in cofactor.items():
+                m = mono_mul(ma, mb)
+                det[m] = det.get(m, 0) + ca * cb
+    return {m: c for m, c in det.items() if c}
 
 
 def monomial_basis(gb: GroebnerBasis, degree: int) -> list[Monomial]:

@@ -1,10 +1,12 @@
 """Exact linear algebra over the rationals.
 
 Callers hand in sparse vectors, dicts from any sortable key to a
-Fraction (zero entries and empty vectors are allowed), and ask for the
-rank of their span (``span_rank``), for the linear relations among them
-(``relations``, each a sparse dict from vector index to Fraction), or
-grow a span one vector at a time (``Echelon.add``).
+Fraction or an int (zero entries and empty vectors are allowed), and ask
+for the rank of their span (``span_rank``), for the linear relations
+among them (``relations``, each a sparse dict from vector index to
+Fraction), or grow a span one vector at a time (``Echelon.add``).  An
+integer vector enters the elimination as it is; ``relations`` also takes
+an integer row with its denominator.
 
 Underneath is one sparse elimination routine, ``Echelon._reduce``.  A
 vector is scaled to a primitive integer row, a dict from column to int,
@@ -86,6 +88,18 @@ def _integer_row(vector) -> tuple[dict, int]:
     return {k: c.numerator * (den // c.denominator) for k, c in row.items()}, den
 
 
+def _integer_components(components) -> tuple[list[dict], int]:
+    """The ``{key: coefficient}`` components of one vector times the lcm D
+    of all their denominators, as int dicts, and D."""
+    stacked, den = _integer_row(
+        {(k, m): c for k, terms in enumerate(components) for m, c in terms.items()}
+    )
+    out = [{} for _ in components]
+    for (k, m), c in stacked.items():
+        out[k][m] = c
+    return out, den
+
+
 def _columns(vectors) -> dict:
     """Column index of each key in use, in sorted key order."""
     return {k: i for i, k in enumerate(sorted({k for v in vectors for k in v}))}
@@ -101,21 +115,27 @@ def span_rank(vectors) -> int:
 def relations(vectors) -> list[dict[int, Fraction]]:
     """Basis of the coefficient tuples c with sum_a c[a] * vectors[a] = 0,
     each as a sparse ``{index a: Fraction}`` of its nonzero entries in
-    ascending index order.
+    ascending index order.  A vector is a sparse rational dict, or a
+    pair ``(row, den)`` of a sparse integer dict and a positive integer
+    that stands for row / den.
 
     The vectors are reduced in the given order, each carrying the
     record of how it combines the earlier ones (columns past the
-    keys).  Each vector that vanishes gives one relation: coefficient
-    1 on itself, minus its unique expression in the earlier independent
+    keys).  Vector i enters as its integer row with den_i in its record
+    column, so the record holds the combination of the exact vectors.
+    Each vector that vanishes gives one relation: coefficient 1 on
+    itself, minus its unique expression in the earlier independent
     vectors.  That is the basis read off the reduced row echelon form of
     the matrix with one column per vector.
     """
-    cols = _columns(vectors)
+    pairs = [v if isinstance(v, tuple) else _integer_row(v) for v in vectors]
+    cols = _columns(row for row, _ in pairs)
     n = len(cols)
     echelon = Echelon()
     basis = []
-    for i, v in enumerate(vectors):
-        row, _ = _integer_row({cols[k]: c for k, c in v.items()} | {n + i: Fraction(1)})
+    for i, (v, den) in enumerate(pairs):
+        row = {cols[k]: c for k, c in v.items() if c}
+        row[n + i] = den
         lead, row = echelon._reduce(row)
         if lead < n:
             echelon.rows[lead] = row

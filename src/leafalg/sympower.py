@@ -148,11 +148,11 @@ def brute_sym2_coinvariants(X: Variety, max_degree: int) -> dict[int, int]:
     gb = X.groebner()
     ring = X.ring
     monos = {d: monomial_basis(gb, d) for d in range(0, max_degree + 1)}
-    # (field weight, {monomial: normal form of the field's image, as terms})
+    # (field weight, {monomial: normal form of the field's image, as (row, den)})
     images = [
         (fw, {m: _nf_terms(gb, xi.apply_monomial(m)) for ms in monos.values() for m in ms})
         for fw, fs in sorted(graded.items())
-        for xi in fs
+        for xi, _ in fs
     ]
 
     def canonical(ma, mb):
@@ -188,9 +188,11 @@ def brute_sym2_coinvariants(X: Variety, max_degree: int) -> dict[int, int]:
             for da in range(0, bw // 2 + 1):
                 for a in monos.get(da, []):
                     for b in monos.get(bw - da, []):
+                        # den_a * den_b times xi(a) b + a xi(b)
+                        (row_a, den_a), (row_b, den_b) = image[a], image[b]
                         row = {}
-                        add_product(row, image[a], {b: 1})
-                        add_product(row, {a: 1}, image[b])
+                        add_product(row, row_a, {b: den_b})
+                        add_product(row, {a: den_a}, row_b)
                         rows.append(row)
         dims[w] = len(pairs) - linalg.span_rank(rows)
     return dims

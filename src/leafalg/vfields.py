@@ -30,11 +30,13 @@ convention suffices.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from . import linalg
 from .errors import DomainError, InputError
 from .groebner import GroebnerBasis, _nf_terms, buchberger, minors, normal_form
+from .linalg import _integer_components
 from .poly import Monomial, Polynomial, PolyRing, mono_mul
 
 
@@ -315,20 +317,20 @@ def field_from_form(g: Polynomial, J: tuple, pairing: dict) -> VectorField:
     intersection with Jacobian pairing table ``pairing``:
     xi(x_i) = sum_l sgn(l, J, i) * d_l g * P_sort(l, J, i)."""
     ring = g.ring
-    partials = [g.partial_derivative(name) for name in ring.variables]
+    partials = [g.partial_derivative(name).terms for name in ring.variables]
     coeffs = []
     for i in range(ring.arity):
-        total = ring.zero()
+        total: dict = {}
         for l, dg in enumerate(partials):
-            if dg.is_zero():
-                continue
             sorted_sign = _sort_sign((l, *J, i))
-            if sorted_sign is None:
+            if not dg or sorted_sign is None:
                 continue
             key, sign = sorted_sign
-            term = dg * pairing[key]
-            total = total + term if sign > 0 else total - term
-        coeffs.append(total)
+            for mp, cp in pairing[key].terms.items():
+                for md, cd in dg.items():
+                    m = mono_mul(md, mp)
+                    total[m] = total.get(m, 0) + sign * cd * cp
+        coeffs.append(Polynomial(ring, total))
     return VectorField(ring, coeffs)
 
 
@@ -352,6 +354,22 @@ def hamiltonian_family_top(X, max_degree: int) -> list[VectorField]:
     The weighted degree of a form g*dx_J counts the dx factors.  Zero
     fields are dropped; duplicates are kept only once.
     """
+    fields = []
+    seen = set()
+    for _, _, xi in _form_fields(X, max_degree, X.ring.monomials_of_weight):
+        if xi.is_zero() or xi in seen:
+            continue
+        seen.add(xi)
+        fields.append(xi)
+    return fields
+
+
+def _form_fields(X, max_degree: int, monomials) -> list[tuple]:
+    """``(g, J, field)`` for the (m-2)-forms x^g dx_J of weighted degree
+    at most ``max_degree``, with x^g drawn from ``monomials(weight)``, on
+    a complete intersection with the Jacobian polyvector structure: the
+    one form loop behind the Hamiltonian family, in order of J, then of
+    the weight of g, then of ``monomials``."""
     structure = getattr(X, "structure", None)
     if structure is None or getattr(structure, "kind", None) != "jacobian":
         raise DomainError("hamiltonian_family_top requires the Jacobian polyvector structure")
@@ -361,18 +379,13 @@ def hamiltonian_family_top(X, max_degree: int) -> list[VectorField]:
     if m < 2:
         raise DomainError("hamiltonian_family_top requires dimension n - k >= 2")
     pairing = jacobian_pairing(gens, ring)
-    fields = []
-    seen = set()
+    out = []
     for idx in itertools.combinations(range(ring.arity), m - 2):
         dx_weight = sum(ring.weights[i] for i in idx)
         for g_weight in range(0, max_degree - dx_weight + 1):
-            for mono in ring.monomials_of_weight(g_weight):
-                xi = field_from_form(ring.monomial(mono), idx, pairing)
-                if xi.is_zero() or xi in seen:
-                    continue
-                seen.add(xi)
-                fields.append(xi)
-    return fields
+            for mono in monomials(g_weight):
+                out.append((mono, idx, field_from_form(ring.monomial(mono), idx, pairing)))
+    return out
 
 
 # -- linear algebra over graded pieces --------------------------------
@@ -405,21 +418,25 @@ def _graded_syzygies(gb: GroebnerBasis, vectors, weights, w: int, top, zero_weig
     v_j is ``vectors[j]``, a list of ``{monomial: coefficient}`` components
     of weight ``weights[j]``, and weight(x^a) = w - weights[j] <= ``top``
     (unbounded for None).  Slots (j, a) go by j, then by the basis order;
-    each relation is one ``{monomial a: coefficient}`` dict per vector."""
+    each relation is one ``{monomial a: coefficient}`` dict per vector.
+    Each v_j is scaled to integers once, and each slot's image goes to
+    ``linalg.relations`` as an integer row with its denominator."""
     slots = [
         (j, mono)
         for j, vw in enumerate(weights)
         if top is None or w - vw <= top
         for mono in sorted(gb.ring.monomials_of_weight(w - vw, zero_weight_cap), key=gb._key)
     ]
-    images = [
-        {
-            (k, m): c
-            for k, terms in enumerate(vectors[j])
-            for m, c in _nf_terms(gb, {mono_mul(t, mono): v for t, v in terms.items()}).items()
-        }
-        for j, mono in slots
-    ]
+    scaled = [_integer_components(v) for v in vectors]
+    images = []
+    for j, mono in slots:
+        components, den = scaled[j]
+        nfs = [
+            _nf_terms(gb, {mono_mul(t, mono): v for t, v in terms.items()}) for terms in components
+        ]
+        common = math.lcm(*(d for _, d in nfs))
+        row = {(k, m): c * (common // d) for k, (nf, d) in enumerate(nfs) for m, c in nf.items()}
+        images.append((row, common * den))
     out = []
     for rel in linalg.relations(images):
         coeffs = [{} for _ in vectors]

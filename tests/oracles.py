@@ -7,7 +7,7 @@ the package.
 """
 
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 
 
 def rref_rank(rows):
@@ -77,6 +77,57 @@ def graded_member(p, gens):
     for m, c in p.terms.items():
         vec[pos[m]] = c
     return rref_rank(rows) == rref_rank(rows + [vec])
+
+
+def brute_coinvariants(gens, max_degree):
+    """Per-weight dimensions, through ``max_degree``, of the coinvariants
+    of the complete intersection X = {gens = 0} (weighted-homogeneous,
+    m = n - k >= 2) under the Hamiltonian fields of every monomial
+    (m-2)-form, by dense linear algebra over the graded pieces of k[x]/I.
+
+    The field of x^g dx_J sends h to the coefficient of dx_1 ^ ... ^ dx_n
+    in dx^g ^ dx_J ^ dh ^ df_1 ^ ... ^ df_k.  Its value on x_i is the
+    Leibniz determinant of the rows grad x^g, e_J, e_i, grad f_1..f_k.
+    Every monomial form and every monomial h of the matching weight is
+    taken, with no Groebner basis, normal-form table or pair order; the
+    images of weight w are row-reduced together with the weight-w piece
+    of the ideal (``graded_piece``)."""
+    ring = gens[0].ring
+    n, k = ring.arity, len(gens)
+    grads = [[f.partial_derivative(v) for v in ring.variables] for f in gens]
+    shift = sum(f.weighted_degree() for f in gens) - sum(ring.weights)
+
+    def unit(i):
+        return [ring.one() if j == i else ring.zero() for j in range(n)]
+
+    fields = {}
+
+    def field(g, J):
+        if (g, J) not in fields:
+            dg = [ring.monomial(g).partial_derivative(v) for v in ring.variables]
+            head = [dg] + [unit(j) for j in J]
+            fields[g, J] = [leibniz_determinant(head + [unit(i)] + grads, ring) for i in range(n)]
+        return fields[g, J]
+
+    dims = {}
+    for w in range(max_degree + 1):
+        rows, basis = graded_piece(gens, w)
+        pos = {m: i for i, m in enumerate(basis)}
+        for J in combinations(range(n), n - k - 2):
+            top = w - shift - sum(ring.weights[j] for j in J)
+            for a in range(top + 1):
+                for g in ring.monomials_of_weight(a):
+                    xi = field(g, J)
+                    for h in ring.monomials_of_weight(top - a):
+                        image = ring.zero()
+                        for v, c in zip(ring.variables, xi):
+                            image = image + c * ring.monomial(h).partial_derivative(v)
+                        row = [Fraction(0)] * len(basis)
+                        for m, c in image.terms.items():
+                            row[pos[m]] = c
+                        rows.append(row)
+        dims[w] = len(basis) - rref_rank(rows)
+    return dims
 
 
 def local_colength_brute(gens, nmax=16):

@@ -1,7 +1,8 @@
-"""The named ``ideals`` jobs of the benchmark, run through its own runner:
-exit code and output digests must equal ``bench/expected.json``, so a
-change to the Groebner core that alters any printed basis, membership
-answer or stratum fails here before the benchmark runs."""
+"""The named jobs of the benchmark, run through its own runner: exit code
+and output digests must equal ``bench/expected.json``, so a change that
+alters any printed basis, membership answer, stratum, colength, family,
+derivation basis or coinvariant table fails here before the benchmark
+runs."""
 
 import importlib.util
 import sys
@@ -27,6 +28,14 @@ jobs = load_jobs()
 
 @pytest.mark.parametrize("job", jobs.NAMED["ideals"], ids=lambda job: job.name)
 def test_ideals_job_output_matches_recorded_digests(job):
+    outcome = jobs.run_job(cli, job)
+    assert jobs.is_correct(job, outcome, jobs.load_expected()), (outcome.code, outcome.stderr)
+
+
+@pytest.mark.parametrize(
+    "job", jobs.NAMED["local"] + jobs.NAMED["oracle"], ids=lambda job: job.name
+)
+def test_local_and_oracle_job_output_matches_recorded_digests(job):
     outcome = jobs.run_job(cli, job)
     assert jobs.is_correct(job, outcome, jobs.load_expected()), (outcome.code, outcome.stderr)
 

@@ -2,12 +2,13 @@
 
 import pytest
 
-from leafalg import coinv, groebner, sympower, vfields
+from leafalg import coinv, groebner, linalg, sympower, vfields
 from leafalg.coinv import coinvariants_truncated, verify_hp0
 from leafalg.errors import DomainError
 from leafalg.geom import JacobianPolyvector, Variety, hp0_series
 from leafalg.poly import PolyRing, parse_poly
 from leafalg.vfields import VectorField, derivations_up_to_degree
+from oracles import brute_coinvariants
 
 XYZ = PolyRing(["x", "y", "z"])
 CUSP_RING = PolyRing(["x", "y"], [3, 2])
@@ -176,6 +177,10 @@ def milnor_orlik(d, weights):
         ("x^6 + y^6 + z^6", (1, 1, 1)),
         ("x^2 + y^3 + z^5", (15, 10, 6)),
         ("x^2 + y^3 + z^7", (21, 14, 6)),
+        # rational coefficients: the basis's integer copies lead with 14
+        # and 15, so normal-form rows carry denominators
+        ("2/3*x^4 + y^4 - 5/7*z^4 + x^2*y^2", (1, 1, 1)),
+        ("3/2*x^2 + y^3 - 2/5*y*z^3", (9, 6, 4)),
     ],
 )
 def test_hamiltonian_oracle_matches_milnor_orlik(text, weights):
@@ -217,3 +222,56 @@ def test_oracles_make_no_polynomial_normal_forms(monkeypatch):
     fields = derivations_up_to_degree(quartic.groebner(), 2)
     assert sum(map(len, fields.values())) > 0
     assert calls == []
+
+
+BRUTE_CASES = {
+    # non-diagonal, rational and non-monic
+    "rational quartic surface": (["x", "y", "z"], (1, 1, 1), ["2/3*x^4 + y^4 - 5/7*z^4 + x^2*y^2"], 7),
+    "weighted surface": (["x", "y", "z"], (6, 4, 3), ["x^2 + 2/3*y^3 + 5/4*z^4 - 1/3*x*z^2"], 14),
+    # codimension 2, m = 2
+    "two_quadrics_c4": (["x", "y", "z", "w"], (1, 1, 1, 1), ["x^2 + y^2 + z^2", "x^2 + 2*y^2 + 3*z^2"], 4),
+    # m = 3: forms g dx_j, no pair order
+    "cubic threefold": (["x", "y", "z", "w"], (1, 1, 1, 1), ["x^3 + 1/2*y^3 - 3/4*z^3 + w^3 + x*y*w"], 4),
+}
+
+
+@pytest.mark.parametrize("name", BRUTE_CASES)
+def test_hamiltonian_oracle_matches_brute_force(name):
+    # the oracle takes forms over standard monomials only, and on surfaces
+    # each unordered pair once; the brute force takes every monomial form
+    # and every monomial, with no Groebner basis
+    names, weights, texts, top = BRUTE_CASES[name]
+    ring = PolyRing(names, weights)
+    gens = polys(ring, *texts)
+    table = coinvariants_truncated(Variety(ring, gens, JacobianPolyvector()), "hamiltonian-top", top)
+    assert table.dimensions == brute_coinvariants(gens, top)
+
+
+def test_quadric_surface_takes_each_bracket_pair_once(monkeypatch):
+    # x^2 + y^2 + z^2 leads with x^2, so the standard monomials of weight
+    # d are x^e y^i z^j with e <= 1: 2d + 1 of them.  Brackets {g, h} have
+    # weight wt(g) + wt(h) - 1, and constants bracket to zero, so weight
+    # w takes one image per unordered pair of distinct nonconstant
+    # standard monomials with weights summing to w + 1.
+    counts = []
+    real = linalg.span_rank
+
+    def counted(images):
+        counts.append(len(images))
+        return real(images)
+
+    monkeypatch.setattr(linalg, "span_rank", counted)
+    cone = Variety(XYZ, polys(XYZ, "x^2 + y^2 + z^2"), JacobianPolyvector())
+    coinvariants_truncated(cone, "hamiltonian-top", 8)
+
+    def standard(d):
+        return 2 * d + 1
+
+    expected = []
+    for w in range(9):
+        s = w + 1
+        pairs = sum(standard(a) * standard(s - a) for a in range(1, (s + 1) // 2))
+        if s % 2 == 0:
+            pairs += standard(s // 2) * (standard(s // 2) - 1) // 2
+        expected.append(pairs)
+    assert counts == expected

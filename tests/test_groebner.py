@@ -1,6 +1,7 @@
 """Groebner bases and the ideal invariants derived from them."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -331,6 +332,29 @@ def test_minors_match_leibniz_determinant():
             assert minors(mat, size) == expected
 
 
+def test_minors_match_leibniz_determinant_over_rationals():
+    # entries with their own denominators, so rows clear to different D_r
+    rng = random.Random(67)
+    for _ in range(25):
+        nrows, ncols = rng.randint(1, 4), rng.randint(1, 4)
+        mat = [
+            [
+                random_polynomial(rng, XY, max_degree=2, terms=2).scale(
+                    Fraction(rng.randint(1, 7), rng.randint(1, 9))
+                )
+                for _ in range(ncols)
+            ]
+            for _ in range(nrows)
+        ]
+        for size in range(1, min(nrows, ncols) + 1):
+            expected = [
+                leibniz_determinant([[mat[r][c] for c in cols] for r in rows], XY)
+                for rows in itertools.combinations(range(nrows), size)
+                for cols in itertools.combinations(range(ncols), size)
+            ]
+            assert minors(mat, size) == expected
+
+
 def test_minors_out_of_range():
     with pytest.raises(InputError):
         minors([polys(XY, "x", "y")], 2)
@@ -457,7 +481,18 @@ TABLE_CASES = {
     "zero weight": lambda: buchberger(polys(ZERO_WEIGHT, "x^2 + t^3", "y^2 - x*t", "t^4 + x*y")),
     # the rational systems that do not generate the unit ideal
     **{f"rational system {i}": (lambda i=i: buchberger(rational_systems()[i])) for i in (1, 2, 3, 6)},
+    # integer copies that lead with 14, and with 2, 36000, 30 and 9
+    "rational quartic": lambda: buchberger(polys(XYZ, "2/3*x^4 + y^4 - 5/7*z^4 + x^2*y^2")),
+    "rational non-homogeneous": lambda: buchberger(
+        polys(XYZ, "3/2*x^2 - y + 1/3", "y*z - 5/7*x^3", "2*z^2 - x")
+    ),
 }
+
+
+def exact(nf):
+    """The ``(row, den)`` of ``_nf_terms`` as ``{monomial: Fraction}``."""
+    row, den = nf
+    return {m: Fraction(c) / den for m, c in row.items()}
 
 
 @pytest.mark.parametrize("seed, name", enumerate(TABLE_CASES))
@@ -466,10 +501,10 @@ def test_tabled_normal_form_matches_normal_form(seed, name):
     rng = random.Random(seed)
     for _ in range(25):
         p = random_poly(rng, gb.ring)
-        assert _nf_terms(gb, p.terms) == normal_form(p, gb).terms
+        assert exact(_nf_terms(gb, p.terms)) == normal_form(p, gb).terms
     # members reduce to nothing, through rows already in the table
     for g in gb.elements:
-        assert _nf_terms(gb, (g * random_poly(rng, gb.ring, top=3, terms=3)).terms) == {}
+        assert _nf_terms(gb, (g * random_poly(rng, gb.ring, top=3, terms=3)).terms)[0] == {}
 
 
 @pytest.mark.parametrize("name", TABLE_CASES)
@@ -482,10 +517,25 @@ def test_normal_form_is_linear_over_rationals(name):
         assert normal_form(p.scale(c), gb) == normal_form(p, gb).scale(c)
 
 
+@pytest.mark.parametrize("name", ["rational quartic", "rational non-homogeneous"])
+def test_table_rows_are_primitive_integer_rows_over_denominators(name):
+    gb = TABLE_CASES[name]()
+    rng = random.Random(61)
+    for _ in range(10):
+        p = random_poly(rng, gb.ring)
+        assert exact(_nf_terms(gb, p.terms)) == normal_form(p, gb).terms
+    assert any(lc != 1 for _, lc in groebner._integer_basis(gb)[1])
+    rows = list(gb._table.values())
+    assert any(den != 1 for _, den in rows)
+    for row, den in rows:
+        assert den > 0 and all(type(c) is int for c in row.values())
+        assert math.gcd(den, *row.values()) == 1
+
+
 def test_tabled_normal_form_of_a_long_chain_needs_no_recursion():
     # x^3000 -> x^2999*y -> ... -> y^3000, one table row per link
     gb = buchberger(polys(XY, "x - y"))
-    assert _nf_terms(gb, {(3000, 0): Fraction(2)}) == {(0, 3000): 2}
+    assert exact(_nf_terms(gb, {(3000, 0): Fraction(2)})) == {(0, 3000): 2}
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 """Sparse-vector interface to exact linear algebra, on seeded random input,
 checked against the dense reference ``rref`` / ``nullspace``."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -69,6 +70,23 @@ def test_relations_match_dense_nullspace(seed):
     support = sorted({k for v in vectors for k in v})
     matrix = [[Fraction(v.get(k, 0)) for v in vectors] for k in support]
     assert dense(relations(vectors), len(vectors)) == nullspace(matrix, len(vectors))
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_relations_of_rows_with_denominators_match_dense_nullspace(seed):
+    # each exact vector v goes in as (row, den) with row = den * v integral,
+    # den a random multiple of the lcm of v's denominators
+    rng = random.Random(4000 + seed)
+    vectors = random_vectors(rng)
+    pairs = []
+    for v in vectors:
+        den = math.lcm(*(Fraction(c).denominator for c in v.values())) * rng.randint(1, 5)
+        pairs.append(({k: int(c * den) for k, c in v.items()}, den))
+    support = sorted({k for v in vectors for k in v})
+    matrix = [[Fraction(v.get(k, 0)) for v in vectors] for k in support]
+    found = relations(pairs)
+    assert dense(found, len(vectors)) == nullspace(matrix, len(vectors))
+    assert found == relations(vectors)
 
 
 def test_small_cases():

@@ -307,14 +307,13 @@ class DegenerateLocusReport:
 def degenerate_locus(X: Variety) -> DegenerateLocusReport:
     """Vanishing locus of the top polyvector together with the singular
     locus: the variety ideal plus all k x k minors of the Jacobian.
-    Finite (dimension <= 0) iff the coinvariants are finite-dimensional."""
+    That is the singularity ring's ideal (J_k, f_k), so its basis is
+    ``X.singularity_groebner()``.  Finite (dimension <= 0) iff the
+    coinvariants are finite-dimensional."""
     if not isinstance(X.structure, JacobianPolyvector):
         raise DomainError("degenerate locus needs the Jacobian polyvector structure")
     if not X.ideal_gens:
         raise DomainError("degenerate locus needs at least one generator")
-    ring = X.ring
-    k = len(X.ideal_gens)
-    gens = list(X.ideal_gens) + minors(jacobian_matrix(X.ideal_gens, ring), k)
-    gb = buchberger(gens, X.order, ring=ring)
+    gb = X.singularity_groebner()
     dim = krull_dimension(gb)
     return DegenerateLocusReport(ideal=gb, dimension=dim, finite=dim <= 0)

@@ -17,15 +17,17 @@ max-heap of pending monomials.
 Arithmetic inside is on integers.  Elements under completion are
 primitive ``{monomial: int}`` dicts, and the one reducer, fraction-free,
 returns a remainder r with its multiplier mult: mult * p = r modulo the
-basis.  A reduced basis is made monic, in ``Fraction``s, once at the end;
-``normal_form`` clears p's denominator D and returns r / (mult * D).
+basis.  A reduced basis keeps its elements in that form, primitive with
+positive leading coefficients, and their monic ``Fraction`` copies are
+made once from them; ``normal_form`` clears p's denominator D and
+returns r / (mult * D).
 
 Two normal forms stay, each the faster for its callers: ``normal_form``
 runs that reducer once; ``_nf_terms`` sums rows NF(x^a) kept on the basis
 for the graded solvers.  Tabling ``normal_form`` took katsura-4 with
 (u0+...+u4)^8 from 0.147 to 3.60 s (Python 3.11.7); reducing the graded
 solvers' images took the benchmark's ``oracle`` pass from 1.01 to 1.25 s.
-Both work from the same integer copies of the basis.  A table row is a
+Both reduce by the basis's integer elements.  A table row is a
 primitive integer row with one positive denominator, and ``_nf_terms``
 returns (row, den), so a solver that only needs a span never divides.
 
@@ -35,11 +37,12 @@ dropped, gives truncated local standard bases; N falls to the highest
 corner of the staircase as soon as the leading monomials prove it.
 
 The derived invariants: normal forms and ideal membership, local
-colength at the origin (from one global basis for a weighted-homogeneous
-ideal, else from truncated local standard bases for N = 2, 4, 8, ...),
+colength at the origin (one global basis for weighted-homogeneous
+generators, else truncated local standard bases for N = 2, 4, 8, ...),
 Krull dimension (independent variable sets of the leading-term ideal),
 weighted Hilbert-Poincare series (recursion on the leading-term monomial
-ideal), minor ideals, and per-degree standard monomial bases.
+ideal), minor ideals, and per-degree standard monomial bases, each kept
+on its basis once made.
 """
 
 from __future__ import annotations
@@ -111,30 +114,34 @@ def leading_term(terms: dict, key) -> tuple:
 class GroebnerBasis:
     """A reduced Groebner basis: monic elements, no term of any element
     divisible by another element's leading monomial, sorted by leading
-    monomial.  Unique for a given ideal and order."""
+    monomial.  Unique for a given ideal and order.
 
-    __slots__ = ("ring", "order", "elements", "_key", "_leads", "_table", "_integer")
+    Built by ``buchberger`` from its primitive integer ``{monomial: int}``
+    elements with positive leading coefficients; those stay on the basis
+    as ``_integer`` = (elements, their (leading monomial, coefficient)),
+    the form both normal forms reduce by."""
 
-    def __init__(self, ring: PolyRing, order: MonomialOrder, elements: list[Polynomial]):
+    __slots__ = ("ring", "order", "elements", "_key", "_integer", "_table", "_standard")
+
+    def __init__(self, ring: PolyRing, order: MonomialOrder, integer_elements: list[dict]):
         self.ring = ring
         self.order = order
         self._key = key = order.key(ring)
-        ranked = sorted(((leading_term(p.terms, key), p) for p in elements), key=lambda t: key(t[0][0]))
-        self.elements = [p for _, p in ranked]
-        # (leading monomial, leading coefficient) per element, for normal_form
-        self._leads = [lt for lt, _ in ranked]
+        ranked = sorted(((leading_term(t, key), t) for t in integer_elements), key=lambda e: key(e[0][0]))
+        self._integer = [t for _, t in ranked], [lt for lt, _ in ranked]
+        self.elements = [
+            Polynomial(ring, {m: Fraction(c, lc) for m, c in t.items()}) for (_, lc), t in ranked
+        ]
         # monomial -> its normal form as (primitive integer row, den), for _nf_terms
         self._table: dict = {}
-        self._integer = None  # integer (elements, leads), from _integer_basis
+        # weighted degree -> its standard monomials, for monomial_basis
+        self._standard: dict = {}
 
     def leading_monomials(self) -> list[Monomial]:
-        return [lm for lm, _ in self._leads]
+        return [lm for lm, _ in self._integer[1]]
 
     def is_unit_ideal(self) -> bool:
-        return any(sum(lm) == 0 for lm, _ in self._leads)
-
-    def is_homogeneous(self) -> bool:
-        return all(g.is_quasihomogeneous() for g in self.elements)
+        return any(sum(lm) == 0 for lm, _ in self._integer[1])
 
     def __eq__(self, other):
         return (
@@ -212,22 +219,13 @@ def _reduce_full(terms: dict, basis: list[dict], leads, key, below=None) -> tupl
     return {m: c * (mult // at) for m, c, at in remainder}, mult
 
 
-def _integer_basis(gb: GroebnerBasis) -> tuple[list[dict], list]:
-    """Primitive integer copies of the basis elements and their (leading
-    monomial, coefficient), made on first use and kept on the basis."""
-    if gb._integer is None:
-        copies = [_integer_row(g.terms)[0] for g in gb.elements]
-        gb._integer = copies, [(lm, t[lm]) for (lm, _), t in zip(gb._leads, copies)]
-    return gb._integer
-
-
 def normal_form(p: Polynomial, gb: GroebnerBasis) -> Polynomial:
     """Canonical remainder of p modulo the ideal; zero iff p is a member:
     r / (mult * D) for D * p, D the denominator of p, reduced in integers."""
     if p.ring != gb.ring:
         raise InputError("ring mismatch between polynomial and basis")
     terms, den = _integer_row(p.terms)
-    r, mult = _reduce_full(terms, *_integer_basis(gb), gb._key)
+    r, mult = _reduce_full(terms, *gb._integer, gb._key)
     den *= mult
     return Polynomial(p.ring, {m: Fraction(c, den) for m, c in r.items()})
 
@@ -248,7 +246,7 @@ def _nf_terms(gb: GroebnerBasis, terms) -> tuple[dict, int]:
     long reduction chains need no recursion.
     """
     table = gb._table
-    elements, leads = _integer_basis(gb)
+    elements, leads = gb._integer
     todo = [m for m in terms if m not in table]
     while todo:
         a = todo.pop()
@@ -325,13 +323,16 @@ def buchberger(
     for i in order_idx:
         if not any(mono_divides(leads[j][0], leads[i][0]) for j in minimal):
             minimal.append(i)
-    reduced: list[Polynomial] = []
+    reduced: list[dict] = []
     for i in minimal:
         others = [j for j in minimal if j != i]
         r, _ = _reduce_full(basis[i], [basis[j] for j in others], [leads[j] for j in others], key)
-        # no other minimal lead divides leads[i], so it stays the leading term
-        lc = r[leads[i][0]]
-        reduced.append(Polynomial(ring, {m: Fraction(c, lc) for m, c in r.items()}))
+        # no other minimal lead divides leads[i], so it stays the leading term;
+        # divide by the content, signed so that coefficient comes out positive
+        content = math.gcd(*r.values())
+        if r[leads[i][0]] < 0:
+            content = -content
+        reduced.append({m: c // content for m, c in r.items()})
     return GroebnerBasis(ring, order, reduced)
 
 
@@ -458,31 +459,30 @@ def _staircase_top(lead: list[Monomial], arity: int, below: int) -> int:
 def colength_local(generators: list[Polynomial], ring: PolyRing) -> int | float:
     """Vector-space dimension of (power series ring at 0) / ideal.
 
-    One global basis comes first.  A weighted-homogeneous ideal with all
-    weights >= 1 cuts out a cone, so its finite quotient lives at the
-    origin alone: the Poincare series at u = 1 (``INFINITE`` for an
-    infinite series) is the answer.
+    The generators decide the route.  Weighted-homogeneous generators in
+    a ring with all weights >= 1 cut out a cone, so a finite quotient
+    lives at the origin alone: one global basis, and its Poincare series
+    at u = 1 (``INFINITE`` for an infinite series), is the answer.
 
-    Any other ideal gets truncated local standard bases of I + m^N for
-    N = 2, 4, 8, ... up to ``COLENGTH_CAP``.  Below degree N their leading
-    ideal is that of I at the origin, so a staircase without monomials
-    of degree N - 1 proves m^(N-1) in I locally (Nakayama) and its size
-    is the colength (the highest corner of Greuel and Pfister, A
-    Singular Introduction to Commutative Algebra, 1.7).  Past the cap:
-    ``INFINITE`` if the global Krull dimension is positive, else
-    ``DomainError``.
+    Any other generators get truncated local standard bases of I + m^N
+    for N = 2, 4, 8, ... up to ``COLENGTH_CAP``, and no global basis.
+    Below degree N their leading ideal is that of I at the origin, so a
+    staircase without monomials of degree N - 1 proves m^(N-1) in I
+    locally (Nakayama) and its size is the colength (the highest corner
+    of Greuel and Pfister, A Singular Introduction to Commutative
+    Algebra, 1.7).  Past the cap: ``INFINITE`` if the global Krull
+    dimension is positive, else ``DomainError``.
     """
-    gb = buchberger(generators, WGREVLEX, ring=ring)
-    if not ring.has_zero_weights and gb.is_homogeneous():
-        return poincare_series(gb).total_dimension()
     gens = [g for g in generators if not g.is_zero()]
+    if not ring.has_zero_weights and all(g.is_quasihomogeneous() for g in gens):
+        return poincare_series(buchberger(gens, WGREVLEX, ring=ring)).total_dimension()
     n = 2
     while n <= COLENGTH_CAP:
         _, leads, below = _complete(gens, ring, _local_key, below=n)
         if below < n:
             return len(_staircase([lm for lm, _ in leads], ring.arity, below))
         n *= 2
-    if krull_dimension(gb) >= 1:
+    if krull_dimension(buchberger(gens, WGREVLEX, ring=ring)) >= 1:
         return INFINITE
     raise DomainError(
         f"local colength not reached within m^{COLENGTH_CAP} although the ideal "
@@ -742,11 +742,15 @@ def _determinant(matrix, rows: tuple, cols: tuple, memo: dict) -> dict:
 
 def monomial_basis(gb: GroebnerBasis, degree: int) -> list[Monomial]:
     """Standard monomials of weighted degree ``degree``: those outside
-    the leading-term ideal.  Sorted ascending in the basis order."""
-    lead = gb.leading_monomials()
-    key = gb._key
-    candidates = gb.ring.monomials_of_weight(degree)
-    return sorted(
-        (m for m in candidates if not any(mono_divides(lm, m) for lm in lead)),
-        key=key,
-    )
+    the leading-term ideal.  Sorted ascending in the basis order.  The
+    list is made once per basis and degree and kept on the basis, so
+    callers must not mutate it."""
+    standard = gb._standard.get(degree)
+    if standard is None:
+        lead = gb.leading_monomials()
+        candidates = gb.ring.monomials_of_weight(degree)
+        standard = gb._standard[degree] = sorted(
+            (m for m in candidates if not any(mono_divides(lm, m) for lm in lead)),
+            key=gb._key,
+        )
+    return standard

@@ -16,6 +16,7 @@ defining equation; d = 0 gives the uncorrected series.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 from . import linalg
@@ -147,10 +148,10 @@ def brute_sym2_coinvariants(X: Variety, max_degree: int) -> dict[int, int]:
     graded, _ = graded_family(X, "hamiltonian-top", max_degree)
     gb = X.groebner()
     ring = X.ring
-    monos = {d: monomial_basis(gb, d) for d in range(0, max_degree + 1)}
+    sources = [m for d in range(max_degree + 1) for m in monomial_basis(gb, d)]
     # (field weight, {monomial: normal form of the field's image, as (row, den)})
     images = [
-        (fw, {m: _nf_terms(gb, xi.apply_monomial(m)) for ms in monos.values() for m in ms})
+        (fw, {m: _nf_terms(gb, xi.apply_monomial(m)) for m in sources})
         for fw, fs in sorted(graded.items())
         for xi, _ in fs
     ]
@@ -163,10 +164,8 @@ def brute_sym2_coinvariants(X: Variety, max_degree: int) -> dict[int, int]:
     def sym_basis(w):
         out = set()
         for da in range(0, w // 2 + 1):
-            db = w - da
-            for a in monos.get(da, []):
-                for b in monos.get(db, []):
-                    out.add(canonical(a, b))
+            for a, b in itertools.product(monomial_basis(gb, da), monomial_basis(gb, w - da)):
+                out.add(canonical(a, b))
         return out
 
     def add_product(row, terms_a, terms_b):
@@ -184,15 +183,15 @@ def brute_sym2_coinvariants(X: Variety, max_degree: int) -> dict[int, int]:
         rows = []
         for fw, image in images:
             bw = w - fw
-            # unordered pairs of source weights da <= db = bw - da
-            for da in range(0, bw // 2 + 1):
-                for a in monos.get(da, []):
-                    for b in monos.get(bw - da, []):
-                        # den_a * den_b times xi(a) b + a xi(b)
-                        (row_a, den_a), (row_b, den_b) = image[a], image[b]
-                        row = {}
-                        add_product(row, row_a, {b: den_b})
-                        add_product(row, {a: den_a}, row_b)
-                        rows.append(row)
+            # unordered pairs of source weights da <= db = bw - da, both in
+            # the truncation
+            for da in range(max(bw - max_degree, 0), bw // 2 + 1):
+                for a, b in itertools.product(monomial_basis(gb, da), monomial_basis(gb, bw - da)):
+                    # den_a * den_b times xi(a) b + a xi(b)
+                    (row_a, den_a), (row_b, den_b) = image[a], image[b]
+                    row = {}
+                    add_product(row, row_a, {b: den_b})
+                    add_product(row, {a: den_a}, row_b)
+                    rows.append(row)
         dims[w] = len(pairs) - linalg.span_rank(rows)
     return dims

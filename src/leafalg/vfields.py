@@ -164,13 +164,14 @@ class VectorField:
 
     def __str__(self):
         parts = []
+        one = (0,) * self.ring.arity
         for name, c in zip(self.ring.variables, self.coefficients):
             if c.is_zero():
                 continue
-            if c == 1:
+            if c.terms == {one: 1}:
                 parts.append(f"d_{name}")
                 continue
-            if c == -1:
+            if c.terms == {one: -1}:
                 parts.append(f"-d_{name}")
                 continue
             body = str(c)
@@ -191,20 +192,11 @@ def tangency_check(field: VectorField, gb: GroebnerBasis) -> bool:
 
 
 def hamiltonian_from_bracket(f: Polynomial, matrix) -> VectorField:
-    """Hamiltonian field of f for a bracket matrix: xi_f(x_i) = {f, x_i}."""
-    ring = f.ring
-    n = ring.arity
-    partials = [f.partial_derivative(name) for name in ring.variables]
-    coeffs = []
-    for i in range(n):
-        total = ring.zero()
-        for j, df in enumerate(partials):
-            entry = matrix[j][i]
-            if entry.is_zero():
-                continue
-            total = total + df * entry
-        coeffs.append(total)
-    return VectorField(ring, coeffs)
+    """Hamiltonian field of f for a skew bracket matrix: xi_f(x_i) =
+    {f, x_i}, the field of the 0-form f with pairing P_ij = matrix[i][j]."""
+    check_skew(matrix)
+    n = len(matrix)
+    return field_from_form(f, (), {(i, j): matrix[i][j] for i in range(n) for j in range(i + 1, n)})
 
 
 def check_skew(matrix) -> None:

@@ -5,6 +5,7 @@ derivation basis or coinvariant table fails here before the benchmark
 runs."""
 
 import importlib.util
+import random
 import sys
 from pathlib import Path
 
@@ -47,3 +48,13 @@ def test_named_job_argv_parses(workload):
     for job in jobs.NAMED[workload]:
         flags = parser.parse_args(list(job.argv))
         assert flags.command == job.argv[0]
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("workload", jobs.WORKLOADS)
+def test_seeded_jobs_pass_their_property_checks(workload, seed):
+    # Bezout 16 for dense quadrics, Milnor-Orlik 64 for the quintic
+    # surface, a matching oracle totalling 64 for the diagonal quintic
+    for job in jobs.generated_jobs(workload, random.Random(seed)):
+        outcome = jobs.run_job(cli, job)
+        assert jobs.is_correct(job, outcome, jobs.load_expected()), (job.name, outcome.code, outcome.stderr)

@@ -23,7 +23,7 @@ from leafalg.geom import (
 )
 from leafalg.groebner import INFINITE, normal_form
 from leafalg.poly import PolyRing, parse_poly
-from leafalg.vfields import VectorField, hamiltonian_from_bracket, tangency_check
+from leafalg.vfields import VectorField, hamiltonian_from_bracket, jacobian_matrix, tangency_check
 
 from oracles import local_colength_brute, random_quasihomogeneous
 
@@ -339,6 +339,31 @@ def test_leaves_check_symplectic_plane_passes():
 def test_degenerate_locus_fermat():
     rep = degenerate_locus(fermat())
     assert rep.dimension == 0 and rep.finite
+
+
+@pytest.mark.parametrize(
+    "X",
+    [
+        fermat(),
+        Variety(XYZ, polys(XYZ, "x^2*y + z^3"), JacobianPolyvector()),
+        Variety(
+            PolyRing(["x", "y", "z", "w"]),
+            polys(PolyRing(["x", "y", "z", "w"]), "x^2 + y^2 + z^2", "x^2 + 2*y^2 + 3*z^2"),
+            JacobianPolyvector(),
+        ),
+    ],
+    ids=["fermat cubic", "non-isolated surface", "two quadrics"],
+)
+def test_degenerate_locus_reads_the_singularity_basis(monkeypatch, X):
+    # f_1..f_k plus the k x k minors generate (J_k, f_k): the same reduced basis
+    k = len(X.ideal_gens)
+    gens = list(X.ideal_gens) + groebner.minors(jacobian_matrix(X.ideal_gens, X.ring), k)
+    assert groebner.buchberger(gens, X.order, ring=X.ring) == X.singularity_groebner()
+    calls = []
+    monkeypatch.setattr(geom, "buchberger", lambda *args, **kwargs: calls.append(args))
+    monkeypatch.setattr(groebner, "buchberger", lambda *args, **kwargs: calls.append(args))
+    assert degenerate_locus(X).ideal is X.singularity_groebner()
+    assert calls == []
 
 
 def test_degenerate_locus_nonisolated():

@@ -11,7 +11,7 @@ import pytest
 from leafalg import groebner
 from leafalg.cli import load_input
 from leafalg.errors import DomainError, InputError
-from leafalg.geom import Variety, jacobian_chain
+from leafalg.geom import Variety, _singularity_ring_gens, jacobian_chain
 from leafalg.groebner import (
     INFINITE,
     LEX,
@@ -224,6 +224,63 @@ def test_colength_local_inhomogeneous_bounds():
         colength_local(polys(XY, "x^70 + x^71", "y"), XY)
 
 
+def test_colength_local_inhomogeneous_generators_of_graded_ideals():
+    # the generators pick the route: these take the local one, and past
+    # the cap the global Krull dimension decides
+    assert colength_local(polys(XY, "x^2 + x*y^3", "x*y^3"), XY) == INFINITE
+    assert colength_local(polys(XY, "x^2 + y^3", "y^3"), XY) == 6
+
+
+def test_colength_local_builds_a_global_basis_only_where_it_reads_one(monkeypatch):
+    calls = []
+    real = groebner.buchberger
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(groebner, "buchberger", counted)
+    for texts, value, bases in [
+        (("x^2 + y^2", "x*y"), 4, 1),  # graded: the Poincare series
+        (("x - x^2", "y"), 1, 0),  # local bases settle it
+        (("x^2 - x^3", "x*y"), INFINITE, 1),  # past the cap: the Krull dimension
+    ]:
+        calls.clear()
+        assert colength_local(polys(XY, *texts), XY) == value
+        assert len(calls) == bases
+
+
+def local_route(gens, ring):
+    """The truncated local route of ``colength_local``, on any generators."""
+    gens = [g for g in gens if not g.is_zero()]
+    n = 2
+    while n <= groebner.COLENGTH_CAP:
+        _, leads, below = groebner._complete(gens, ring, groebner._local_key, below=n)
+        if below < n:
+            return len(groebner._staircase([lm for lm, _ in leads], ring.arity, below))
+        n *= 2
+    return INFINITE
+
+
+LOCAL_ROUTE_CORPUS = (
+    [f"fermat{n}" for n in range(3, 7)]
+    + [f"{c}_curve" for c in ("a2", "a3", "a5", "d4", "d5", "d6", "e6", "e7", "e8")]
+    + ["e8_surface", "two_quadrics_c4"]
+)
+
+
+@pytest.mark.parametrize("name", LOCAL_ROUTE_CORPUS)
+def test_local_route_equals_graded_colength_on_the_corpus(name):
+    # graded generators never reach the local route in colength_local,
+    # so it is checked here on every chain ideal and singularity ideal;
+    # the two quadrics are not isolated, and there both read INFINITE
+    doc = load_input(str(CORPUS / f"{name}.json"))
+    X = Variety(doc.ring, doc.ideal)
+    for gens in jacobian_chain(X).ideals + [_singularity_ring_gens(X)]:
+        series = poincare_series(buchberger(gens, ring=X.ring))
+        assert local_route(gens, X.ring) == series.total_dimension()
+
+
 def test_colength_matches_series_for_graded_origin_ideals():
     rng = random.Random(31)
     for _ in range(6):
@@ -372,6 +429,23 @@ def test_monomial_basis_degree_two():
     assert sorted(monomial_basis(gb, 2)) == [(0, 1, 1), (1, 0, 1), (1, 1, 0)]
 
 
+def test_monomial_basis_is_kept_per_basis_and_degree(monkeypatch):
+    calls = []
+    enumerate_weight = PolyRing.monomials_of_weight
+
+    def counted(ring, *args):
+        calls.append(args)
+        return enumerate_weight(ring, *args)
+
+    monkeypatch.setattr(PolyRing, "monomials_of_weight", counted)
+    gx, gy = buchberger(polys(XY, "x^2")), buchberger(polys(XY, "y^2"))
+    first = monomial_basis(gx, 2)
+    assert first == [(0, 2), (1, 1)] and len(calls) == 1
+    assert monomial_basis(gx, 2) is first and len(calls) == 1
+    assert monomial_basis(gy, 2) == [(1, 1), (2, 0)] and len(calls) == 2
+    assert monomial_basis(gx, 2) == [(0, 2), (1, 1)]
+
+
 def test_monomial_basis_counts_match_series():
     gens = polys(XYZ, "x^2+y^2+z^2", "x*y", "x*z", "y*z")
     gb = buchberger(gens)
@@ -517,6 +591,21 @@ def test_normal_form_is_linear_over_rationals(name):
         assert normal_form(p.scale(c), gb) == normal_form(p, gb).scale(c)
 
 
+@pytest.mark.parametrize("name", TABLE_CASES)
+def test_integer_elements_are_primitive_with_positive_leads(name):
+    # the rational systems lead with negative coefficients before the sign
+    # is fixed, and katsura3's inter-reduced elements carry content 5 to 293964300
+    gb = TABLE_CASES[name]()
+    elements, leads = gb._integer
+    assert len(elements) == len(leads) == len(gb.elements) > 0
+    for g, t, (lm, lc) in zip(gb.elements, elements, leads):
+        assert all(type(c) is int for c in t.values()) and math.gcd(*t.values()) == 1
+        assert max(t, key=gb._key) == lm and t[lm] == lc > 0
+        # the elements are the monic copies
+        assert g.terms == {m: Fraction(c, lc) for m, c in t.items()}
+    assert gb.leading_monomials() == [lm for lm, _ in leads]
+
+
 @pytest.mark.parametrize("name", ["rational quartic", "rational non-homogeneous"])
 def test_table_rows_are_primitive_integer_rows_over_denominators(name):
     gb = TABLE_CASES[name]()
@@ -524,7 +613,7 @@ def test_table_rows_are_primitive_integer_rows_over_denominators(name):
     for _ in range(10):
         p = random_poly(rng, gb.ring)
         assert exact(_nf_terms(gb, p.terms)) == normal_form(p, gb).terms
-    assert any(lc != 1 for _, lc in groebner._integer_basis(gb)[1])
+    assert any(lc != 1 for _, lc in gb._integer[1])
     rows = list(gb._table.values())
     assert any(den != 1 for _, den in rows)
     for row, den in rows:

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from leafalg.errors import DomainError
+from leafalg.errors import DomainError, InputError
 from leafalg.geom import JacobianPolyvector, Variety, jacobian_bracket_matrix
 from leafalg.groebner import buchberger, poincare_series
 from leafalg.poly import Polynomial, PolyRing, parse_poly
@@ -235,6 +235,14 @@ def test_hamiltonian_from_bracket_symplectic_plane():
     assert hamiltonian_from_bracket(parse_poly("x", XY), pi) == VectorField.coordinate(XY, "y")
 
 
+def test_hamiltonian_from_bracket_rejects_a_matrix_that_is_not_skew():
+    one = XY.one()
+    with pytest.raises(InputError, match="skew"):
+        hamiltonian_from_bracket(parse_poly("x", XY), [[XY.zero(), one], [one, XY.zero()]])
+    with pytest.raises(InputError, match="diagonal"):
+        hamiltonian_from_bracket(parse_poly("x", XY), [[one, one], [-one, XY.zero()]])
+
+
 def test_hamiltonian_family_matches_bracket_route():
     X = Variety(XYZ, polys(XYZ, "x^3 + y^3 + z^3"), JacobianPolyvector())
     pi = jacobian_bracket_matrix(X)
@@ -282,6 +290,21 @@ def test_hamiltonian_field_annihilates_hamiltonian():
     for _ in range(10):
         f = random_polynomial(rng, XYZ, zero_ok=False)
         assert hamiltonian_from_bracket(f, pi).apply(f).is_zero()
+
+
+def test_printing_fields_builds_no_constant_polynomials(monkeypatch):
+    # unit coefficients print as d_x and -d_x, read off the terms directly
+    X = Variety(XYZ, polys(XYZ, "x^4 + y^4 + z^4"), JacobianPolyvector())
+    derivations = derivations_up_to_degree(X.groebner(), 9)
+    fields = hamiltonian_family_top(X, 9) + [xi for fs in derivations.values() for xi in fs]
+    dx = VectorField.coordinate(XYZ, "x")
+    units = [dx, -dx, dx.scale(2)]
+    calls = []
+    const = PolyRing.const
+    monkeypatch.setattr(PolyRing, "const", lambda *args: calls.append(args) or const(*args))
+    assert [str(xi) for xi in units] == ["d_x", "-d_x", "2*d_x"]
+    assert all(str(xi) for xi in fields)
+    assert calls == []
 
 
 def test_top_polyvector_field_cuspidal():

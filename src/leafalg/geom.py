@@ -70,7 +70,7 @@ Structure = JacobianPolyvector | BracketStructure | JacobiStructure | VectorFiel
 class Variety:
     """Ambient ring, ordered ideal generators f_1..f_k, optional structure."""
 
-    __slots__ = ("ring", "ideal_gens", "structure", "order", "_gb", "_sing_gb")
+    __slots__ = ("ring", "ideal_gens", "structure", "order", "_gb", "_sing_gb", "_chain")
 
     def __init__(
         self,
@@ -91,6 +91,7 @@ class Variety:
         self.order = order
         self._gb = None
         self._sing_gb = None
+        self._chain = None
 
     @property
     def expected_dimension(self) -> int:
@@ -100,6 +101,12 @@ class Variety:
         if self._gb is None:
             self._gb = buchberger(list(self.ideal_gens), self.order, ring=self.ring)
         return self._gb
+
+    def chain(self) -> JacobianChain:
+        """The Jacobian chain, built once."""
+        if self._chain is None:
+            self._chain = jacobian_chain(self)
+        return self._chain
 
     def singularity_groebner(self) -> GroebnerBasis:
         """Basis of the singularity ring's ideal (J_k, f_k), computed once."""
@@ -137,7 +144,7 @@ def jacobian_chain(X: Variety) -> JacobianChain:
 
 def milnor_breakdown(X: Variety) -> list:
     """Local colengths of the Jacobian chain ideals at the origin."""
-    return [colength_local(gens, X.ring) for gens in jacobian_chain(X).ideals]
+    return [colength_local(gens, X.ring) for gens in X.chain().ideals]
 
 
 def milnor_from_chain(lengths: list):
@@ -165,8 +172,7 @@ class SingularityReport:
 
 
 def _singularity_ring_gens(X: Variety) -> list:
-    chain = jacobian_chain(X)
-    return chain.ideals[-1] + [X.ideal_gens[-1]]
+    return X.chain().ideals[-1] + [X.ideal_gens[-1]]
 
 
 def tjurina(X: Variety) -> SingularityReport:

@@ -12,7 +12,10 @@ Keys never change and pairs leave only when popped, so the heap picks
 the same pair as a full rescan of the queue would, at every step.
 Leading terms are computed once per element, both while the basis grows
 and in a finished ``GroebnerBasis``; reduction takes the next term from a
-max-heap of pending monomials.
+max-heap of pending monomials.  The basis is seeded from the generators
+in sorted order, and a generator in the linear span of the earlier ones
+is skipped without a reduction: it lies in their ideal, so the ideal and
+its reduced basis are the same.
 
 Arithmetic inside is on integers.  Elements under completion are
 primitive ``{monomial: int}`` dicts, and the one reducer, fraction-free,
@@ -51,9 +54,10 @@ import heapq
 import itertools
 import math
 from fractions import Fraction
+from operator import neg
 
 from .errors import DomainError, InputError
-from .linalg import _integer_components, _integer_row
+from .linalg import Echelon, _integer_components, _integer_row
 from .poly import (
     Monomial,
     Polynomial,
@@ -81,15 +85,12 @@ class MonomialOrder:
         """Sort key for monomials; larger key means larger monomial."""
         if self.kind == "lex":
             return lambda m: m
+        weighted_degree = ring.weighted_degree
         if ring.has_zero_weights:
             # total degree between weight and the grevlex tiebreak keeps
             # 1 strictly minimal when some variable has weight 0
-            return lambda m: (
-                ring.weighted_degree(m),
-                sum(m),
-                tuple(-e for e in reversed(m)),
-            )
-        return lambda m: (ring.weighted_degree(m), tuple(-e for e in reversed(m)))
+            return lambda m: (weighted_degree(m), sum(m), tuple(map(neg, reversed(m))))
+        return lambda m: (weighted_degree(m), tuple(map(neg, reversed(m))))
 
     def __eq__(self, other):
         return isinstance(other, MonomialOrder) and self.kind == other.kind
@@ -365,7 +366,11 @@ def _complete(gens: list[Polynomial], ring: PolyRing, key, below: int | None = N
         if below is not None:
             below = min(below, _staircase_top([lm for lm, _ in leads], ring.arity, below) + 1)
 
+    # a generator in the linear span of the earlier ones lies in their ideal
+    span = Echelon()
     for g in sorted(gens, key=lambda p: (key(leading_term(p.terms, key)[0]), sorted(p.terms.items()))):
+        if not span.add(g.terms):
+            continue
         r, _ = _reduce_full(_integer_row(g.terms)[0], basis, leads, key, below)
         if r:
             add(r)
@@ -425,7 +430,7 @@ COLENGTH_CAP = 64
 
 def _local_key(m: Monomial):
     """Local degree order: lower total degree is larger, then grevlex."""
-    return (-sum(m), tuple(-e for e in reversed(m)))
+    return (-sum(m), tuple(map(neg, reversed(m))))
 
 
 def _staircase(lead: list[Monomial], arity: int, below: int) -> list[Monomial]:

@@ -13,6 +13,7 @@ weighted-degree-then-reverse-lexicographic (largest term first).
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add, le, mul, sub
 from typing import Iterable, Mapping
 
 from .errors import InputError, ParseError
@@ -21,21 +22,21 @@ Monomial = tuple  # exponent tuple, one entry per variable
 
 
 def mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def mono_divides(a: Monomial, b: Monomial) -> bool:
     """True iff the monomial ``a`` divides ``b``."""
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def mono_div(a: Monomial, b: Monomial) -> Monomial:
     """Exponentwise quotient a / b; caller guarantees divisibility."""
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def mono_lcm(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 class PolyRing:
@@ -98,7 +99,7 @@ class PolyRing:
             raise InputError(f"unknown variable {name!r} in {self!r}") from None
 
     def weighted_degree(self, mono: Monomial) -> int:
-        return sum(w * e for w, e in zip(self.weights, mono))
+        return sum(map(mul, self.weights, mono))
 
     # -- constructors ------------------------------------------------
 

@@ -148,7 +148,10 @@ def brute_sym2_coinvariants(X: Variety, max_degree: int) -> dict[int, int]:
     graded, _ = graded_family(X, "hamiltonian-top", max_degree)
     gb = X.groebner()
     ring = X.ring
-    sources = [m for d in range(max_degree + 1) for m in monomial_basis(gb, d)]
+    # a field of weight fw < 0 maps sources of weight up to max_degree - fw
+    # into the truncation
+    top = max_degree - min([0, *graded])
+    sources = [m for d in range(top + 1) for m in monomial_basis(gb, d)]
     # (field weight, {monomial: normal form of the field's image, as (row, den)})
     images = [
         (fw, {m: _nf_terms(gb, xi.apply_monomial(m)) for m in sources})
@@ -183,9 +186,8 @@ def brute_sym2_coinvariants(X: Variety, max_degree: int) -> dict[int, int]:
         rows = []
         for fw, image in images:
             bw = w - fw
-            # unordered pairs of source weights da <= db = bw - da, both in
-            # the truncation
-            for da in range(max(bw - max_degree, 0), bw // 2 + 1):
+            # unordered pairs of source weights da <= db = bw - da <= top
+            for da in range(bw // 2 + 1):
                 for a, b in itertools.product(monomial_basis(gb, da), monomial_basis(gb, bw - da)):
                     # den_a * den_b times xi(a) b + a xi(b)
                     (row_a, den_a), (row_b, den_b) = image[a], image[b]

@@ -1,4 +1,6 @@
 import sys
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).parent))
+# this checkout's sources before any installed leafalg, and the test helpers
+HERE = Path(__file__).parent
+sys.path[:0] = [str(HERE.parent / "src"), str(HERE)]

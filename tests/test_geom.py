@@ -1,10 +1,12 @@
 """Varieties: Jacobian chains, singularity invariants, brackets, strata."""
 
 import random
+from pathlib import Path
 
 import pytest
 
 from leafalg import geom, groebner
+from leafalg.cli import load_input
 from leafalg.errors import DomainError
 from leafalg.geom import (
     BracketStructure,
@@ -26,6 +28,8 @@ from leafalg.poly import PolyRing, parse_poly
 from leafalg.vfields import VectorField, hamiltonian_from_bracket, jacobian_matrix, tangency_check
 
 from oracles import local_colength_brute, random_quasihomogeneous
+
+CORPUS = Path(__file__).resolve().parents[1] / "bench" / "corpus"
 
 XYZ = PolyRing(["x", "y", "z"])
 XY = PolyRing(["x", "y"])
@@ -128,6 +132,21 @@ def test_tjurina_reuses_the_singularity_basis(monkeypatch):
     assert len(calls) == 2
     assert hp0_series(X).total_dimension() == 27
     assert len(calls) == 2
+
+
+@pytest.mark.parametrize("name", ["fermat4", "nqh_curve_9", "e8_surface"])
+def test_tjurina_builds_the_jacobian_chain_once(monkeypatch, name):
+    calls = []
+    build = geom.jacobian_chain
+
+    def counted(X):
+        calls.append(X)
+        return build(X)
+
+    monkeypatch.setattr(geom, "jacobian_chain", counted)
+    doc = load_input(str(CORPUS / f"{name}.json"))
+    tjurina(Variety(doc.ring, doc.ideal))
+    assert len(calls) == 1
 
 
 def test_tjurina_fermat():

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from leafalg import groebner
+from leafalg import geom, groebner
 from leafalg.cli import load_input
 from leafalg.errors import DomainError, InputError
 from leafalg.geom import Variety, _singularity_ring_gens, jacobian_chain
@@ -627,13 +627,8 @@ def test_tabled_normal_form_of_a_long_chain_needs_no_recursion():
     assert exact(_nf_terms(gb, {(3000, 0): Fraction(2)})) == {(0, 3000): 2}
 
 
-@pytest.mark.parametrize(
-    "name, reductions, size",
-    [("cyclic4", 19, 7), ("katsura3", 19, 7), ("katsura4", 44, 13)],
-)
-def test_buchberger_pair_order_is_pinned(monkeypatch, name, reductions, size):
-    # counts measured when pairs were picked by a full rescan of the
-    # queue: the same reductions prove the same S-pairs in the same order
+def counted_reductions(monkeypatch) -> list:
+    """A list that gets one entry per ``_reduce_full`` call from now on."""
     calls = []
     reduce_full = groebner._reduce_full
 
@@ -642,8 +637,79 @@ def test_buchberger_pair_order_is_pinned(monkeypatch, name, reductions, size):
         return reduce_full(*args)
 
     monkeypatch.setattr(groebner, "_reduce_full", counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "name, reductions, size",
+    [("cyclic4", 19, 7), ("katsura3", 19, 7), ("katsura4", 44, 13)],
+)
+def test_buchberger_pair_order_is_pinned(monkeypatch, name, reductions, size):
+    # counts measured when pairs were picked by a full rescan of the
+    # queue: the same reductions prove the same S-pairs in the same order
+    calls = counted_reductions(monkeypatch)
     gb = buchberger(corpus_ideal(name))
     assert (len(calls), len(gb.elements)) == (reductions, size)
+
+
+def with_dependents(rng, gens):
+    """The generators followed by three rational linear combinations of
+    one to three of them and a duplicate of one of them."""
+    ring = gens[0].ring
+    extra = []
+    for _ in range(3):
+        chosen = rng.sample(gens, rng.randint(1, min(3, len(gens))))
+        scales = [Fraction(rng.choice((-3, -1, 1, 2)), rng.choice((1, 2, 5))) for _ in chosen]
+        combo = sum((g * c for g, c in zip(chosen, scales)), ring.zero())
+        if not combo.is_zero():
+            extra.append(combo)
+    return gens + extra + [rng.choice(gens)]
+
+
+def seed_filter_cases():
+    cases = [(name, corpus_ideal(name)) for name in ("cyclic4", "katsura3", "katsura4")]
+    doc = load_input(str(CORPUS / "fermat4.json"))
+    X = Variety(doc.ring, doc.ideal)
+    cases += [(f"fermat4_J{i}", gens) for i, gens in enumerate(jacobian_chain(X).ideals, start=1)]
+    cases.append(("fermat4_singularity", _singularity_ring_gens(X)))
+    return [pytest.param(name, gens, id=name) for name, gens in cases]
+
+
+@pytest.mark.parametrize("name, gens", seed_filter_cases())
+def test_generators_in_the_span_of_earlier_ones_are_skipped(monkeypatch, name, gens):
+    # a combination of generators lies in their ideal, so the basis is
+    # the same.  Full reduction by the earlier seeds is linear and kills
+    # their span, so of two generators that differ by such a combination
+    # the one seeded reduces to the same element up to sign: no extra work
+    calls = counted_reductions(monkeypatch)
+    gb = buchberger(gens)
+    reductions = len(calls)
+    rng = random.Random(sum(map(ord, name)))
+    for _ in range(3):
+        calls.clear()
+        assert buchberger(with_dependents(rng, gens)) == gb
+        assert len(calls) == reductions
+
+
+def test_rank_strata_reductions_are_pinned(monkeypatch):
+    # so3_squares's 3 x 3 minors are 455 polynomials of which 409 are
+    # nonzero; their span is much smaller, so most are never reduced
+    # (790 reductions in all before the seed filter)
+    calls = counted_reductions(monkeypatch)
+    per_stratum = []
+    build = geom.buchberger
+
+    def counted_build(*args, **kwargs):
+        before = len(calls)
+        gb = build(*args, **kwargs)
+        per_stratum.append((len(calls) - before, len(gb.elements)))
+        return gb
+
+    monkeypatch.setattr(geom, "buchberger", counted_build)
+    doc = load_input(str(CORPUS / "so3_squares.json"))
+    strata = geom.rank_strata(Variety(doc.ring, doc.ideal, doc.structure))
+    assert [(s.rank, s.dimension) for s in strata] == [(0, 0), (1, 0), (2, 0), (3, 3)]
+    assert per_stratum == [(18, 3), (74, 6), (161, 15), (0, 0)]
 
 
 def monic_terms(terms):
@@ -680,6 +746,8 @@ def differential_cases():
     systems = [corpus_ideal("cyclic4"), corpus_ideal("katsura3")]
     systems += [random_system(rng) for _ in range(12)]
     systems += rational_systems()
+    # generators in the span of earlier ones, which the completion skips
+    systems += [with_dependents(rng, gens) for gens in systems[:8]]
     return [(gens, order) for gens in systems for order in (WGREVLEX, LEX)]
 
 
@@ -701,3 +769,21 @@ def test_buchberger_matches_sympy():
         }
         ours = {monic_terms(g.terms) for g in buchberger(gens, order, ring=ring).elements}
         assert ours == expected, (gens, order)
+
+
+def test_order_keys_match_their_definitions():
+    # the grevlex and local keys as first written, one generator step
+    # per exponent
+    rng = random.Random(67)
+    for weights in ((2, 1, 3, 1), (1, 0, 2, 1)):
+        ring = PolyRing(["a", "b", "c", "d"], weights)
+        key = WGREVLEX.key(ring)
+        for _ in range(200):
+            m = tuple(rng.choice((0, 0, 1, 2, 3)) for _ in weights)
+            degree = sum(w * e for w, e in zip(weights, m))
+            tiebreak = tuple(-e for e in reversed(m))
+            if 0 in weights:
+                assert key(m) == (degree, sum(m), tiebreak)
+            else:
+                assert key(m) == (degree, tiebreak)
+            assert groebner._local_key(m) == (-sum(m), tiebreak)

@@ -6,7 +6,15 @@ from fractions import Fraction
 import pytest
 
 from leafalg.errors import InputError, ParseError
-from leafalg.poly import PolyRing, Polynomial, parse_poly
+from leafalg.poly import (
+    PolyRing,
+    Polynomial,
+    mono_div,
+    mono_divides,
+    mono_lcm,
+    mono_mul,
+    parse_poly,
+)
 
 from oracles import random_polynomial, random_quasihomogeneous
 
@@ -176,3 +184,28 @@ def test_monomials_of_weight_enumeration():
     assert sorted(CUSP_RING.monomials_of_weight(6)) == [(0, 3), (2, 0)]
     assert CUSP_RING.monomials_of_weight(1) == []
     assert XYZ.monomials_of_weight(0) == [(0, 0, 0)]
+
+
+def random_exponents(rng, arity):
+    """An exponent tuple with entries 0..4, about a third of them zero."""
+    return tuple(rng.choice((0, 0, 1, 2, 3, 4)) for _ in range(arity))
+
+
+def test_monomial_kernels_match_their_definitions():
+    rng = random.Random(61)
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        a, b = random_exponents(rng, n), random_exponents(rng, n)
+        ring = PolyRing([f"x{i}" for i in range(n)], [rng.randint(0, 5) for _ in range(n)])
+        assert mono_mul(a, b) == tuple(a[i] + b[i] for i in range(n))
+        assert mono_lcm(a, b) == tuple(max(a[i], b[i]) for i in range(n))
+        divides = all(a[i] <= b[i] for i in range(n))
+        assert mono_divides(a, b) is divides
+        assert mono_divides(a, mono_mul(a, b))
+        assert mono_div(mono_mul(a, b), b) == a
+        if divides:
+            assert mono_mul(mono_div(b, a), a) == b
+        total = 0
+        for w, e in zip(ring.weights, a):
+            total += w * e
+        assert ring.weighted_degree(a) == total

@@ -26,8 +26,11 @@ from .groebner import (
     poincare_series,
 )
 from .vfields import (
+    BracketStructure,
+    JacobianPolyvector,
     JacobiStructure,
     VectorField,
+    VectorFieldFamily,
     derivations_up_to_degree,
     exceptional_ideal,
     hamiltonian_family_top,
@@ -42,12 +45,9 @@ from .vfields import (
     top_polyvector_field,
 )
 from .geom import (
-    BracketStructure,
     JacobianChain,
-    JacobianPolyvector,
     SingularityReport,
     Variety,
-    VectorFieldFamily,
     degenerate_locus,
     hp0_series,
     jacobian_bracket_matrix,

@@ -1,12 +1,12 @@
 """Command-line front end.
 
 Input is a JSON document describing a ring, an ideal, and an optional
-structure; each command is a handler in ``COMMANDS`` that calls the
-library, and the report is printed as text or JSON.  ``COMMANDS`` also
-names the flags each handler reads, and the parser registers only those.
-Exit codes: 0 success, 1 mathematical-domain error (non-isolated,
-inhomogeneous where required), 2 input error (bad flags included),
-3 internal error.
+structure (without one, ``Variety`` gives the Jacobian polyvector); each
+command is a handler in ``COMMANDS`` that calls the library, and the
+report is printed as text or JSON.  ``COMMANDS`` also names the flags
+each handler reads, and the parser registers only those.  Exit codes:
+0 success, 1 mathematical-domain error (non-isolated, inhomogeneous
+where required), 2 input error (bad flags included), 3 internal error.
 """
 
 from __future__ import annotations
@@ -20,13 +20,10 @@ from dataclasses import dataclass
 from .coinv import coinvariants_truncated, verify_hp0
 from .errors import DomainError, InputError
 from .geom import (
-    BracketStructure,
-    JacobianPolyvector,
     Variety,
-    VectorFieldFamily,
     degenerate_locus,
+    hamiltonian,
     hp0_series,
-    jacobian_bracket_matrix,
     leaves_check,
     milnor_breakdown,
     milnor_from_chain,
@@ -37,16 +34,15 @@ from .groebner import INFINITE, LEX, WGREVLEX, buchberger, normal_form, poincare
 from .poly import PolyRing, parse_poly
 from .sympower import brute_sym2_coinvariants, hp0_sym_series
 from .vfields import (
+    BracketStructure,
+    JacobianPolyvector,
     JacobiStructure,
     VectorField,
+    VectorFieldFamily,
     derivations_up_to_degree,
     exceptional_ideal,
-    hamiltonian_from_bracket,
     hamiltonian_family_top,
     incompressibility_truncated,
-    jacobi_bracket,
-    jacobi_hamiltonian,
-    top_polyvector_field,
 )
 
 
@@ -256,22 +252,6 @@ def _family_fields(X: Variety, flags, degree: int):
     return fields, f"derivations up to weight {degree}"
 
 
-def _hamiltonian(X: Variety, f, g=None):
-    """The Hamiltonian field of f for the variety's bracket, or the
-    bracket {f, g} when g is given.  A Jacobi structure has its own
-    formulas; a bracket structure gives its matrix, the Jacobian
-    structure or none the Jacobian bracket.  Explicit vector fields
-    carry no bracket."""
-    s = X.structure
-    if isinstance(s, VectorFieldFamily):
-        raise DomainError(f"a {s.kind} structure has no bracket; use a bracket, jacobi or jacobian one")
-    if isinstance(s, JacobiStructure):
-        return jacobi_hamiltonian(f, s) if g is None else jacobi_bracket(f, g, s)
-    matrix = s.matrix if isinstance(s, BracketStructure) else jacobian_bracket_matrix(X)
-    xi = hamiltonian_from_bracket(f, matrix)
-    return xi if g is None else xi.apply(g)
-
-
 def _gb(doc, flags):
     basis = [str(g) for g in _basis(doc, flags).elements]
     lines = [f"  {g}" for g in basis] or ["  (zero ideal)"]
@@ -374,23 +354,20 @@ def _bracket(doc, flags):
     X = _variety(doc, flags)
     f = _parse_entry(doc.ring, flags.poly, "-f")
     g = _parse_entry(doc.ring, flags.second, "-g")
-    value = str(_hamiltonian(X, f, g))
+    value = str(hamiltonian(X, f, g))
     return {"bracket": value}, [value]
 
 
 def _hamvec(doc, flags):
     X = _variety(doc, flags)
-    xi = str(_hamiltonian(X, _parse_entry(doc.ring, flags.poly, "-f")))
+    xi = str(hamiltonian(X, _parse_entry(doc.ring, flags.poly, "-f")))
     return {"field": xi}, [xi]
 
 
 def _hamgen(doc, flags):
     X = _variety(doc, flags)
     degree = _default_degree(X, doc, flags)
-    if X.expected_dimension == 1:
-        fields = [top_polyvector_field(list(X.ideal_gens), X.ring)]
-    else:
-        fields = hamiltonian_family_top(X, degree)
+    fields = hamiltonian_family_top(X, degree)
     result = {"max_degree": degree, "fields": [str(xi) for xi in fields]}
     text = [f"{len(fields)} Hamiltonian fields up to weight {degree}:"]
     return result, text + [f"  {xi}" for xi in result["fields"]]

@@ -38,7 +38,7 @@ from .geom import Variety, hp0_series
 from .groebner import _nf_terms, monomial_basis
 from .linalg import _integer_components
 from .poly import Polynomial
-from .vfields import VectorField, _form_fields, derivations_up_to_degree, top_polyvector_field
+from .vfields import VectorField, _form_fields, derivations_up_to_degree
 
 
 @dataclass
@@ -64,13 +64,9 @@ def _resolve_family(X: Variety, family, max_degree: int):
     the standard monomials above g in tuple order."""
     if isinstance(family, str):
         if family == "hamiltonian-top":
-            if X.expected_dimension == 1:
-                # a curve has no (m-2)-forms; its locally Hamiltonian
-                # algebra is spanned by the top polyvector itself
-                return [(top_polyvector_field(list(X.ideal_gens), X.ring), None)], "hamiltonian-top"
             # a form of weight a yields a field of weight a + shift; cap
             # the forms so every field of weight <= max_degree is present
-            shift = sum(g.weighted_degree() for g in X.ideal_gens) - sum(X.ring.weights)
+            shift = sum(g.weighted_degree() or 0 for g in X.ideal_gens) - sum(X.ring.weights)
             form_cap = max(max_degree - shift, 0)
             gb = X.groebner()
             forms = _form_fields(X, form_cap, lambda weight: monomial_basis(gb, weight))

@@ -4,6 +4,10 @@ isolated singularity, Jacobian Poisson brackets on codimension-two
 complete intersections, rank stratifications, the finite-leaves test,
 and degenerate loci of top polyvector structures.
 
+A ``Variety`` carries the Jacobian polyvector unless given another
+structure (``vfields``); the dispatch on structure kinds is here, in
+``hamiltonian`` and ``_structure_matrix``.
+
 The studied point is always the origin; translate inputs first.
 
 A note on recovering f from its partials in the quasihomogeneous case:
@@ -30,45 +34,23 @@ from .groebner import (
     poincare_series,
 )
 from .poly import PolyRing
-from .vfields import JacobiStructure, check_skew, jacobian_matrix, jacobian_pairing, lie_closure
-
-
-@dataclass(frozen=True)
-class JacobianPolyvector:
-    """Marker: the variety carries the polyvector obtained by contracting
-    the standard top polyvector of the ambient space with df_1 ^ ... ^ df_k."""
-
-    kind = "jacobian"
-
-
-@dataclass(frozen=True)
-class BracketStructure:
-    """Explicit skew bracket matrix with entries {x_i, x_j}."""
-
-    matrix: tuple
-    kind = "bracket"
-
-    def __post_init__(self):
-        m = self.matrix
-        n = len(m)
-        if any(len(row) != n for row in m):
-            raise InputError("bracket matrix must be square")
-        check_skew(m)
-
-
-@dataclass(frozen=True)
-class VectorFieldFamily:
-    """Explicit generating vector fields (a Lie algebra up to closure)."""
-
-    generators: tuple
-    kind = "vector-fields"
-
-
-Structure = JacobianPolyvector | BracketStructure | JacobiStructure | VectorFieldFamily
+from .vfields import (
+    BracketStructure,
+    JacobianPolyvector,
+    JacobiStructure,
+    Structure,
+    VectorFieldFamily,
+    hamiltonian_from_bracket,
+    jacobi_bracket,
+    jacobi_hamiltonian,
+    jacobian_matrix,
+    jacobian_pairing,
+    lie_closure,
+)
 
 
 class Variety:
-    """Ambient ring, ordered ideal generators f_1..f_k, optional structure."""
+    """Ambient ring, ordered ideal generators f_1..f_k, and a structure."""
 
     __slots__ = ("ring", "ideal_gens", "structure", "order", "_gb", "_sing_gb", "_chain")
 
@@ -87,7 +69,7 @@ class Variety:
                 raise InputError("ideal generator lives in a different ring")
         self.ring = ring
         self.ideal_gens = gens
-        self.structure = structure
+        self.structure = JacobianPolyvector() if structure is None else structure
         self.order = order
         self._gb = None
         self._sing_gb = None
@@ -246,8 +228,6 @@ class RankStratum:
 
 def _structure_matrix(X: Variety, bracket_depth: int = 2):
     s = X.structure
-    if s is None:
-        raise DomainError("rank stratification needs a bracket or vector-field structure")
     if isinstance(s, BracketStructure):
         return [list(row) for row in s.matrix]
     if isinstance(s, JacobianPolyvector):
@@ -259,6 +239,20 @@ def _structure_matrix(X: Variety, bracket_depth: int = 2):
         closed = lie_closure(list(s.generators), depth=bracket_depth)
         return [list(xi.coefficients) for xi in closed]
     raise DomainError(f"unsupported structure {s!r}")
+
+
+def hamiltonian(X: Variety, f, g=None):
+    """The Hamiltonian field of f for the variety's bracket, or the
+    bracket {f, g} when g is given.  A Jacobi structure has its own
+    formulas; a bracket structure and the Jacobian polyvector give their
+    bracket matrix.  Explicit vector fields carry no bracket."""
+    s = X.structure
+    if isinstance(s, VectorFieldFamily):
+        raise DomainError("a vector-fields structure has no bracket; use a bracket, jacobi or jacobian one")
+    if isinstance(s, JacobiStructure):
+        return jacobi_hamiltonian(f, s) if g is None else jacobi_bracket(f, g, s)
+    xi = hamiltonian_from_bracket(f, _structure_matrix(X))
+    return xi if g is None else xi.apply(g)
 
 
 def rank_strata(X: Variety, bracket_depth: int = 2) -> list[RankStratum]:

@@ -1,6 +1,6 @@
-"""Vector fields over a polynomial ring, the Jacobian pairing of a
-complete intersection, and the Hamiltonian constructions and truncated
-solvers built on them.
+"""Vector fields over a polynomial ring, the structures a variety can
+carry, the Jacobian pairing of a complete intersection, and the
+Hamiltonian constructions and truncated solvers built on them.
 
 Sign conventions, fixed once here and used everywhere downstream:
 
@@ -200,15 +200,36 @@ def hamiltonian_from_bracket(f: Polynomial, matrix) -> VectorField:
 
 
 def check_skew(matrix) -> None:
-    """Reject a square bracket matrix unless it has zero diagonal and is
-    skew-symmetric."""
+    """Reject a bracket matrix unless it is square, has zero diagonal
+    and is skew-symmetric."""
     n = len(matrix)
+    if any(len(row) != n for row in matrix):
+        raise InputError("bracket matrix must be square")
     for i in range(n):
         if not matrix[i][i].is_zero():
             raise InputError("bracket matrix must have zero diagonal")
         for j in range(i + 1, n):
             if matrix[i][j] != -matrix[j][i]:
                 raise InputError("bracket matrix must be skew-symmetric")
+
+
+# -- structures: every bracket matrix passes check_skew -----------------
+
+
+@dataclass(frozen=True)
+class JacobianPolyvector:
+    """Marker: the variety carries the polyvector obtained by contracting
+    the standard top polyvector of the ambient space with df_1 ^ ... ^ df_k."""
+
+
+@dataclass(frozen=True)
+class BracketStructure:
+    """Explicit skew bracket matrix with entries {x_i, x_j}."""
+
+    matrix: tuple
+
+    def __post_init__(self):
+        check_skew(self.matrix)
 
 
 @dataclass(frozen=True)
@@ -218,16 +239,23 @@ class JacobiStructure:
     ring: PolyRing
     matrix: tuple
     u: VectorField
-    kind = "jacobi"
 
     def __post_init__(self):
-        n = self.ring.arity
-        m = self.matrix
-        if len(m) != n or any(len(row) != n for row in m):
+        check_skew(self.matrix)
+        if len(self.matrix) != self.ring.arity:
             raise InputError("bracket matrix must be square of the ring arity")
-        check_skew(m)
         if self.u.ring != self.ring:
             raise InputError("u lives in a different ring")
+
+
+@dataclass(frozen=True)
+class VectorFieldFamily:
+    """Explicit generating vector fields (a Lie algebra up to closure)."""
+
+    generators: tuple
+
+
+Structure = JacobianPolyvector | BracketStructure | JacobiStructure | VectorFieldFamily
 
 
 def jacobi_hamiltonian(f: Polynomial, structure: JacobiStructure) -> VectorField:
@@ -341,7 +369,8 @@ def top_polyvector_field(gens, ring: PolyRing) -> VectorField:
 def hamiltonian_family_top(X, max_degree: int) -> list[VectorField]:
     """Hamiltonian fields of all monomial (m-2)-forms of weighted degree
     at most ``max_degree`` on a complete intersection with the standard
-    Jacobian polyvector structure (m = dim X = n - k >= 2).
+    Jacobian polyvector structure (m = dim X = n - k >= 2); on a curve
+    (m = 1) the one field is the top polyvector field.
 
     The weighted degree of a form g*dx_J counts the dx factors.  Zero
     fields are dropped; duplicates are kept only once.
@@ -361,15 +390,17 @@ def _form_fields(X, max_degree: int, monomials) -> list[tuple]:
     at most ``max_degree``, with x^g drawn from ``monomials(weight)``, on
     a complete intersection with the Jacobian polyvector structure: the
     one form loop behind the Hamiltonian family, in order of J, then of
-    the weight of g, then of ``monomials``."""
-    structure = getattr(X, "structure", None)
-    if structure is None or getattr(structure, "kind", None) != "jacobian":
+    the weight of g, then of ``monomials``.  A curve's one field is its
+    top polyvector field, as ``(None, (), field)``."""
+    if not isinstance(X.structure, JacobianPolyvector):
         raise DomainError("hamiltonian_family_top requires the Jacobian polyvector structure")
     ring = X.ring
     gens = list(X.ideal_gens)
     m = ring.arity - len(gens)
-    if m < 2:
-        raise DomainError("hamiltonian_family_top requires dimension n - k >= 2")
+    if m < 1:
+        raise DomainError("hamiltonian_family_top requires dimension n - k >= 1")
+    if m == 1:
+        return [(None, (), top_polyvector_field(gens, ring))]
     pairing = jacobian_pairing(gens, ring)
     out = []
     for idx in itertools.combinations(range(ring.arity), m - 2):

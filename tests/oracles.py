@@ -11,26 +11,24 @@ from itertools import combinations, permutations, product
 
 
 def rref_rank(rows):
-    mat = [list(r) for r in rows]
-    rank = 0
-    ncols = len(mat[0]) if mat else 0
-    for c in range(ncols):
-        piv = None
-        for i in range(rank, len(mat)):
-            if mat[i][c] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        inv = Fraction(1) / mat[rank][c]
-        mat[rank] = [v * inv for v in mat[rank]]
-        for i in range(len(mat)):
-            if i != rank and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[rank])]
-        rank += 1
-    return rank
+    """Rank of the rows over Q.  Each row is reduced against the pivot
+    rows found so far, in the order they were found (each is zero at the
+    earlier pivots' columns); the scan stops once every column has a
+    pivot."""
+    ncols = len(rows[0]) if rows else 0
+    pivots = {}
+    for row in rows:
+        if len(pivots) == ncols:
+            break
+        for c, pivot in pivots.items():
+            factor = row[c]
+            if factor:
+                row = [a - factor * b for a, b in zip(row, pivot)]
+        lead = next((c for c, v in enumerate(row) if v), None)
+        if lead is not None:
+            inv = Fraction(1) / row[lead]
+            pivots[lead] = [v * inv for v in row]
+    return len(pivots)
 
 
 def graded_piece(gens, weight):
@@ -128,6 +126,17 @@ def brute_coinvariants(gens, max_degree):
                         rows.append(row)
         dims[w] = len(basis) - rref_rank(rows)
     return dims
+
+
+def derivation_coinvariants(gens, fields, upto):
+    """Per-weight dimensions, through ``upto``, of the coinvariants of
+    k[x]/I under the given tangent fields, by the ideal route: the images
+    xi(h) of all tangent fields span an ideal (g xi is tangent when xi
+    is), generated by the coefficients xi(x_i), so the coinvariants are
+    k[x] modulo I plus those coefficients.  ``fields`` must hold every
+    tangent field whose coefficients have weight at most ``upto``."""
+    coefficients = dict.fromkeys(c for xi in fields for c in xi.coefficients if not c.is_zero())
+    return graded_quotient_dims([*gens, *coefficients], upto)
 
 
 def local_colength_brute(gens, nmax=16):

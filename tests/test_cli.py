@@ -462,3 +462,114 @@ def test_affine_line_hamiltonian_field_and_coinvariants(tmp_path, capsys):
     assert main(["coinv", "-i", line, "--format", "json"]) == 0
     result = json.loads(capsys.readouterr().out)["result"]
     assert result["total"] == 0 and set(result["dimensions"].values()) == {0}
+
+
+CORPUS = Path(__file__).resolve().parent.parent / "bench" / "corpus"
+
+# (argv after the command and its input) of each command a structure steers
+STRUCTURE_COMMANDS = {
+    "hamgen": ["--max-degree", "2"],
+    "coinv": ["--max-degree", "3"],
+    "verify-hp0": ["--margin", "0"],
+    "sym2-brute": ["--max-degree", "2"],
+    "degenerate": [],
+    "strata": [],
+    "leaves": [],
+    "bracket": ["-f", "x", "-g", "y"],
+    "hamvec": ["-f", "x"],
+}
+
+
+def outcome(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("name", ["fermat3", "e8_surface", "e8_curve", "a5_curve"])
+def test_no_structure_is_the_jacobian_structure_for_every_command(tmp_path, capsys, name):
+    committed = CORPUS / f"{name}.json"
+    doc = json.loads(committed.read_text(encoding="utf-8"))
+    assert doc.pop("structure") == {"kind": "jacobian"}
+    bare = write(tmp_path, f"{name}.json", doc)
+    for command, extra in STRUCTURE_COMMANDS.items():
+        declared = outcome(capsys, [command, "-i", str(committed), *extra])
+        assert outcome(capsys, [command, "-i", bare, *extra]) == declared, command
+
+
+@pytest.mark.parametrize("command", ["coinv", "hamgen", "verify-hp0", "sym2-brute"])
+def test_a_curve_refuses_the_hamiltonian_family_of_a_declared_structure(capsys, command):
+    code, out, err = outcome(capsys, [command, "-i", str(CORPUS / "cusp_fields.json")])
+    assert (code, out) == (1, "")
+    assert err == "domain error: hamiltonian_family_top requires the Jacobian polyvector structure\n"
+
+
+def test_coinv_of_a_zero_generator_is_the_ambient_ring(tmp_path, capsys):
+    # the zero equation has no degree; its Jacobian row and every field vanish
+    doc = dict(FERMAT, ideal=["0"])
+    argv = ["coinv", "-i", write(tmp_path, "zero.json", doc), "--max-degree", "3"]
+    code, out, err = outcome(capsys, argv)
+    assert (code, err) == (0, "")
+    assert out.startswith("coinvariants up to weight 3 [hamiltonian-top]: {0: 1, 1: 3, 2: 6, 3: 10}")
+
+
+def _sweep_documents():
+    """Small documents across dimensions 0-3, every structure kind and
+    none, degenerate generators, a zero weight, and inputs that are not
+    homogeneous or not isolated."""
+    plane, xyz, xyzw = {"vars": ["x", "y"]}, {"vars": ["x", "y", "z"]}, {"vars": ["x", "y", "z", "w"]}
+    cusp = {"vars": ["x", "y"], "weights": [3, 2]}
+    jacobian = {"kind": "jacobian"}
+    bracket = PLANE_XDXDY["structure"]
+
+    def fields(*generators):
+        return {"kind": "vector-fields", "generators": list(generators)}
+
+    def doc(ring, ideal, structure=None):
+        return {"ring": ring, "ideal": ideal} | ({"structure": structure} if structure else {})
+
+    return {
+        "point": doc(plane, ["x", "y"]),
+        "point_bracket": doc(plane, ["x", "y"], bracket),
+        "line": doc({"vars": ["x"]}, []),
+        "line_fields": doc({"vars": ["x"]}, [], fields(["1"], ["x"])),
+        "cusp": doc(cusp, ["x^2 - y^3"]),
+        "cusp_jacobian": doc(cusp, ["x^2 - y^3"], jacobian),
+        "cusp_fields": doc(cusp, ["x^2 - y^3"], fields(["3*x", "2*y"])),
+        "cusp_bracket": doc(cusp, ["x^2 - y^3"], bracket),
+        "plane": doc(plane, []),
+        "plane_bracket": doc(plane, [], bracket),
+        "fermat": doc(xyz, ["x^3 + y^3 + z^3"]),
+        "contact": CONTACT3,
+        "space_fields": doc(xyz, [], fields(["y", "-x", "0"], ["0", "z", "-y"])),
+        "quadric_threefold": doc(xyzw, ["x^2 + y^2 + z^2 + w^2"]),
+        "zero_surface": doc(xyz, ["0"], jacobian),
+        "zero_curve": doc(plane, ["0"]),
+        "constant": doc(xyz, ["1"]),
+        "constant_curve": doc(plane, ["3"]),
+        "duplicated": doc(xyz, ["x^2 + y^2 + z^2", "x^2 + y^2 + z^2"]),
+        "zero_weight": doc({"vars": ["x", "y", "t"], "weights": [1, 1, 0]}, ["x^2 + t*y^2"]),
+        "inhomogeneous": doc(plane, ["x^3 + x^2*y + y^4"]),
+        "non_isolated": doc(xyz, ["x^2*y"]),
+        "two_quadrics": doc(xyzw, ["x^2 + y^2 + z^2", "x^2 + 2*y^2 + 3*z^2"]),
+    }
+
+
+def test_no_command_ends_in_an_internal_error(tmp_path, capsys):
+    # every command on every sweep document exits 0, 1 or 2, and a
+    # refusal is one stderr line with nothing on stdout
+    limits = {"--max-degree": "3", "--zero-weight-cap": "1"}
+    arguments = {"-f": "x", "-g": "x^2"}
+    runs = [[name] for name in cli.COMMANDS] + [["coinv", "--family", "derivations"]]
+    failures = []
+    for name, doc in _sweep_documents().items():
+        path = write(tmp_path, f"{name}.json", doc)
+        for run_argv in runs:
+            command, *extra = run_argv
+            flags = cli.COMMANDS[command][1]
+            extra += [a for flag in flags if flag in arguments for a in (flag, arguments[flag])]
+            extra += [a for flag in flags if flag in limits for a in (flag, limits[flag])]
+            code, out, err = outcome(capsys, [command, "-i", path, *extra])
+            if code not in (0, 1, 2) or (code and (out or err.count("\n") != 1)):
+                failures.append((name, command, *extra, code, err))
+    assert not failures

@@ -1,14 +1,20 @@
 """Coinvariant oracle: truncated per-weight dimensions vs closed forms."""
 
+import random
+from pathlib import Path
+
 import pytest
 
 from leafalg import coinv, groebner, linalg, sympower, vfields
 from leafalg.coinv import coinvariants_truncated, verify_hp0
-from leafalg.errors import DomainError
+from leafalg.cli import load_input
+from leafalg.errors import DomainError, InputError
 from leafalg.geom import JacobianPolyvector, Variety, hp0_series
 from leafalg.poly import PolyRing, parse_poly
 from leafalg.vfields import VectorField, derivations_up_to_degree
-from oracles import brute_coinvariants
+from oracles import brute_coinvariants, derivation_coinvariants, random_quasihomogeneous
+
+CORPUS = Path(__file__).resolve().parents[1] / "bench" / "corpus"
 
 XYZ = PolyRing(["x", "y", "z"])
 CUSP_RING = PolyRing(["x", "y"], [3, 2])
@@ -275,3 +281,52 @@ def test_quadric_surface_takes_each_bracket_pair_once(monkeypatch):
             pairs += standard(s // 2) * (standard(s // 2) - 1) // 2
         expected.append(pairs)
     assert counts == expected
+
+
+def graded_corpus():
+    """Each corpus document with a weighted-homogeneous ideal and positive
+    weights, as a variety with the document's name as its id."""
+    out = []
+    for path in sorted(CORPUS.glob("*.json")):
+        try:
+            doc = load_input(str(path))
+        except InputError:
+            continue
+        X = Variety(doc.ring, doc.ideal)
+        if X.is_quasihomogeneous() and not X.ring.has_zero_weights:
+            out.append(pytest.param(X, id=path.stem))
+    return out
+
+
+def random_graded_varieties(count=6):
+    """Seeded quasihomogeneous surfaces and curves in weighted 3-space."""
+    rng = random.Random(151)
+    out = []
+    for k in range(count):
+        ring = PolyRing(["x", "y", "z"], [rng.randint(1, 3) for _ in range(3)])
+        gens = [random_quasihomogeneous(rng, ring, rng.randint(2, 6)) for _ in range(k % 2 + 1)]
+        out.append(pytest.param(Variety(ring, gens), id=f"random{k}"))
+    return out
+
+
+PLANE = PolyRing(["x", "y"])
+UNIT_IDEAL = Variety(PLANE, polys(PLANE, "1"))
+
+
+@pytest.mark.parametrize(
+    "X", graded_corpus() + random_graded_varieties() + [pytest.param(UNIT_IDEAL, id="unit_ideal")]
+)
+def test_all_tangent_fields_leave_the_euler_closed_form(X):
+    # the Euler field sum_i w_i x_i d_i is tangent and scales x^a by its
+    # weight, so nothing of positive weight survives; at weight 0 the
+    # constant 1 survives unless 1 is in I or some tangent field of weight
+    # -w_i has a constant coefficient, which maps x_i to a nonzero constant
+    top = 5
+    gb = X.groebner()
+    table = coinvariants_truncated(X, "derivations", top)
+    fields = [xi for fs in derivations_up_to_degree(gb, top).values() for xi in fs]
+    constant = any((0,) * X.ring.arity in c.terms for xi in fields for c in xi.coefficients)
+    expected = {w: 0 for w in range(top + 1)}
+    expected[0] = 0 if gb.is_unit_ideal() or constant else 1
+    assert table.dimensions == expected
+    assert derivation_coinvariants(list(X.ideal_gens), fields, top) == expected

@@ -52,6 +52,11 @@ def two_quadrics():
     return Variety(XYZ, polys(XYZ, "x^2+y^2+z^2", "x^2+2*y^2+3*z^2"))
 
 
+def test_a_variety_without_a_structure_carries_the_jacobian_polyvector():
+    assert Variety(XYZ, polys(XYZ, "x^3 + y^3 + z^3")).structure == JacobianPolyvector()
+    assert Variety(XY, []).structure == JacobianPolyvector()
+
+
 def test_jacobian_chain_two_quadrics():
     chain = jacobian_chain(two_quadrics())
     assert [str(p) for p in chain.ideals[0]] == ["2*x", "2*y", "2*z"]

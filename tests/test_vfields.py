@@ -12,8 +12,10 @@ from leafalg.geom import JacobianPolyvector, Variety, jacobian_bracket_matrix
 from leafalg.groebner import buchberger, poincare_series
 from leafalg.poly import Polynomial, PolyRing, parse_poly
 from leafalg.vfields import (
+    BracketStructure,
     JacobiStructure,
     VectorField,
+    VectorFieldFamily,
     derivations_up_to_degree,
     exceptional_ideal,
     field_from_form,
@@ -260,11 +262,27 @@ def test_hamiltonian_family_plane_reduces_to_symplectic():
 
 
 def test_hamiltonian_family_requires_structure_and_dimension():
+    fields = VectorFieldFamily((VectorField.coordinate(XYZ, "x"),))
     with pytest.raises(DomainError, match="structure"):
-        hamiltonian_family_top(Variety(XYZ, polys(XYZ, "x^3+y^3+z^3")), 2)
-    curve = Variety(CUSP_RING, polys(CUSP_RING, "x^2 - y^3"), JacobianPolyvector())
+        hamiltonian_family_top(Variety(XYZ, polys(XYZ, "x^3+y^3+z^3"), fields), 2)
+    point = Variety(XY, polys(XY, "x", "y"), JacobianPolyvector())
     with pytest.raises(DomainError, match="dimension"):
-        hamiltonian_family_top(curve, 2)
+        hamiltonian_family_top(point, 2)
+    # a curve is the m = 1 case: its one field is the top polyvector field
+    gens = polys(CUSP_RING, "x^2 - y^3")
+    curve = Variety(CUSP_RING, gens, JacobianPolyvector())
+    assert hamiltonian_family_top(curve, 2) == [top_polyvector_field(gens, CUSP_RING)]
+
+
+@pytest.mark.parametrize(
+    "build",
+    [BracketStructure, lambda m: hamiltonian_from_bracket(parse_poly("x", XY), m)],
+    ids=["BracketStructure", "hamiltonian_from_bracket"],
+)
+def test_a_bracket_matrix_that_is_not_square_is_rejected(build):
+    x = parse_poly("x", XY)
+    with pytest.raises(InputError, match="square"):
+        build(((XY.zero(), x), (-x, XY.zero(), XY.zero())))
 
 
 def test_hamiltonian_family_tangent_and_divergence_free():

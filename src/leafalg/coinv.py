@@ -3,15 +3,16 @@ the coordinate ring by the image of a family of vector fields.
 
 This is the independent linear-algebra oracle for the closed-form
 Poincare polynomial: for each weight w the quotient is (standard
-monomials of weight w) modulo the span of NF(xi(x^b)), over all family
-generators xi and standard monomials x^b of the compatible weight.  Each
-family field is scaled to integer coefficients once; each image is built
-term by term, xi(x^b) = sum_i b_i c_i x^(b - e_i), and reduced through
-the basis's table of monomial normal forms into a sparse integer row, a
-nonzero multiple of the normal form, that ``linalg.span_rank`` takes as
-it is.  The grading keeps every piece finite-dimensional, and capping
-generator weights at the truncation keeps it exact: no generator of
-weight above w maps into w.
+monomials of weight w) modulo the span of NF(xi(x^h)), over all family
+members xi and standard monomials x^h of the compatible weight.  Each
+image is an integer dict, reduced through the basis's table of monomial
+normal forms into an integer row, a nonzero multiple of the normal
+form.  The rows of a weight are built lazily, and ``linalg.span_rank``
+stops as soon as their rank equals the number of standard monomials of
+that weight: past the top weight of HP0 a few images span the piece.
+The grading keeps every piece finite-dimensional, and capping member
+weights at the truncation keeps it exact: no member of weight above w
+maps into w.
 
 The Hamiltonian family is built over the quotient O_X, from standard
 monomials g only.  The equations f_i are Casimirs: the field of the form
@@ -19,17 +20,25 @@ monomials g only.  The equations f_i are Casimirs: the field of the form
 d(a f_i) dies against the d f_i already in the Jacobian pairing.  Its
 images lie in the ideal, so the field of g dx_J equals that of NF(g) dx_J
 modulo fields with images in the ideal, and NF(g) is a combination of
-standard monomials of g's weight.
+standard monomials of g's weight.  Its images come straight from the
+Jacobian pairing P, scaled to integers once: pairing the (l, i) and
+(i, l) terms of ``vfields.field_from_form``, which differ by one
+transposition, gives
 
-On a surface (m = 2, J = ()) the field of g is the Hamiltonian field of
-g, and its image of h is the bracket {g, h} = -{h, g}: both g and h run
-over the standard monomials whose weights sum to w minus the bracket's
-weight, so each unordered pair is taken once, as xi_g(h) for g < h as
-exponent tuples ({g, g} = 0).
+    xi_{g dx_J}(x^h) = sum over l < i outside J of
+        sgn(l, J, i) (g_l h_i - g_i h_l) x^(g + h - e_l - e_i) P_sort(l, J, i),
+
+of weight wt(h) + wt(g) + sum_(j in J) w_j + shift, where shift is the
+sum of the equation weights minus the sum of the variable weights.  The
+image is skew in g and h for every J, so each unordered pair of
+standard monomials is taken once, as g < h in exponent-tuple order.  A
+curve's one field, the tangent derivations and an explicit family stay
+vector fields, each scaled to integers once.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from . import linalg
@@ -37,8 +46,9 @@ from .errors import DomainError, InputError
 from .geom import Variety, hp0_series
 from .groebner import _nf_terms, monomial_basis
 from .linalg import _integer_components
-from .poly import Polynomial
-from .vfields import VectorField, _form_fields, derivations_up_to_degree
+from .poly import Polynomial, mono_mul
+from .vfields import VectorField, _form_dimension, _sort_sign, derivations_up_to_degree
+from .vfields import jacobian_pairing, top_polyvector_field
 
 
 @dataclass
@@ -57,41 +67,72 @@ class CoinvariantTable:
         return f"coinvariants up to weight {self.truncation} [{self.family}]: {{{dims}}} (total {self.total()})"
 
 
-def _resolve_family(X: Variety, family, max_degree: int):
-    """The family as (field, floor) pairs, and its label.  A field with a
-    floor is the Hamiltonian field of a standard monomial g on a surface,
-    and the floor is g's exponent tuple: the oracle applies it only to
-    the standard monomials above g in tuple order."""
-    if isinstance(family, str):
-        if family == "hamiltonian-top":
-            # a form of weight a yields a field of weight a + shift; cap
-            # the forms so every field of weight <= max_degree is present
-            shift = sum(g.weighted_degree() or 0 for g in X.ideal_gens) - sum(X.ring.weights)
-            form_cap = max(max_degree - shift, 0)
-            gb = X.groebner()
-            forms = _form_fields(X, form_cap, lambda weight: monomial_basis(gb, weight))
-            return [(xi, None if J else g) for g, J, xi in forms], "hamiltonian-top"
-        if family == "derivations":
-            table = derivations_up_to_degree(X.groebner(), max_degree)
-            fields = [xi for _, fs in sorted(table.items()) for xi in fs]
-            return [(xi, None) for xi in fields], "derivations"
-        raise InputError(f"unknown family {family!r}; use 'hamiltonian-top', 'derivations', or a list of fields")
-    fields = list(family)
-    for xi in fields:
-        if not isinstance(xi, VectorField):
-            raise InputError("explicit family must be a list of vector fields")
-    return [(xi, None) for xi in fields], "explicit"
+def _form_images(X: Variety, m: int, max_degree: int) -> dict[int, list[tuple]]:
+    """The ``(image, g)`` entries by weight of the forms x^g dx_J of weight
+    at most ``max_degree`` on X of dimension m >= 2, with x^g a
+    nonconstant standard monomial, in order of J, then of the weight of
+    g, then of the basis order."""
+    ring, gens = X.ring, list(X.ideal_gens)
+    pairing = jacobian_pairing(gens, ring)
+    table = dict(zip(pairing, _integer_components([p.terms for p in pairing.values()])[0]))
+    shift = sum(f.weighted_degree() or 0 for f in gens) - sum(ring.weights)
+    gb = X.groebner()
+    graded: dict[int, list[tuple]] = {}
+    for J in itertools.combinations(range(ring.arity), m - 2):
+        slots = []  # (l, i, sgn(l, J, i), P_sort(l, J, i), -e_l - e_i)
+        for l, i in itertools.combinations([j for j in range(ring.arity) if j not in J], 2):
+            key, sign = _sort_sign((l, *J, i))
+            if table[key]:
+                drop = tuple(-(j in (l, i)) for j in range(ring.arity))
+                slots.append((l, i, sign, table[key], drop))
+        base = shift + sum(ring.weights[j] for j in J)
+        for a in range(1, max_degree - base + 1):
+            for g in monomial_basis(gb, a):
+                graded.setdefault(a + base, []).append((_form_image(g, slots), g))
+    return graded
+
+
+def _form_image(g, slots):
+    """x^h -> xi_{g dx_J}(x^h) as an integer dict, over the slots of J."""
+    slots = [(l, i, sign, p, mono_mul(g, drop)) for l, i, sign, p, drop in slots if g[l] or g[i]]
+
+    def image(h):
+        out: dict = {}
+        for l, i, sign, p, g_down in slots:
+            c = sign * (g[l] * h[i] - g[i] * h[l])
+            if c:  # then x^(g + h - e_l - e_i) is a monomial
+                down = mono_mul(g_down, h)
+                for t, v in p.items():
+                    k = mono_mul(t, down)
+                    out[k] = out.get(k, 0) + c * v
+        return out
+
+    return image
 
 
 def graded_family(X: Variety, family, max_degree: int) -> tuple[dict[int, list[tuple]], str]:
-    """The nonzero fields of a family grouped by weight, each scaled to
-    integer coefficients and paired with its floor (see
-    ``_resolve_family``), and the family's label.  ``family`` is
-    'hamiltonian-top', 'derivations', or an explicit list of
-    weight-homogeneous vector fields."""
-    fields, label = _resolve_family(X, family, max_degree)
+    """The family by weight, up to ``max_degree``, as ``(image, floor)``
+    entries, and its label.  ``image`` maps a source monomial to the
+    integer dict of a nonzero multiple of the member's image of it, one
+    fixed multiple per member; the oracle applies it only to the
+    monomials above ``floor`` in tuple order, all of them for None.
+    ``family`` is 'hamiltonian-top', 'derivations', or an explicit list
+    of weight-homogeneous vector fields."""
+    if family == "hamiltonian-top":
+        if (m := _form_dimension(X)) >= 2:
+            return _form_images(X, m, max_degree), family
+        fields = [top_polyvector_field(list(X.ideal_gens), X.ring)]
+    elif family == "derivations":
+        table = derivations_up_to_degree(X.groebner(), max_degree)
+        fields = [xi for _, fs in sorted(table.items()) for xi in fs]
+    elif isinstance(family, str):
+        raise InputError(f"unknown family {family!r}; use 'hamiltonian-top', 'derivations', or a list of fields")
+    else:
+        fields, family = list(family), "explicit"
+        if not all(isinstance(xi, VectorField) for xi in fields):
+            raise InputError("explicit family must be a list of vector fields")
     graded: dict[int, list[tuple]] = {}
-    for xi, floor in fields:
+    for xi in fields:
         if xi.is_zero():
             continue
         w = xi.weight()
@@ -99,8 +140,8 @@ def graded_family(X: Variety, family, max_degree: int) -> tuple[dict[int, list[t
             raise DomainError(f"family member {xi} is not weight-homogeneous")
         coeffs, _ = _integer_components([c.terms for c in xi.coefficients])
         integral = VectorField(X.ring, [Polynomial(X.ring, t) for t in coeffs])
-        graded.setdefault(w, []).append((integral, floor))
-    return graded, label
+        graded.setdefault(w, []).append((integral.apply_monomial, None))
+    return graded, family
 
 
 def coinvariants_truncated(X: Variety, family, max_degree: int) -> CoinvariantTable:
@@ -119,22 +160,17 @@ def coinvariants_truncated(X: Variety, family, max_degree: int) -> CoinvariantTa
     gb = X.groebner()
     dims: dict[int, int] = {}
     for w in range(0, max_degree + 1):
-        basis = monomial_basis(gb, w)
-        if not basis:
-            dims[w] = 0
-            continue
-        images = []
-        for fw, fs in graded.items():
-            if fw > w:
-                continue
-            sources = monomial_basis(gb, w - fw)
-            images += [
-                _nf_terms(gb, xi.apply_monomial(m))[0]
-                for xi, floor in fs
-                for m in sources
-                if floor is None or m > floor
-            ]
-        dims[w] = len(basis) - linalg.span_rank(images)
+        size = len(monomial_basis(gb, w))
+        # each entry's image of each source above its floor, lazily
+        rows = (
+            _nf_terms(gb, image(h))[0]
+            for fw, entries in graded.items()
+            if fw <= w
+            for image, floor in entries
+            for h in monomial_basis(gb, w - fw)
+            if floor is None or h > floor
+        )
+        dims[w] = size - linalg.span_rank(rows, size) if size else 0
     return CoinvariantTable(dimensions=dims, family=label, truncation=max_degree)
 
 

@@ -12,11 +12,11 @@ Underneath is one sparse elimination routine, ``Echelon._reduce``.  A
 vector is scaled to a primitive integer row, a dict from column to int,
 and its pivot is its smallest column.  A new row is reduced against the
 pivot rows, fraction-free, until it vanishes or its smallest column is
-not yet a pivot; then it becomes the pivot row there.  ``span_rank`` and
-``relations`` number the sorted keys as columns, so pivoting is
-deterministic and every caller gets reproducible ranks and relation
-bases.  ``rref`` and ``nullspace`` are the dense reference the tests
-compare against.
+not yet a pivot; then it becomes the pivot row there.  Columns are the
+keys themselves in ``Echelon`` and ``span_rank``; ``relations`` numbers
+the sorted keys as columns.  Either way pivoting follows the key order,
+so every caller gets reproducible ranks and relation bases.  ``rref``
+and ``nullspace`` are the dense reference the tests compare against.
 """
 
 from __future__ import annotations
@@ -100,16 +100,15 @@ def _integer_components(components) -> tuple[list[dict], int]:
     return out, den
 
 
-def _columns(vectors) -> dict:
-    """Column index of each key in use, in sorted key order."""
-    return {k: i for i, k in enumerate(sorted({k for v in vectors for k in v}))}
-
-
-def span_rank(vectors) -> int:
-    """Rank of the span of the sparse vectors."""
-    cols = _columns(vectors)
+def span_rank(vectors, size: int | None = None) -> int:
+    """Rank of the span of the sparse vectors, read one at a time.  With
+    ``size``, the dimension of the space they lie in, reading stops once
+    the rank reaches it, so a lazy iterable builds no vector past that."""
     echelon = Echelon()
-    return sum(echelon.add({cols[k]: c for k, c in v.items()}) for v in vectors)
+    for v in vectors:
+        if echelon.add(v) and len(echelon.rows) == size:
+            break
+    return len(echelon.rows)
 
 
 def relations(vectors) -> list[dict[int, Fraction]]:
@@ -129,7 +128,7 @@ def relations(vectors) -> list[dict[int, Fraction]]:
     the matrix with one column per vector.
     """
     pairs = [v if isinstance(v, tuple) else _integer_row(v) for v in vectors]
-    cols = _columns(row for row, _ in pairs)
+    cols = {k: i for i, k in enumerate(sorted({k for row, _ in pairs for k in row}))}
     n = len(cols)
     echelon = Echelon()
     basis = []

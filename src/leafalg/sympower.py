@@ -16,6 +16,7 @@ defining equation; d = 0 gives the uncorrected series.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
@@ -148,16 +149,12 @@ def brute_sym2_coinvariants(X: Variety, max_degree: int) -> dict[int, int]:
     graded, _ = graded_family(X, "hamiltonian-top", max_degree)
     gb = X.groebner()
     ring = X.ring
-    # a field of weight fw < 0 maps sources of weight up to max_degree - fw
-    # into the truncation
-    top = max_degree - min([0, *graded])
-    sources = [m for d in range(top + 1) for m in monomial_basis(gb, d)]
-    # (field weight, {monomial: normal form of the field's image, as (row, den)})
-    images = [
-        (fw, {m: _nf_terms(gb, xi.apply_monomial(m)) for m in sources})
-        for fw, fs in sorted(graded.items())
-        for xi, _ in fs
-    ]
+    entries = [(fw, image) for fw, es in sorted(graded.items()) for image, _ in es]
+
+    @functools.cache
+    def image_nf(k, m):
+        """The normal form of entry k's image of m, as (row, den)."""
+        return _nf_terms(gb, entries[k][1](m))
 
     def canonical(ma, mb):
         ka = (ring.weighted_degree(ma), ma)
@@ -177,23 +174,21 @@ def brute_sym2_coinvariants(X: Variety, max_degree: int) -> dict[int, int]:
                 key = canonical(ma, mb)
                 row[key] = row.get(key, 0) + ca * cb
 
-    dims: dict[int, int] = {}
-    for w in range(0, max_degree + 1):
-        pairs = sym_basis(w)
-        if not pairs:
-            dims[w] = 0
-            continue
-        rows = []
-        for fw, image in images:
+    def rows(w):
+        for k, (fw, _) in enumerate(entries):
             bw = w - fw
-            # unordered pairs of source weights da <= db = bw - da <= top
+            # unordered pairs of source weights da <= db = bw - da
             for da in range(bw // 2 + 1):
                 for a, b in itertools.product(monomial_basis(gb, da), monomial_basis(gb, bw - da)):
                     # den_a * den_b times xi(a) b + a xi(b)
-                    (row_a, den_a), (row_b, den_b) = image[a], image[b]
+                    (row_a, den_a), (row_b, den_b) = image_nf(k, a), image_nf(k, b)
                     row = {}
                     add_product(row, row_a, {b: den_b})
                     add_product(row, {a: den_a}, row_b)
-                    rows.append(row)
-        dims[w] = len(pairs) - linalg.span_rank(rows)
+                    yield row
+
+    dims: dict[int, int] = {}
+    for w in range(0, max_degree + 1):
+        size = len(sym_basis(w))
+        dims[w] = size - linalg.span_rank(rows(w), size) if size else 0
     return dims

@@ -369,46 +369,41 @@ def top_polyvector_field(gens, ring: PolyRing) -> VectorField:
 def hamiltonian_family_top(X, max_degree: int) -> list[VectorField]:
     """Hamiltonian fields of all monomial (m-2)-forms of weighted degree
     at most ``max_degree`` on a complete intersection with the standard
-    Jacobian polyvector structure (m = dim X = n - k >= 2); on a curve
-    (m = 1) the one field is the top polyvector field.
+    Jacobian polyvector structure (m = dim X = n - k >= 2), in order of
+    J, then of the weight of the monomial, then of the monomial; on a
+    curve (m = 1) the one field is the top polyvector field.
 
     The weighted degree of a form g*dx_J counts the dx factors.  Zero
     fields are dropped; duplicates are kept only once.
     """
-    fields = []
-    seen = set()
-    for _, _, xi in _form_fields(X, max_degree, X.ring.monomials_of_weight):
-        if xi.is_zero() or xi in seen:
-            continue
-        seen.add(xi)
-        fields.append(xi)
-    return fields
+    ring, gens = X.ring, list(X.ideal_gens)
+    m = _form_dimension(X)
+    if m == 1:
+        candidates = [top_polyvector_field(gens, ring)]
+    else:
+        if ring.has_zero_weights:
+            raise DomainError("the Hamiltonian family needs strictly positive weights")
+        pairing = jacobian_pairing(gens, ring)
+        candidates = (
+            field_from_form(ring.monomial(g), J, pairing)
+            for J in itertools.combinations(range(ring.arity), m - 2)
+            for a in range(max_degree - sum(ring.weights[j] for j in J) + 1)
+            for g in ring.monomials_of_weight(a)
+        )
+    return list(dict.fromkeys(xi for xi in candidates if not xi.is_zero()))
 
 
-def _form_fields(X, max_degree: int, monomials) -> list[tuple]:
-    """``(g, J, field)`` for the (m-2)-forms x^g dx_J of weighted degree
-    at most ``max_degree``, with x^g drawn from ``monomials(weight)``, on
-    a complete intersection with the Jacobian polyvector structure: the
-    one form loop behind the Hamiltonian family, in order of J, then of
-    the weight of g, then of ``monomials``.  A curve's one field is its
-    top polyvector field, as ``(None, (), field)``."""
+def _form_dimension(X) -> int:
+    """The dimension m = n - k >= 1 of a complete intersection whose
+    Hamiltonian family comes from its (m-2)-forms, or from the top
+    polyvector field on a curve; only the Jacobian polyvector structure
+    has that family."""
     if not isinstance(X.structure, JacobianPolyvector):
         raise DomainError("hamiltonian_family_top requires the Jacobian polyvector structure")
-    ring = X.ring
-    gens = list(X.ideal_gens)
-    m = ring.arity - len(gens)
+    m = X.ring.arity - len(X.ideal_gens)
     if m < 1:
         raise DomainError("hamiltonian_family_top requires dimension n - k >= 1")
-    if m == 1:
-        return [(None, (), top_polyvector_field(gens, ring))]
-    pairing = jacobian_pairing(gens, ring)
-    out = []
-    for idx in itertools.combinations(range(ring.arity), m - 2):
-        dx_weight = sum(ring.weights[i] for i in idx)
-        for g_weight in range(0, max_degree - dx_weight + 1):
-            for mono in monomials(g_weight):
-                out.append((mono, idx, field_from_form(ring.monomial(mono), idx, pairing)))
-    return out
+    return m
 
 
 # -- linear algebra over graded pieces --------------------------------
@@ -483,7 +478,8 @@ def derivations_up_to_degree(
     the membership oracle: the candidate x^a d_i maps each basis element
     g to NF(x^a dg/dx_i), a shift of the precomputed partials reduced
     through the basis's monomial table.  Rings with zero-weight
-    variables need ``zero_weight_cap`` to bound those exponents.
+    variables need ``zero_weight_cap`` to bound those exponents.  The
+    unit ideal, whose quotient is 0, has none.
     """
     ring = gb.ring
     for g in gb.elements:
@@ -491,6 +487,8 @@ def derivations_up_to_degree(
             raise DomainError(f"ideal generator {g} is not weighted-homogeneous")
     if ring.has_zero_weights and zero_weight_cap is None:
         raise InputError("ring has zero-weight variables: pass zero_weight_cap")
+    if gb.is_unit_ideal():
+        return {}  # O_X = 0 has no nonzero derivation
     partials = [[g.partial_derivative(v).terms for g in gb.elements] for v in ring.variables]
     weights = [-mw for mw in ring.weights]
     out: dict[int, list[VectorField]] = {}

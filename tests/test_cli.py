@@ -513,6 +513,22 @@ def test_coinv_of_a_zero_generator_is_the_ambient_ring(tmp_path, capsys):
     assert out.startswith("coinvariants up to weight 3 [hamiltonian-top]: {0: 1, 1: 3, 2: 6, 3: 10}")
 
 
+def test_hamgen_refuses_zero_weights_as_a_domain_error(tmp_path, capsys):
+    doc = {"ring": {"vars": ["x", "y", "t"], "weights": [1, 1, 0]}, "ideal": ["x^2 + t*y^2"]}
+    code, out, err = outcome(capsys, ["hamgen", "-i", write(tmp_path, "zero_weight.json", doc)])
+    assert (code, out) == (1, "")
+    assert err == "domain error: the Hamiltonian family needs strictly positive weights\n"
+
+
+def test_the_empty_variety_has_no_vector_fields(tmp_path, capsys):
+    path = write(tmp_path, "unit.json", {"ring": {"vars": ["x", "y", "z"]}, "ideal": ["1"]})
+    code, out, _ = outcome(capsys, ["derivations", "-i", path, "--max-degree", "3", "--format", "json"])
+    assert (code, json.loads(out)["result"]["fields_by_weight"]) == (0, {})
+    argv = ["incompressible", "-i", path, "--max-degree", "3", "--zero-weight-cap", "1"]
+    code, out, _ = outcome(capsys, argv)
+    assert code == 0 and "verdict: consistent-to-3" in out
+
+
 def _sweep_documents():
     """Small documents across dimensions 0-3, every structure kind and
     none, degenerate generators, a zero weight, and inputs that are not

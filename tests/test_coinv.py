@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from leafalg import coinv, groebner, linalg, sympower, vfields
+from leafalg import coinv, groebner, sympower, vfields
 from leafalg.coinv import coinvariants_truncated, verify_hp0
 from leafalg.cli import load_input
 from leafalg.errors import DomainError, InputError
@@ -236,14 +236,23 @@ BRUTE_CASES = {
     "weighted surface": (["x", "y", "z"], (6, 4, 3), ["x^2 + 2/3*y^3 + 5/4*z^4 - 1/3*x*z^2"], 14),
     # codimension 2, m = 2
     "two_quadrics_c4": (["x", "y", "z", "w"], (1, 1, 1, 1), ["x^2 + y^2 + z^2", "x^2 + 2*y^2 + 3*z^2"], 4),
-    # m = 3: forms g dx_j, no pair order
+    # m = 3: forms g dx_j, each pair once for every j
     "cubic threefold": (["x", "y", "z", "w"], (1, 1, 1, 1), ["x^3 + 1/2*y^3 - 3/4*z^3 + w^3 + x*y*w"], 4),
+    # m = 3 with unequal dx_j weights: each j offsets its forms' weights
+    "weighted threefold": (
+        ["x", "y", "z", "w"],
+        (3, 3, 2, 2),
+        ["x^2 + 2/3*y^2 - z^3 + 5/4*w^3 + x*y + z^2*w"],
+        8,
+    ),
+    # codimension 2, m = 3
+    "two_quadrics_c5": (["x", "y", "z", "w", "v"], (1,) * 5, ["x^2 + y^2 + z^2", "w^2 + v^2 + 2*x*y"], 2),
 }
 
 
 @pytest.mark.parametrize("name", BRUTE_CASES)
 def test_hamiltonian_oracle_matches_brute_force(name):
-    # the oracle takes forms over standard monomials only, and on surfaces
+    # the oracle takes forms over standard monomials only, and for every J
     # each unordered pair once; the brute force takes every monomial form
     # and every monomial, with no Groebner basis
     names, weights, texts, top = BRUTE_CASES[name]
@@ -254,33 +263,45 @@ def test_hamiltonian_oracle_matches_brute_force(name):
 
 
 def test_quadric_surface_takes_each_bracket_pair_once(monkeypatch):
-    # x^2 + y^2 + z^2 leads with x^2, so the standard monomials of weight
-    # d are x^e y^i z^j with e <= 1: 2d + 1 of them.  Brackets {g, h} have
-    # weight wt(g) + wt(h) - 1, and constants bracket to zero, so weight
-    # w takes one image per unordered pair of distinct nonconstant
-    # standard monomials with weights summing to w + 1.
-    counts = []
-    real = linalg.span_rank
+    # the image of h under the field of g is the bracket {g, h} = -{h, g},
+    # so the oracle takes each unordered pair of distinct standard
+    # monomials once, as g < h, and never {g, g} = 0
+    pairs = []
+    real = coinv.graded_family
 
-    def counted(images):
-        counts.append(len(images))
-        return real(images)
+    def recording(*args):
+        graded, label = real(*args)
+        for entries in graded.values():
+            for k, (image, floor) in enumerate(entries):
+                entries[k] = (lambda h, image=image, g=floor: pairs.append((g, h)) or image(h)), floor
+        return graded, label
 
-    monkeypatch.setattr(linalg, "span_rank", counted)
+    monkeypatch.setattr(coinv, "graded_family", recording)
     cone = Variety(XYZ, polys(XYZ, "x^2 + y^2 + z^2"), JacobianPolyvector())
-    coinvariants_truncated(cone, "hamiltonian-top", 8)
+    assert coinvariants_truncated(cone, "hamiltonian-top", 8).total() == 1
+    seen = set(pairs)
+    assert pairs and None not in {g for g, _ in pairs} and len(seen) == len(pairs)
+    assert not any(g == h or (h, g) in seen for g, h in pairs)
 
-    def standard(d):
-        return 2 * d + 1
 
-    expected = []
-    for w in range(9):
-        s = w + 1
-        pairs = sum(standard(a) * standard(s - a) for a in range(1, (s + 1) // 2))
-        if s % 2 == 0:
-            pairs += standard(s // 2) * (standard(s // 2) - 1) // 2
-        expected.append(pairs)
-    assert counts == expected
+@pytest.mark.parametrize(
+    "names, text, top, parent_images",
+    [
+        (["x", "y", "z", "w"], "x^3 + y^3 + z^3 + w^3", 9, 68122),
+        (["x", "y", "z"], "x^2 + y^2 + z^2", 32, 116808),
+    ],
+)
+def test_each_piece_stops_once_it_is_spanned(monkeypatch, names, text, top, parent_images):
+    # past the top weight of HP0 every piece is spanned by a small share
+    # of its images; building them all took the counts ``parent_images``
+    built = []
+    real = coinv._nf_terms
+    monkeypatch.setattr(coinv, "_nf_terms", lambda gb, terms: built.append(1) or real(gb, terms))
+    ring = PolyRing(names)
+    X = Variety(ring, polys(ring, text), JacobianPolyvector())
+    table = coinvariants_truncated(X, "hamiltonian-top", top)
+    assert table.dimensions == {w: hp0_series(X).coefficient(w) for w in range(top + 1)}
+    assert 0 < len(built) <= parent_images // 10
 
 
 def graded_corpus():

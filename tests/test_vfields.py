@@ -261,6 +261,14 @@ def test_hamiltonian_family_plane_reduces_to_symplectic():
     assert -VectorField.coordinate(XY, "x") in family  # xi_y
 
 
+def test_hamiltonian_family_needs_positive_weights():
+    # no cap bounds the zero-weight exponents of the forms
+    ring = PolyRing(["x", "y", "t"], [1, 1, 0])
+    X = Variety(ring, polys(ring, "x^2 + t*y^2"), JacobianPolyvector())
+    with pytest.raises(DomainError, match="strictly positive weights"):
+        hamiltonian_family_top(X, 2)
+
+
 def test_hamiltonian_family_requires_structure_and_dimension():
     fields = VectorFieldFamily((VectorField.coordinate(XYZ, "x"),))
     with pytest.raises(DomainError, match="structure"):
@@ -442,6 +450,12 @@ def test_exceptional_ideal_unit():
     gb = buchberger([XY.zero()], ring=XY)
     exc = exceptional_ideal([VectorField.coordinate(XY, "x")], gb)
     assert exc.is_unit_ideal()
+
+
+def test_the_unit_ideal_has_no_derivations():
+    # O_X = 0: every candidate x^a d_i is the zero field there
+    gb = buchberger(polys(XYZ, "1"), ring=XYZ)
+    assert derivations_up_to_degree(gb, 3) == {}
 
 
 def test_exceptional_ideal_rejects_nontangent():

@@ -45,7 +45,6 @@ from .vfields import (
     top_polyvector_field,
 )
 from .geom import (
-    JacobianChain,
     SingularityReport,
     Variety,
     degenerate_locus,

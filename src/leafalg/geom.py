@@ -84,7 +84,7 @@ class Variety:
             self._gb = buchberger(list(self.ideal_gens), self.order, ring=self.ring)
         return self._gb
 
-    def chain(self) -> JacobianChain:
+    def chain(self) -> list:
         """The Jacobian chain, built once."""
         if self._chain is None:
             self._chain = jacobian_chain(self)
@@ -104,15 +104,9 @@ class Variety:
         return f"Variety({self.ring!r}; ideal ({gens}))"
 
 
-@dataclass
-class JacobianChain:
-    """The ideals J_1..J_k: J_i is generated by f_1..f_{i-1} together
-    with all i x i minors of the Jacobian matrix of f_1..f_i."""
-
-    ideals: list
-
-
-def jacobian_chain(X: Variety) -> JacobianChain:
+def jacobian_chain(X: Variety) -> list:
+    """The ideals J_1..J_k as generator lists: J_i is f_1..f_{i-1}
+    together with all i x i minors of the Jacobian matrix of f_1..f_i."""
     if not X.ideal_gens:
         raise DomainError("the Jacobian chain needs at least one generator")
     ring = X.ring
@@ -121,12 +115,12 @@ def jacobian_chain(X: Variety) -> JacobianChain:
         head = list(X.ideal_gens[: i - 1])
         jac = jacobian_matrix(X.ideal_gens[:i], ring)
         ideals.append(head + minors(jac, i))
-    return JacobianChain(ideals)
+    return ideals
 
 
 def milnor_breakdown(X: Variety) -> list:
     """Local colengths of the Jacobian chain ideals at the origin."""
-    return [colength_local(gens, X.ring) for gens in X.chain().ideals]
+    return [colength_local(gens, X.ring) for gens in X.chain()]
 
 
 def milnor_from_chain(lengths: list):
@@ -154,7 +148,7 @@ class SingularityReport:
 
 
 def _singularity_ring_gens(X: Variety) -> list:
-    return X.chain().ideals[-1] + [X.ideal_gens[-1]]
+    return X.chain()[-1] + [X.ideal_gens[-1]]
 
 
 def tjurina(X: Variety) -> SingularityReport:
@@ -262,10 +256,7 @@ def rank_strata(X: Variety, bracket_depth: int = 2) -> list[RankStratum]:
     under Lie brackets to ``bracket_depth`` first, so their strata are
     relative to the closed generating set."""
     matrix = _structure_matrix(X, bracket_depth)
-    if not matrix:
-        gb = X.groebner()
-        return [RankStratum(0, gb, krull_dimension(gb))]
-    max_rank = min(len(matrix), len(matrix[0]))
+    max_rank = min(len(matrix), len(matrix[0])) if matrix else 0
     out = []
     for i in range(max_rank + 1):
         gens = list(X.ideal_gens)

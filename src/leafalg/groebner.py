@@ -2,9 +2,10 @@
 
 Everything here works over exact rationals.  The default monomial order
 is weighted grevlex: weighted degree first, ties broken reverse-
-lexicographically on the ring's variable order.  Rings with zero-weight
-variables get an extra total-degree comparison between the two so that
-the order stays a well-order (1 must be the unique minimum).
+lexicographically on the ring's variable order, so its key is the flat
+int tuple (weighted degree, -m_n, ..., -m_1).  Rings with zero-weight
+variables put the total degree between the two, so that the order stays
+a well-order (1 must be the unique minimum).
 
 ``buchberger`` keeps its S-pairs in a heap keyed once, when each pair is
 created, by (weighted degree of the lcm, order key of the lcm, (i, j)).
@@ -12,10 +13,10 @@ Keys never change and pairs leave only when popped, so the heap picks
 the same pair as a full rescan of the queue would, at every step.
 Leading terms are computed once per element, both while the basis grows
 and in a finished ``GroebnerBasis``; reduction takes the next term from a
-max-heap of pending monomials.  The basis is seeded from the generators
-in sorted order, and a generator in the linear span of the earlier ones
-is skipped without a reduction: it lies in their ideal, so the ideal and
-its reduced basis are the same.
+heap of (negated key, monomial) tuples, largest monomial first.  The
+basis is seeded from the generators in sorted order, and a generator in
+the linear span of the earlier ones is skipped without a reduction: it
+lies in their ideal, so the ideal and its reduced basis are the same.
 
 Arithmetic inside is on integers.  Elements under completion are
 primitive ``{monomial: int}`` dicts, and the one reducer, fraction-free,
@@ -82,15 +83,15 @@ class MonomialOrder:
         self.kind = kind
 
     def key(self, ring: PolyRing):
-        """Sort key for monomials; larger key means larger monomial."""
+        """Sort key for monomials, a flat int tuple; larger key means larger monomial."""
         if self.kind == "lex":
             return lambda m: m
         weighted_degree = ring.weighted_degree
         if ring.has_zero_weights:
             # total degree between weight and the grevlex tiebreak keeps
             # 1 strictly minimal when some variable has weight 0
-            return lambda m: (weighted_degree(m), sum(m), tuple(map(neg, reversed(m))))
-        return lambda m: (weighted_degree(m), tuple(map(neg, reversed(m))))
+            return lambda m: (weighted_degree(m), sum(m), *map(neg, reversed(m)))
+        return lambda m: (weighted_degree(m), *map(neg, reversed(m)))
 
     def __eq__(self, other):
         return isinstance(other, MonomialOrder) and self.kind == other.kind
@@ -156,20 +157,6 @@ class GroebnerBasis:
         return f"GroebnerBasis[{'; '.join(str(g) for g in self.elements)}]"
 
 
-class _Descending:
-    """Heap entry that puts the larger monomial first; order keys are
-    injective, so two entries never tie."""
-
-    __slots__ = ("rank", "mono")
-
-    def __init__(self, rank, mono):
-        self.rank = rank
-        self.mono = mono
-
-    def __lt__(self, other):
-        return self.rank > other.rank
-
-
 def _reduce_full(terms: dict, basis: list[dict], leads, key, below=None) -> tuple[dict, int]:
     """Fraction-free full reduction of p, given as ``{monomial: int}``
     terms, by integer polynomials with (leading monomial, coefficient)
@@ -177,19 +164,21 @@ def _reduce_full(terms: dict, basis: list[dict], leads, key, below=None) -> tupl
     c * m meets the first lead lc * lm dividing m; with a / b = c / lc in
     lowest terms, the pending terms and mult are scaled by b and
     a * x^(m - lm) * tail is subtracted.  Pending terms come largest first
-    from a heap with one entry per monomial of ``work``: a cancelled term
-    stays in ``work`` with coefficient 0 until its entry is popped, and a
-    popped monomial never returns, since every step only adds terms below
-    it.  With ``below`` set, every term of total degree >= below is
-    dropped: the reduction runs in k[x]/m^below.
+    from a heap of (negated key, monomial), one per monomial of ``work``
+    (keys are injective, so none tie): a cancelled term stays in ``work``
+    with coefficient 0 until its entry is popped, and a popped monomial
+    never returns, since every step only adds terms below it.  With
+    ``below`` set, every term of total degree >= below is dropped: the
+    reduction runs in k[x]/m^below.
     """
     remainder = []  # (monomial, coefficient, mult when it was set aside)
     mult = 1
     work = {m: c for m, c in terms.items() if below is None or sum(m) < below}
-    heap = [_Descending(key(m), m) for m in work]
+    # a starred display sizes each tuple exactly; tuple(map(...)) over-allocates
+    heap = [((*map(neg, key(m)),), m) for m in work]
     heapq.heapify(heap)
     while heap:
-        m = heapq.heappop(heap).mono
+        _, m = heapq.heappop(heap)
         c = work.pop(m)
         if not c:
             continue
@@ -214,7 +203,7 @@ def _reduce_full(terms: dict, basis: list[dict], leads, key, below=None) -> tupl
             s = work.get(t)
             if s is None:
                 work[t] = -a * gc
-                heapq.heappush(heap, _Descending(key(t), t))
+                heapq.heappush(heap, ((*map(neg, key(t)),), t))
             else:
                 work[t] = s - a * gc
     return {m: c * (mult // at) for m, c, at in remainder}, mult
@@ -369,9 +358,10 @@ def _complete(gens: list[Polynomial], ring: PolyRing, key, below: int | None = N
     # a generator in the linear span of the earlier ones lies in their ideal
     span = Echelon()
     for g in sorted(gens, key=lambda p: (key(leading_term(p.terms, key)[0]), sorted(p.terms.items()))):
-        if not span.add(g.terms):
+        row, _ = _integer_row(g.terms)
+        if not span.add(row):
             continue
-        r, _ = _reduce_full(_integer_row(g.terms)[0], basis, leads, key, below)
+        r, _ = _reduce_full(row, basis, leads, key, below)
         if r:
             add(r)
 
@@ -430,7 +420,7 @@ COLENGTH_CAP = 64
 
 def _local_key(m: Monomial):
     """Local degree order: lower total degree is larger, then grevlex."""
-    return (-sum(m), tuple(map(neg, reversed(m))))
+    return (-sum(m), *map(neg, reversed(m)))
 
 
 def _staircase(lead: list[Monomial], arity: int, below: int) -> list[Monomial]:

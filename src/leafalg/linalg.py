@@ -82,10 +82,9 @@ class Echelon:
 
 def _integer_row(vector) -> tuple[dict, int]:
     """The nonzero entries of a rational vector times the lcm D of their
-    denominators, and D."""
-    row = {k: c for k, c in vector.items() if c}
-    den = lcm(*(c.denominator for c in row.values()))
-    return {k: c.numerator * (den // c.denominator) for k, c in row.items()}, den
+    denominators, and D (a zero entry has denominator 1)."""
+    den = lcm(*(c.denominator for c in vector.values()))
+    return {k: c.numerator * (den // c.denominator) for k, c in vector.items() if c}, den
 
 
 def _integer_components(components) -> tuple[list[dict], int]:

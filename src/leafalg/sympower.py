@@ -17,7 +17,6 @@ defining equation; d = 0 gives the uncorrected series.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 
 from . import linalg
@@ -148,7 +147,6 @@ def brute_sym2_coinvariants(X: Variety, max_degree: int) -> dict[int, int]:
         raise DomainError("size guard: socle degree above 6")
     graded, _ = graded_family(X, "hamiltonian-top", max_degree)
     gb = X.groebner()
-    ring = X.ring
     entries = [(fw, image) for fw, es in sorted(graded.items()) for image, _ in es]
 
     @functools.cache
@@ -156,39 +154,32 @@ def brute_sym2_coinvariants(X: Variety, max_degree: int) -> dict[int, int]:
         """The normal form of entry k's image of m, as (row, den)."""
         return _nf_terms(gb, entries[k][1](m))
 
-    def canonical(ma, mb):
-        ka = (ring.weighted_degree(ma), ma)
-        kb = (ring.weighted_degree(mb), mb)
-        return (ma, mb) if ka <= kb else (mb, ma)
-
-    def sym_basis(w):
-        out = set()
-        for da in range(0, w // 2 + 1):
-            for a, b in itertools.product(monomial_basis(gb, da), monomial_basis(gb, w - da)):
-                out.add(canonical(a, b))
-        return out
-
-    def add_product(row, terms_a, terms_b):
-        for ma, ca in terms_a.items():
-            for mb, cb in terms_b.items():
-                key = canonical(ma, mb)
-                row[key] = row.get(key, 0) + ca * cb
+    @functools.cache
+    def pairs(w):
+        """Each unordered pair {a, b} of standard monomials of weights
+        summing to w once: wt(a) < wt(b), or a <= b at equal weights."""
+        return [
+            (a, b)
+            for da in range(w // 2 + 1)
+            for a in monomial_basis(gb, da)
+            for b in monomial_basis(gb, w - da)
+            if da < w - da or a <= b
+        ]
 
     def rows(w):
         for k, (fw, _) in enumerate(entries):
-            bw = w - fw
-            # unordered pairs of source weights da <= db = bw - da
-            for da in range(bw // 2 + 1):
-                for a, b in itertools.product(monomial_basis(gb, da), monomial_basis(gb, bw - da)):
-                    # den_a * den_b times xi(a) b + a xi(b)
-                    (row_a, den_a), (row_b, den_b) = image_nf(k, a), image_nf(k, b)
-                    row = {}
-                    add_product(row, row_a, {b: den_b})
-                    add_product(row, {a: den_a}, row_b)
-                    yield row
+            for a, b in pairs(w - fw):
+                # den_a * den_b times xi(a) b + a xi(b), keyed by sorted pairs
+                (row_a, den_a), (row_b, den_b) = image_nf(k, a), image_nf(k, b)
+                row = {}
+                for terms, y, den in ((row_a, b, den_b), (row_b, a, den_a)):
+                    for x, c in terms.items():
+                        key = (x, y) if x <= y else (y, x)
+                        row[key] = row.get(key, 0) + c * den
+                yield row
 
     dims: dict[int, int] = {}
     for w in range(0, max_degree + 1):
-        size = len(sym_basis(w))
+        size = len(pairs(w))
         dims[w] = size - linalg.span_rank(rows(w), size) if size else 0
     return dims

@@ -139,6 +139,63 @@ def derivation_coinvariants(gens, fields, upto):
     return graded_quotient_dims([*gens, *coefficients], upto)
 
 
+def brute_sym2_coinvariants(gens, fields, max_degree):
+    """Per-weight dimensions, through ``max_degree``, of the coinvariants
+    of the second symmetric power of k[x]/I, I = (gens) weighted-
+    homogeneous, under weight-homogeneous fields acting by
+    xi(p q) = xi(p) q + p xi(q), by dense linear algebra on unordered
+    pairs of all monomials.
+
+    The column {a, b} stands for sym(x^a (x) x^b).  The rows of weight w
+    are sym(x^c f (x) x^b) for every generator f, which span the image of
+    I (x) k[x] + k[x] (x) I there, and sym(xi(x^a) (x) x^b + x^a (x) xi(x^b))
+    for every field xi and pair {a, b} of weight w - wt(xi), past
+    ``max_degree`` when xi has negative weight.  No Groebner basis,
+    standard monomial or normal form is involved."""
+    ring = (gens or fields)[0].ring
+
+    def ordered(w):
+        """Every ordered pair (a, b) of monomials of total weight w."""
+        return [
+            (a, b)
+            for d in range(w + 1)
+            for a in ring.monomials_of_weight(d)
+            for b in ring.monomials_of_weight(w - d)
+        ]
+
+    def field_weight(xi):
+        nonzero = [(c, w) for c, w in zip(xi.coefficients, ring.weights) if not c.is_zero()]
+        return nonzero[0][0].weighted_degree() - nonzero[0][1]
+
+    weighted = [(xi, field_weight(xi)) for xi in fields]
+    dims = {}
+    for w in range(max_degree + 1):
+        cols = [(a, b) for a, b in ordered(w) if a <= b]
+        pos = {ab: i for i, ab in enumerate(cols)}
+
+        def sym_row(*products):
+            """The row of the sum of sym(p (x) q) over the (p, q) products."""
+            row = [Fraction(0)] * len(cols)
+            for p, q in products:
+                for a, c in p.terms.items():
+                    for b, d in q.terms.items():
+                        row[pos[min(a, b), max(a, b)]] += c * d
+            return row
+
+        rows = [
+            sym_row((ring.monomial(c) * f, ring.monomial(b)))
+            for f in gens
+            for c, b in ordered(w - f.weighted_degree())
+        ]
+        for xi, fw in weighted:
+            for a, b in ordered(w - fw):
+                if a <= b:
+                    xa, xb = ring.monomial(a), ring.monomial(b)
+                    rows.append(sym_row((apply_by_partials(xi, xa), xb), (xa, apply_by_partials(xi, xb))))
+        dims[w] = len(cols) - rref_rank(rows)
+    return dims
+
+
 def local_colength_brute(gens, nmax=16):
     """Dimension of the local quotient at the origin by truncated linear
     algebra: dim k[x]/(I + m^N) stabilized over N, computed from spans

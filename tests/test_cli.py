@@ -7,9 +7,11 @@ from pathlib import Path
 
 import pytest
 
-from leafalg import cli, geom
+from leafalg import cli, coinv, geom
 from leafalg.cli import build_parser, load_input, main, render_report, run
 from leafalg.errors import InputError
+from leafalg.geom import Variety
+from leafalg.poly import PolyRing, parse_poly
 
 FERMAT = {
     "ring": {"vars": ["x", "y", "z"], "weights": [1, 1, 1]},
@@ -589,3 +591,96 @@ def test_no_command_ends_in_an_internal_error(tmp_path, capsys):
             if code not in (0, 1, 2) or (code and (out or err.count("\n") != 1)):
                 failures.append((name, command, *extra, code, err))
     assert not failures
+
+
+TWO_VARS = {"vars": ["x", "y"]}
+
+
+@pytest.mark.parametrize(
+    "doc, refusal",
+    [
+        ([], "$: top level must be an object"),
+        ({"ideal": []}, "ring: required object with 'vars' and optional 'weights'"),
+        ({"ring": {"vars": []}}, "ring.vars: required non-empty list of strings"),
+        ({"ring": {"vars": ["x", "y"], "weights": [1]}}, "ring.weights: length must match ring.vars"),
+        ({"ring": {"vars": ["x", "x"]}}, "ring: duplicate variable names in ('x', 'x')"),
+        ({"ring": TWO_VARS, "ideal": "x"}, "ideal: expected a list of polynomial strings"),
+        ({"ring": TWO_VARS, "ideal": [1]}, "ideal[0]: expected a polynomial string"),
+        ({"ring": TWO_VARS, "structure": {}}, "structure: expected an object with a 'kind'"),
+        (
+            {"ring": TWO_VARS, "structure": {"kind": "bracket", "matrix": []}},
+            "structure.matrix: expected a non-empty list of rows",
+        ),
+        (
+            {"ring": TWO_VARS, "structure": {"kind": "bracket", "matrix": [["0", "x"]]}},
+            "structure.matrix: expected 2 rows",
+        ),
+        (
+            {"ring": TWO_VARS, "structure": {"kind": "bracket", "matrix": [["0"], ["0"]]}},
+            "structure.matrix[0]: expected a list of 2 polynomial strings",
+        ),
+        (
+            {"ring": TWO_VARS, "structure": {"kind": "jacobi", "matrix": [["0", "x"], ["-x", "0"]], "u": ["1"]}},
+            "structure.u: expected 2 coefficient strings (one per variable)",
+        ),
+        (
+            {"ring": TWO_VARS, "structure": {"kind": "jacobi", "matrix": [["x", "0"], ["0", "0"]], "u": ["1", "0"]}},
+            "structure: bracket matrix must have zero diagonal",
+        ),
+        (
+            {"ring": TWO_VARS, "structure": {"kind": "vector-fields", "generators": []}},
+            "structure.generators: expected a non-empty list of coefficient lists",
+        ),
+        ({"ring": TWO_VARS, "options": []}, "options: expected an object"),
+    ],
+)
+def test_main_refuses_a_malformed_document_in_one_line(tmp_path, capsys, doc, refusal):
+    # each refusal names the JSON path of the fault
+    code, out, err = outcome(capsys, ["gb", "-i", write(tmp_path, "bad.json", doc)])
+    assert (code, out, err) == (2, "", f"input error: {refusal}\n")
+
+
+def test_verify_hp0_reports_each_mismatch(tmp_path, capsys, monkeypatch):
+    # the closed form of the quadric surface (1 at weight 0 only) against
+    # the Fermat cubic's oracle (1, 3, 3 through weight 2)
+    xyz = PolyRing(["x", "y", "z"])
+    quadric = Variety(xyz, [parse_poly("x^2 + y^2 + z^2", xyz)])
+    monkeypatch.setattr(coinv, "hp0_series", lambda X: geom.hp0_series(quadric))
+    path = write(tmp_path, "fermat.json", FERMAT)
+    code, out, err = outcome(capsys, ["verify-hp0", "-i", path])
+    assert (code, err) == (0, "")
+    assert out == (
+        "mismatch at weight 1: oracle 3, closed form 0; mismatch at weight 2: oracle 3, closed form 0\n"
+    )
+    code, out, _ = outcome(capsys, ["verify-hp0", "-i", path, "--format", "json"])
+    result = json.loads(out)["result"]
+    assert code == 0 and result["match"] is False
+    assert result["mismatches"] == [
+        {"weight": 1, "oracle": 3, "closed_form": 0},
+        {"weight": 2, "oracle": 3, "closed_form": 0},
+    ]
+
+
+def test_exceptional_json_reports_an_infinite_quotient(tmp_path, capsys):
+    doc = {"ring": TWO_VARS, "ideal": [], "structure": {"kind": "vector-fields", "generators": [["x", "0"]]}}
+    path = write(tmp_path, "line_field.json", doc)
+    code, out, _ = outcome(capsys, ["exceptional", "-i", path, "--format", "json"])
+    result = json.loads(out)["result"]
+    assert code == 0 and result["ideal"] == ["x"]
+    assert result["quotient_dimension"] == "infinite"
+    series = result["quotient_series"]
+    assert series["display"] == "(1) / (1-u)" and series["finite"] is False
+    assert (series["numerator"], series["denominator_weights"]) == ({"0": 1}, [1])
+
+
+def test_a_zero_field_gives_the_single_rank_zero_stratum(tmp_path, capsys):
+    doc = {"ring": TWO_VARS, "ideal": [], "structure": {"kind": "vector-fields", "generators": [["0", "0"]]}}
+    path = write(tmp_path, "zero_field.json", doc)
+    warning = "warning: ring.weights missing: defaulted to all 1\n"
+    assert outcome(capsys, ["strata", "-i", path]) == (0, warning + "rank <= 0: ideal (0), dimension 2\n", "")
+    fail = "FAIL: stratum i=0 ideal (0) has dimension 2 > 0\n"
+    assert outcome(capsys, ["leaves", "-i", path]) == (0, warning + fail, "")
+    code, out, _ = outcome(capsys, ["leaves", "-i", path, "--format", "json"])
+    result = json.loads(out)["result"]
+    stratum = {"rank": 0, "ideal": [], "dimension": 2}
+    assert (code, result["passed"], result["strata"], result["witness"]) == (0, False, [stratum], stratum)

@@ -59,8 +59,8 @@ def test_a_variety_without_a_structure_carries_the_jacobian_polyvector():
 
 def test_jacobian_chain_two_quadrics():
     chain = jacobian_chain(two_quadrics())
-    assert [str(p) for p in chain.ideals[0]] == ["2*x", "2*y", "2*z"]
-    assert [str(p) for p in chain.ideals[1]] == [
+    assert [str(p) for p in chain[0]] == ["2*x", "2*y", "2*z"]
+    assert [str(p) for p in chain[1]] == [
         "x^2 + y^2 + z^2",
         "4*x*y",
         "8*x*z",
@@ -70,12 +70,12 @@ def test_jacobian_chain_two_quadrics():
 
 def test_jacobian_chain_gradient():
     chain = jacobian_chain(fermat())
-    assert [str(p) for p in chain.ideals[0]] == ["3*x^2", "3*y^2", "3*z^2"]
+    assert [str(p) for p in chain[0]] == ["3*x^2", "3*y^2", "3*z^2"]
 
 
 def test_jacobian_chain_cuspidal():
     chain = jacobian_chain(cuspidal())
-    assert [str(p) for p in chain.ideals[0]] == ["2*x", "-3*y^2"]
+    assert [str(p) for p in chain[0]] == ["2*x", "-3*y^2"]
 
 
 def test_milnor_fermat():

@@ -14,6 +14,8 @@ from leafalg.sympower import (
     sym_power_series,
 )
 
+from leafalg.vfields import hamiltonian_family_top
+from oracles import brute_sym2_coinvariants as sym2_oracle
 from oracles import partition_count
 
 CUSP_RING = PolyRing(["x", "y"], [3, 2])
@@ -101,6 +103,28 @@ def test_brute_sym2_cuspidal_conjectural():
     prediction = {e + 12: c for e, c in corrected.s_layer(2).items()}
     assert prediction == {0: 2, 2: 2, 4: 1}
     assert prediction != {w: d for w, d in dims.items() if w in prediction}
+
+
+SYM2_CASES = {
+    "symplectic plane": (["x", "y"], (1, 1), [], 4),
+    "line x = 0": (["x", "y"], (1, 1), ["x"], 4),
+    "cusp": (["x", "y"], (3, 2), ["x^2 - y^3"], 8),
+    "a5_curve": (["x", "y"], (3, 1), ["x^2 + y^6"], 4),
+    "fermat3": (["x", "y", "z"], (1, 1, 1), ["x^3 + y^3 + z^3"], 4),
+}
+
+
+@pytest.mark.parametrize("name", SYM2_CASES)
+def test_brute_sym2_matches_the_dense_oracle(name):
+    # the oracle takes every unordered pair of monomials and every
+    # Hamiltonian field of a monomial form, with no Groebner basis; a
+    # form of weight a gives a field of weight at least a - sum(weights)
+    names, weights, texts, top = SYM2_CASES[name]
+    ring = PolyRing(names, weights)
+    gens = [parse_poly(t, ring) for t in texts]
+    X = Variety(ring, gens)
+    fields = hamiltonian_family_top(X, top + sum(weights))
+    assert brute_sym2_coinvariants(X, top) == sym2_oracle(gens, fields, top)
 
 
 def test_brute_sym2_size_guard():

@@ -26,6 +26,13 @@ positive leading coefficients, and their monic ``Fraction`` copies are
 made once from them; ``normal_form`` clears p's denominator D and
 returns r / (mult * D).
 
+One completion shares one step table among its reductions: a monomial
+maps to its step by the first lead dividing it, built once however often
+it recurs (cyclic-5: 1 228 steps, 163 monomials), or to the number of
+leads that did not divide it.  Elements are only appended, so entries
+stay valid; tails are kept whole and cut at ``below`` when used.
+``normal_form`` and the interreduction start from an empty table.
+
 Two normal forms stay, each the faster for its callers: ``normal_form``
 runs that reducer once; ``_nf_terms`` sums rows NF(x^a) kept on the basis
 for the graded solvers.  Tabling ``normal_form`` took katsura-4 with
@@ -157,7 +164,7 @@ class GroebnerBasis:
         return f"GroebnerBasis[{'; '.join(str(g) for g in self.elements)}]"
 
 
-def _reduce_full(terms: dict, basis: list[dict], leads, key, below=None) -> tuple[dict, int]:
+def _reduce_full(terms: dict, basis: list[dict], leads, key, steps: dict, below=None) -> tuple[dict, int]:
     """Fraction-free full reduction of p, given as ``{monomial: int}``
     terms, by integer polynomials with (leading monomial, coefficient)
     ``leads``: (r, mult) with mult * p = r modulo them.  The next term
@@ -170,6 +177,14 @@ def _reduce_full(terms: dict, basis: list[dict], leads, key, below=None) -> tupl
     never returns, since every step only adds terms below it.  With
     ``below`` set, every term of total degree >= below is dropped: the
     reduction runs in k[x]/m^below.
+
+    ``steps`` is the step table, kept across calls by the same basis:
+    it maps m to (lc, [(x^(m - lm) * t, c) for g's other terms c * t]) of
+    the first lead dividing m, or to the number of leads checked in vain.
+    The basis may only grow between calls (appended elements), so the
+    first divisor among the leads it saw never changes, and a miss is
+    checked again only against the leads added since.  Tails are kept
+    whole; ``below`` applies when a tail is used.
     """
     remainder = []  # (monomial, coefficient, mult when it was set aside)
     mult = 1
@@ -182,22 +197,24 @@ def _reduce_full(terms: dict, basis: list[dict], leads, key, below=None) -> tupl
         c = work.pop(m)
         if not c:
             continue
-        for g, (lm, lc) in zip(basis, leads):
-            if mono_divides(lm, m):
-                break
-        else:
-            remainder.append((m, c, mult))
-            continue
+        step = steps.get(m, 0)
+        if type(step) is int:
+            for g, (lm, lc) in itertools.islice(zip(basis, leads), step, None):
+                if mono_divides(lm, m):
+                    shift = mono_div(m, lm)
+                    step = steps[m] = lc, [(mono_mul(t, shift), s) for t, s in g.items() if t != lm]
+                    break
+            else:
+                steps[m] = len(leads)
+                remainder.append((m, c, mult))
+                continue
+        lc, tail = step
         d = math.gcd(c, lc)
         a, b = c // d, lc // d
         if b != 1:
             mult *= b
             work = {t: b * s for t, s in work.items()}
-        shift = mono_div(m, lm)
-        for gm, gc in g.items():
-            if gm == lm:
-                continue
-            t = mono_mul(gm, shift)
+        for t, gc in tail:
             if below is not None and sum(t) >= below:
                 continue
             s = work.get(t)
@@ -215,7 +232,7 @@ def normal_form(p: Polynomial, gb: GroebnerBasis) -> Polynomial:
     if p.ring != gb.ring:
         raise InputError("ring mismatch between polynomial and basis")
     terms, den = _integer_row(p.terms)
-    r, mult = _reduce_full(terms, *gb._integer, gb._key)
+    r, mult = _reduce_full(terms, *gb._integer, gb._key, {})
     den *= mult
     return Polynomial(p.ring, {m: Fraction(c, den) for m, c in r.items()})
 
@@ -316,7 +333,7 @@ def buchberger(
     reduced: list[dict] = []
     for i in minimal:
         others = [j for j in minimal if j != i]
-        r, _ = _reduce_full(basis[i], [basis[j] for j in others], [leads[j] for j in others], key)
+        r, _ = _reduce_full(basis[i], [basis[j] for j in others], [leads[j] for j in others], key, {})
         # no other minimal lead divides leads[i], so it stays the leading term;
         # divide by the content, signed so that coefficient comes out positive
         content = math.gcd(*r.values())
@@ -357,11 +374,12 @@ def _complete(gens: list[Polynomial], ring: PolyRing, key, below: int | None = N
 
     # a generator in the linear span of the earlier ones lies in their ideal
     span = Echelon()
+    steps: dict = {}  # one step table for every reduction of this completion
     for g in sorted(gens, key=lambda p: (key(leading_term(p.terms, key)[0]), sorted(p.terms.items()))):
         row, _ = _integer_row(g.terms)
-        if not span.add(row):
+        if not span.add_row(dict(row)):
             continue
-        r, _ = _reduce_full(row, basis, leads, key, below)
+        r, _ = _reduce_full(row, basis, leads, key, steps, below)
         if r:
             add(r)
 
@@ -403,7 +421,7 @@ def _complete(gens: list[Polynomial], ring: PolyRing, key, below: int | None = N
         for m, c in basis[j].items():
             t = mono_mul(m, sj)
             spoly[t] = spoly.get(t, 0) - ci // d * c
-        r, _ = _reduce_full(spoly, basis, leads, key, below)
+        r, _ = _reduce_full(spoly, basis, leads, key, steps, below)
         if not r:
             continue
         new = len(basis)

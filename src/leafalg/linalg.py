@@ -5,8 +5,9 @@ Fraction or an int (zero entries and empty vectors are allowed), and ask
 for the rank of their span (``span_rank``), for the linear relations
 among them (``relations``, each a sparse dict from vector index to
 Fraction), or grow a span one vector at a time (``Echelon.add``).  An
-integer vector enters the elimination as it is; ``relations`` also takes
-an integer row with its denominator.
+integer row without zeros enters the elimination as it is through
+``Echelon.add_row``; ``relations`` also takes an integer row with its
+denominator.
 
 Underneath is one sparse elimination routine, ``Echelon._reduce``.  A
 vector is scaled to a primitive integer row, a dict from column to int,
@@ -34,7 +35,12 @@ class Echelon:
 
     def add(self, vector) -> bool:
         """Add the vector; True if it was not already in the span."""
-        lead, row = self._reduce(_integer_row(vector)[0])
+        return self.add_row(_integer_row(vector)[0])
+
+    def add_row(self, row: dict) -> bool:
+        """``add`` for an integer row without zero entries, which it may
+        change in place."""
+        lead, row = self._reduce(row)
         if lead is None:
             return False
         self.rows[lead] = row

@@ -122,17 +122,14 @@ class VectorField:
         """Weighted degree as a graded operator (coefficient degree minus
         the variable weight), or None if mixed or zero."""
         w = None
+        degree = self.ring.weighted_degree
         for c, m in zip(self.coefficients, self.ring.weights):
-            if c.is_zero():
-                continue
-            comps, homogeneous = c.weighted_components()
-            if not homogeneous:
-                return None
-            d = next(iter(comps)) - m
-            if w is None:
-                w = d
-            elif w != d:
-                return None
+            for t in c.terms:
+                d = degree(t) - m
+                if w is None:
+                    w = d
+                elif w != d:
+                    return None
         return w
 
     def __add__(self, other: "VectorField") -> "VectorField":

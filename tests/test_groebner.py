@@ -632,9 +632,9 @@ def counted_reductions(monkeypatch) -> list:
     calls = []
     reduce_full = groebner._reduce_full
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         calls.append(1)
-        return reduce_full(*args)
+        return reduce_full(*args, **kwargs)
 
     monkeypatch.setattr(groebner, "_reduce_full", counted)
     return calls
@@ -650,6 +650,51 @@ def test_buchberger_pair_order_is_pinned(monkeypatch, name, reductions, size):
     calls = counted_reductions(monkeypatch)
     gb = buchberger(corpus_ideal(name))
     assert (len(calls), len(gb.elements)) == (reductions, size)
+
+
+def test_a_miss_is_checked_again_against_appended_leads():
+    # x*y is no multiple of x^2, so the table records a miss there; once
+    # 2y - 1 is appended, as the completion appends, x*y must reduce
+    key = WGREVLEX.key(XY)
+    basis, leads, steps = [{(2, 0): 1}], [((2, 0), 1)], {}
+    p = {(1, 1): 3, (0, 0): 1}
+    assert groebner._reduce_full(p, basis, leads, key, steps) == (p, 1)
+    assert steps[(1, 1)] == 1
+    basis.append({(0, 1): 2, (0, 0): -1})
+    leads.append(((0, 1), 2))
+    # 2 * (3xy + 1) = 3x * (2y - 1) + 3x + 2
+    assert groebner._reduce_full(p, basis, leads, key, steps) == ({(1, 0): 3, (0, 0): 2}, 2)
+    assert groebner._reduce_full(p, basis, leads, key, {}) == ({(1, 0): 3, (0, 0): 2}, 2)
+
+
+def test_a_cached_tail_is_truncated_at_a_lower_bound():
+    # under the local order x leads x - y^2 + y^3, so x*y steps to
+    # y^3 - y^4; the tail is kept whole and truncated at each use
+    basis, leads, steps = [{(1, 0): 1, (0, 2): -1, (0, 3): 1}], [((1, 0), 1)], {}
+    p = {(1, 1): 1}
+
+    def reduce(below):
+        return groebner._reduce_full(p, basis, leads, groebner._local_key, steps, below)
+
+    assert reduce(5) == ({(0, 3): 1, (0, 4): -1}, 1)
+    step = steps[(1, 1)]
+    assert reduce(4) == ({(0, 3): 1}, 1)
+    assert reduce(3) == ({}, 1)
+    assert steps[(1, 1)] is step
+
+
+def test_the_step_table_bounds_the_divisibility_tests(monkeypatch):
+    # 45 173 lead tests on cyclic-5 before the table (18 400 with it)
+    calls = []
+    divides = groebner.mono_divides
+
+    def counted(a, b):
+        calls.append(1)
+        return divides(a, b)
+
+    monkeypatch.setattr(groebner, "mono_divides", counted)
+    assert len(buchberger(corpus_ideal("cyclic5")).elements) == 20
+    assert len(calls) <= 25_000
 
 
 def with_dependents(rng, gens):
@@ -748,7 +793,9 @@ def differential_cases():
     systems += rational_systems()
     # generators in the span of earlier ones, which the completion skips
     systems += [with_dependents(rng, gens) for gens in systems[:8]]
-    return [(gens, order) for gens in systems for order in (WGREVLEX, LEX)]
+    cases = [(gens, order) for gens in systems for order in (WGREVLEX, LEX)]
+    # the largest corpus systems in grevlex only: lex on katsura4 runs for minutes
+    return cases + [(corpus_ideal(name), WGREVLEX) for name in ("cyclic5", "katsura4")]
 
 
 def test_buchberger_matches_sympy():

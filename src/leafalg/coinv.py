@@ -21,9 +21,8 @@ d(a f_i) dies against the d f_i already in the Jacobian pairing.  Its
 images lie in the ideal, so the field of g dx_J equals that of NF(g) dx_J
 modulo fields with images in the ideal, and NF(g) is a combination of
 standard monomials of g's weight.  Its images come straight from the
-Jacobian pairing P, scaled to integers once: pairing the (l, i) and
-(i, l) terms of ``vfields.field_from_form``, which differ by one
-transposition, gives
+Jacobian pairing P, scaled to integers once, through the slots of
+``vfields.form_image``:
 
     xi_{g dx_J}(x^h) = sum over l < i outside J of
         sgn(l, J, i) (g_l h_i - g_i h_l) x^(g + h - e_l - e_i) P_sort(l, J, i),
@@ -45,10 +44,8 @@ from . import linalg
 from .errors import DomainError, InputError
 from .geom import Variety, hp0_series
 from .groebner import _nf_terms, monomial_basis
-from .linalg import _integer_components
-from .poly import Polynomial, mono_mul
-from .vfields import VectorField, _form_dimension, _sort_sign, derivations_up_to_degree
-from .vfields import jacobian_pairing, top_polyvector_field
+from .vfields import VectorField, _form_dimension, derivations_up_to_degree, form_image, form_slots
+from .vfields import integer_pairing, jacobian_pairing, top_polyvector_field
 
 
 @dataclass
@@ -73,41 +70,17 @@ def _form_images(X: Variety, m: int, max_degree: int) -> dict[int, list[tuple]]:
     nonconstant standard monomial, in order of J, then of the weight of
     g, then of the basis order."""
     ring, gens = X.ring, list(X.ideal_gens)
-    pairing = jacobian_pairing(gens, ring)
-    table = dict(zip(pairing, _integer_components([p.terms for p in pairing.values()])[0]))
+    table, _ = integer_pairing(jacobian_pairing(gens, ring))
     shift = sum(f.weighted_degree() or 0 for f in gens) - sum(ring.weights)
     gb = X.groebner()
     graded: dict[int, list[tuple]] = {}
     for J in itertools.combinations(range(ring.arity), m - 2):
-        slots = []  # (l, i, sgn(l, J, i), P_sort(l, J, i), -e_l - e_i)
-        for l, i in itertools.combinations([j for j in range(ring.arity) if j not in J], 2):
-            key, sign = _sort_sign((l, *J, i))
-            if table[key]:
-                drop = tuple(-(j in (l, i)) for j in range(ring.arity))
-                slots.append((l, i, sign, table[key], drop))
+        slots = form_slots(table, J, ring.arity)
         base = shift + sum(ring.weights[j] for j in J)
         for a in range(1, max_degree - base + 1):
             for g in monomial_basis(gb, a):
-                graded.setdefault(a + base, []).append((_form_image(g, slots), g))
+                graded.setdefault(a + base, []).append((form_image(g, slots), g))
     return graded
-
-
-def _form_image(g, slots):
-    """x^h -> xi_{g dx_J}(x^h) as an integer dict, over the slots of J."""
-    slots = [(l, i, sign, p, mono_mul(g, drop)) for l, i, sign, p, drop in slots if g[l] or g[i]]
-
-    def image(h):
-        out: dict = {}
-        for l, i, sign, p, g_down in slots:
-            c = sign * (g[l] * h[i] - g[i] * h[l])
-            if c:  # then x^(g + h - e_l - e_i) is a monomial
-                down = mono_mul(g_down, h)
-                for t, v in p.items():
-                    k = mono_mul(t, down)
-                    out[k] = out.get(k, 0) + c * v
-        return out
-
-    return image
 
 
 def graded_family(X: Variety, family, max_degree: int) -> tuple[dict[int, list[tuple]], str]:
@@ -138,9 +111,7 @@ def graded_family(X: Variety, family, max_degree: int) -> tuple[dict[int, list[t
         w = xi.weight()
         if w is None:
             raise DomainError(f"family member {xi} is not weight-homogeneous")
-        coeffs, _ = _integer_components([c.terms for c in xi.coefficients])
-        integral = VectorField(X.ring, [Polynomial(X.ring, t) for t in coeffs])
-        graded.setdefault(w, []).append((integral.apply_monomial, None))
+        graded.setdefault(w, []).append((xi.integral().apply_monomial, None))
     return graded, family
 
 

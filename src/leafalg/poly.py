@@ -13,7 +13,7 @@ weighted-degree-then-reverse-lexicographic (largest term first).
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import add, le, mul, sub
+from operator import add, le, mul, neg, sub
 from typing import Iterable, Mapping
 
 from .errors import InputError, ParseError
@@ -278,7 +278,7 @@ class Polynomial:
             if e == 0:
                 continue
             dm = m[:i] + (e - 1,) + m[i + 1 :]
-            terms[dm] = terms.get(dm, Fraction(0)) + c * e
+            terms[dm] = terms.get(dm, 0) + c * e
         return Polynomial(self.ring, terms)
 
     def weighted_components(self) -> tuple[dict, bool]:
@@ -315,37 +315,24 @@ class Polynomial:
 
     # -- printing ----------------------------------------------------
 
-    def sorted_terms(self) -> list:
-        """Terms sorted leading-first by weighted degree then grevlex."""
-        ring = self.ring
-
-        def key(item):
-            m = item[0]
-            return (ring.weighted_degree(m), tuple(-e for e in reversed(m)))
-
-        return sorted(self.terms.items(), key=key, reverse=True)
-
     def __str__(self) -> str:
+        """Terms leading-first by weighted degree, then grevlex."""
         if not self.terms:
             return "0"
+        ring = self.ring
+        degree = ring.weighted_degree
         chunks: list[str] = []
-        for m, c in self.sorted_terms():
-            factors = [
-                f"{name}^{e}" if e > 1 else name
-                for name, e in zip(self.ring.variables, m)
-                if e > 0
-            ]
-            mag = abs(c)
-            if not factors:
-                body = str(mag)
-            elif mag == 1:
-                body = "*".join(factors)
+        for m in sorted(self.terms, key=lambda m: (degree(m), *map(neg, reversed(m))), reverse=True):
+            c = self.terms[m]
+            num, den = c.numerator, c.denominator
+            size = -num if num < 0 else num
+            mag = str(size) if den == 1 else f"{size}/{den}"
+            factors = "*".join(f"{name}^{e}" if e > 1 else name for name, e in zip(ring.variables, m) if e)
+            body = mag if not factors else factors if mag == "1" else f"{mag}*{factors}"
+            if chunks:
+                chunks.append(f"+ {body}" if num > 0 else f"- {body}")
             else:
-                body = "*".join([str(mag)] + factors)
-            if not chunks:
-                chunks.append(body if c > 0 else f"-{body}")
-            else:
-                chunks.append(f"+ {body}" if c > 0 else f"- {body}")
+                chunks.append(body if num > 0 else f"-{body}")
         return " ".join(chunks)
 
     def __repr__(self) -> str:

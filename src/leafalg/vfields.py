@@ -25,6 +25,13 @@ Sign conventions, fixed once here and used everywhere downstream:
 The field span, the ideals, and all dimensions computed downstream are
 unchanged under a global sign flip, which is why a single fixed
 convention suffices.
+
+Arithmetic in bulk runs on integers, each field or pairing scaled once:
+``tangency_check`` applies ``VectorField.integral`` to the basis's
+integer elements and reduces fraction-free; form fields come from the
+slots of ``integer_pairing`` (``form_slots``, ``form_image``, shared
+with the coinvariant oracle), with one ``Fraction`` per output term;
+the graded syzygy solve scales each vector once.
 """
 
 from __future__ import annotations
@@ -32,11 +39,12 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 from . import linalg
 from .errors import DomainError, InputError
-from .groebner import GroebnerBasis, _nf_terms, buchberger, minors, normal_form
-from .linalg import _integer_components
+from .groebner import GroebnerBasis, _nf_terms, _reduce_full, buchberger, minors, normal_form
+from .linalg import _integer_components, _integer_row
 from .poly import Monomial, Polynomial, PolyRing, mono_mul
 
 
@@ -85,11 +93,15 @@ class VectorField:
         """xi(g), the sum of c * xi(x^m) over the terms c x^m of g."""
         if g.ring != self.ring:
             raise InputError("ring mismatch")
+        return Polynomial(self.ring, self.apply_terms(g.terms))
+
+    def apply_terms(self, terms: dict) -> dict:
+        """The terms of xi(p) from those of p, zeros included."""
         out: dict = {}
-        for m, c in g.terms.items():
+        for m, c in terms.items():
             for t, v in self.apply_monomial(m).items():
                 out[t] = out.get(t, 0) + c * v
-        return Polynomial(self.ring, out)
+        return out
 
     def apply_monomial(self, m: Monomial) -> dict:
         """Terms of xi(x^m) = sum_i m_i c_i x^(m - e_i), zeros included."""
@@ -117,6 +129,12 @@ class VectorField:
         for name, c in zip(self.ring.variables, self.coefficients):
             total = total + c.partial_derivative(name)
         return total
+
+    def integral(self) -> "VectorField":
+        """This field times the lcm of its coefficients' denominators, with
+        int coefficients: the same images up to one scale."""
+        coeffs, _ = _integer_components([c.terms for c in self.coefficients])
+        return VectorField(self.ring, [Polynomial(self.ring, t) for t in coeffs])
 
     def weight(self) -> int | None:
         """Weighted degree as a graded operator (coefficient degree minus
@@ -163,18 +181,12 @@ class VectorField:
         parts = []
         one = (0,) * self.ring.arity
         for name, c in zip(self.ring.variables, self.coefficients):
-            if c.is_zero():
-                continue
-            if c.terms == {one: 1}:
-                parts.append(f"d_{name}")
-                continue
-            if c.terms == {one: -1}:
-                parts.append(f"-d_{name}")
-                continue
-            body = str(c)
             if len(c.terms) > 1:
-                body = f"({body})"
-            parts.append(f"{body}*d_{name}")
+                parts.append(f"({c})*d_{name}")
+            elif c.terms:
+                unit = c.terms.get(one)
+                scale = "" if unit == 1 else "-" if unit == -1 else f"{c}*"
+                parts.append(f"{scale}d_{name}")
         if not parts:
             return "0"
         return " + ".join(parts).replace("+ -", "- ")
@@ -184,8 +196,17 @@ class VectorField:
 
 
 def tangency_check(field: VectorField, gb: GroebnerBasis) -> bool:
-    """True iff the field maps every ideal generator back into the ideal."""
-    return all(normal_form(field.apply(g), gb).is_zero() for g in gb.elements)
+    """True iff the field maps every ideal generator back into the ideal:
+    scaling moves no membership, so iff the integral field's image of
+    every integer basis element reduces to 0 (one step table per call)."""
+    if field.ring != gb.ring:
+        raise InputError("ring mismatch")
+    integral = field.integral()
+    elements, leads = gb._integer
+    steps: dict = {}
+    return not any(
+        _reduce_full(integral.apply_terms(g), elements, leads, gb._key, steps)[0] for g in elements
+    )
 
 
 def hamiltonian_from_bracket(f: Polynomial, matrix) -> VectorField:
@@ -193,7 +214,8 @@ def hamiltonian_from_bracket(f: Polynomial, matrix) -> VectorField:
     {f, x_i}, the field of the 0-form f with pairing P_ij = matrix[i][j]."""
     check_skew(matrix)
     n = len(matrix)
-    return field_from_form(f, (), {(i, j): matrix[i][j] for i in range(n) for j in range(i + 1, n)})
+    table, den = integer_pairing({(i, j): matrix[i][j] for i in range(n) for j in range(i + 1, n)})
+    return field_from_form(f, form_slots(table, (), n), den)
 
 
 def check_skew(matrix) -> None:
@@ -329,26 +351,64 @@ def jacobian_pairing(gens, ring: PolyRing) -> dict:
     return table
 
 
-def field_from_form(g: Polynomial, J: tuple, pairing: dict) -> VectorField:
-    """The Hamiltonian field of the (m-2)-form g dx_J on the complete
-    intersection with Jacobian pairing table ``pairing``:
-    xi(x_i) = sum_l sgn(l, J, i) * d_l g * P_sort(l, J, i)."""
+def integer_pairing(pairing: dict) -> tuple[dict, int]:
+    """A pairing table scaled to integers once: ``{A: D * P_A}`` as int
+    dicts, and the lcm D of all the entries' denominators."""
+    rows, den = _integer_components([p.terms for p in pairing.values()])
+    return dict(zip(pairing, rows)), den
+
+
+def form_slots(table: dict, J: tuple, n: int) -> list[tuple]:
+    """The slots ``(l, i, sgn(l, J, i), P_sort(l, J, i), -e_l - e_i)`` of
+    the forms g dx_J in n variables, over the integer pairing ``table``:
+    one per pair l < i outside J with a nonzero entry."""
+    slots = []
+    for l, i in itertools.combinations([j for j in range(n) if j not in J], 2):
+        key, sign = _sort_sign((l, *J, i))
+        if table[key]:
+            slots.append((l, i, sign, table[key], tuple(-(j in (l, i)) for j in range(n))))
+    return slots
+
+
+def form_image(g: Monomial, slots: list):
+    """x^h -> xi(x^h) for the field xi of the form x^g dx_J, as an int
+    dict in the scale of the slots' pairing: the (l, i) and (i, l) terms
+    of xi differ by one transposition, so xi(x^h) is the sum over the
+    slots of sgn(l, J, i) (g_l h_i - g_i h_l) x^(g+h-e_l-e_i) P_sort(l, J, i)."""
+    slots = [(l, i, sign, p, mono_mul(g, drop)) for l, i, sign, p, drop in slots if g[l] or g[i]]
+
+    def image(h):
+        out: dict = {}
+        for l, i, sign, p, g_down in slots:
+            c = sign * (g[l] * h[i] - g[i] * h[l])
+            if c:  # then x^(g + h - e_l - e_i) is a monomial
+                down = mono_mul(g_down, h)
+                for t, v in p.items():
+                    k = mono_mul(t, down)
+                    out[k] = out.get(k, 0) + c * v
+        return out
+
+    return image
+
+
+def field_from_form(g: Polynomial, slots: list, den: int) -> VectorField:
+    """The Hamiltonian field of the (m-2)-form g dx_J, from the slots of J
+    over an integer pairing with denominator ``den``: xi(x_i) = sum_l
+    sgn(l, J, i) * d_l g * P_sort(l, J, i), summed on integers as the
+    images of x_i under the forms of g's terms, g scaled to integers."""
     ring = g.ring
-    partials = [g.partial_derivative(name).terms for name in ring.variables]
-    coeffs = []
-    for i in range(ring.arity):
-        total: dict = {}
-        for l, dg in enumerate(partials):
-            sorted_sign = _sort_sign((l, *J, i))
-            if not dg or sorted_sign is None:
-                continue
-            key, sign = sorted_sign
-            for mp, cp in pairing[key].terms.items():
-                for md, cd in dg.items():
-                    m = mono_mul(md, mp)
-                    total[m] = total.get(m, 0) + sign * cd * cp
-        coeffs.append(Polynomial(ring, total))
-    return VectorField(ring, coeffs)
+    coordinates = [tuple(int(j == i) for j in range(ring.arity)) for i in range(ring.arity)]
+    terms, g_den = _integer_row(g.terms)
+    totals = [{} for _ in coordinates]
+    for a, c in terms.items():
+        image = form_image(a, slots)
+        for total, x in zip(totals, coordinates):
+            for t, v in image(x).items():
+                total[t] = total.get(t, 0) + c * v
+    den *= g_den
+    return VectorField(
+        ring, [Polynomial(ring, {t: Fraction(v, den) for t, v in total.items() if v}) for total in totals]
+    )
 
 
 def top_polyvector_field(gens, ring: PolyRing) -> VectorField:
@@ -380,13 +440,15 @@ def hamiltonian_family_top(X, max_degree: int) -> list[VectorField]:
     else:
         if ring.has_zero_weights:
             raise DomainError("the Hamiltonian family needs strictly positive weights")
-        pairing = jacobian_pairing(gens, ring)
-        candidates = (
-            field_from_form(ring.monomial(g), J, pairing)
-            for J in itertools.combinations(range(ring.arity), m - 2)
-            for a in range(max_degree - sum(ring.weights[j] for j in J) + 1)
-            for g in ring.monomials_of_weight(a)
-        )
+        table, den = integer_pairing(jacobian_pairing(gens, ring))
+        candidates = []
+        for J in itertools.combinations(range(ring.arity), m - 2):
+            slots = form_slots(table, J, ring.arity)
+            candidates += (
+                field_from_form(ring.monomial(g), slots, den)
+                for a in range(max_degree - sum(ring.weights[j] for j in J) + 1)
+                for g in ring.monomials_of_weight(a)
+            )
     return list(dict.fromkeys(xi for xi in candidates if not xi.is_zero()))
 
 
@@ -434,14 +496,12 @@ def _graded_syzygies(gb: GroebnerBasis, vectors, weights, w: int, top, zero_weig
     of weight ``weights[j]``, and weight(x^a) = w - weights[j] <= ``top``
     (unbounded for None).  Slots (j, a) go by j, then by the basis order;
     each relation is one ``{monomial a: coefficient}`` dict per vector.
+    Slots of equal weight share one sorted enumeration of the monomials.
     Each v_j is scaled to integers once, and each slot's image goes to
     ``linalg.relations`` as an integer row with its denominator."""
-    slots = [
-        (j, mono)
-        for j, vw in enumerate(weights)
-        if top is None or w - vw <= top
-        for mono in sorted(gb.ring.monomials_of_weight(w - vw, zero_weight_cap), key=gb._key)
-    ]
+    degrees = {w - vw for vw in weights if top is None or w - vw <= top}
+    pieces = {d: sorted(gb.ring.monomials_of_weight(d, zero_weight_cap), key=gb._key) for d in degrees}
+    slots = [(j, mono) for j, vw in enumerate(weights) if w - vw in pieces for mono in pieces[w - vw]]
     scaled = [_integer_components(v) for v in vectors]
     images = []
     for j, mono in slots:

@@ -3,11 +3,14 @@ Groebner machinery under test.
 
 Everything here is plain truncated linear algebra over Fractions with
 its own row reduction; only the polynomial carrier type is shared with
-the package.
+the package.  The references for the integer code paths (tangency, the
+printer) spell out the same definitions on ``Fraction``s instead.
 """
 
 from fractions import Fraction
 from itertools import combinations, permutations, product
+
+from leafalg.groebner import normal_form
 
 
 def rref_rank(rows):
@@ -291,3 +294,38 @@ def random_quasihomogeneous(rng, ring, weight):
             if rng.random() < 0.6:
                 out = out + ring.monomial(m, rng.randint(-3, 3))
     return out
+
+
+def fraction_tangency(field, gb):
+    """Tangency by its definition over Fractions: the normal form of the
+    field's image of every basis element is zero."""
+    return all(normal_form(field.apply(g), gb).is_zero() for g in gb.elements)
+
+
+def reference_str(p):
+    """A polynomial printed term by term with Fraction arithmetic: terms
+    sorted largest first by (weighted degree, reversed negated
+    exponents), each coefficient split into abs(c) and its sign."""
+    if not p.terms:
+        return "0"
+    ring = p.ring
+
+    def key(item):
+        m = item[0]
+        return (ring.weighted_degree(m), tuple(-e for e in reversed(m)))
+
+    chunks = []
+    for m, c in sorted(p.terms.items(), key=key, reverse=True):
+        factors = [f"{name}^{e}" if e > 1 else name for name, e in zip(ring.variables, m) if e > 0]
+        mag = abs(c)
+        if not factors:
+            body = str(mag)
+        elif mag == 1:
+            body = "*".join(factors)
+        else:
+            body = "*".join([str(mag)] + factors)
+        if not chunks:
+            chunks.append(body if c > 0 else f"-{body}")
+        else:
+            chunks.append(f"+ {body}" if c > 0 else f"- {body}")
+    return " ".join(chunks)

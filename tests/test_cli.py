@@ -437,6 +437,20 @@ def test_hamvec_with_explicit_bracket(tmp_path):
     assert payload["text"] == ["-x*d_x"]
 
 
+def test_hamvec_prints_a_rational_bracket(tmp_path, capsys):
+    # xi_f(x_i) = 2x pi[0][i]: the printer on rational coefficients
+    doc = {
+        "ring": {"vars": ["x", "y", "z"], "weights": [1, 1, 1]},
+        "ideal": [],
+        "structure": {
+            "kind": "bracket",
+            "matrix": [["0", "1/2*z", "-1/3*y"], ["-1/2*z", "0", "x"], ["1/3*y", "-x", "0"]],
+        },
+    }
+    argv = ["hamvec", "-i", write(tmp_path, "rational.json", doc), "-f", "x^2"]
+    assert outcome(capsys, argv) == (0, "x*z*d_y - 2/3*x*y*d_z\n", "")
+
+
 def test_vector_fields_structure_strata(tmp_path):
     doc = {
         "ring": {"vars": ["x", "y"]},

@@ -16,7 +16,7 @@ from leafalg.poly import (
     parse_poly,
 )
 
-from oracles import random_polynomial, random_quasihomogeneous
+from oracles import random_polynomial, random_quasihomogeneous, reference_str
 
 XYZ = PolyRing(["x", "y", "z"])
 CUSP_RING = PolyRing(["x", "y"], [3, 2])
@@ -173,6 +173,27 @@ def test_printing_uses_explicit_operators():
     assert str(parse_poly("3*z^2", XYZ)) == "3*z^2"
     assert str(parse_poly("x^2-y^3", CUSP_RING)) == "x^2 - y^3"
     assert str(XYZ.zero()) == "0"
+
+
+def test_printer_matches_the_fraction_reference():
+    # rational and unit coefficients, constants, negative leading terms,
+    # a weighted ring and a ring with a zero weight
+    rng = random.Random(29)
+    rings = (XYZ, CUSP_RING, PolyRing(["x", "y", "t"], [1, 1, 0]), PolyRing(["u"], [2]))
+    coefficients = [Fraction(n, d) for n in (-7, -3, -1, 1, 2, 5) for d in (1, 1, 2, 3)]
+    for _ in range(200):
+        ring = rng.choice(rings)
+        terms = {
+            tuple(rng.randint(0, 3) for _ in range(ring.arity)): rng.choice(coefficients)
+            for _ in range(rng.randint(1, 6))
+        }
+        if rng.random() < 0.3:
+            terms[(0,) * ring.arity] = rng.choice(coefficients)
+        p = Polynomial(ring, terms)
+        assert str(p) == reference_str(p)
+        assert str(-p) == reference_str(-p)
+    assert str(parse_poly("-1/2", XYZ)) == reference_str(parse_poly("-1/2", XYZ)) == "-1/2"
+    assert str(parse_poly("-x + 1", XYZ)) == "-x + 1"
 
 
 def test_evaluate():

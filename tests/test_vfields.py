@@ -4,9 +4,12 @@ truncated solvers."""
 import itertools
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from leafalg import groebner, vfields
+from leafalg.cli import load_input
 from leafalg.errors import DomainError, InputError
 from leafalg.geom import JacobianPolyvector, Variety, jacobian_bracket_matrix
 from leafalg.groebner import buchberger, poincare_series
@@ -19,9 +22,11 @@ from leafalg.vfields import (
     derivations_up_to_degree,
     exceptional_ideal,
     field_from_form,
+    form_slots,
     hamiltonian_family_top,
     hamiltonian_from_bracket,
     incompressibility_truncated,
+    integer_pairing,
     jacobi_bracket,
     jacobi_hamiltonian,
     jacobian_pairing,
@@ -33,6 +38,7 @@ from leafalg.vfields import (
 
 from oracles import (
     apply_by_partials,
+    fraction_tangency,
     leibniz_determinant,
     permutation_sign,
     random_polynomial,
@@ -44,6 +50,7 @@ XY = PolyRing(["x", "y"])
 XYZW = PolyRing(["x", "y", "z", "w"])
 XYZWV = PolyRing(["x", "y", "z", "w", "v"])
 CUSP_RING = PolyRing(["x", "y"], [3, 2])
+CORPUS = Path(__file__).resolve().parents[1] / "bench" / "corpus"
 
 
 def polys(ring, *texts):
@@ -116,6 +123,83 @@ def test_tangency_examples():
     assert tangency_check(VectorField.zero(CUSP_RING), gb)
 
 
+def rational_field(rng, ring):
+    """A field with a few terms of small rational coefficients per slot."""
+    scales = [Fraction(n, d) for n in (-5, -1, 1, 3) for d in (1, 2, 3)]
+    return VectorField(
+        ring, [random_polynomial(rng, ring, max_degree=2).scale(rng.choice(scales)) for _ in ring.variables]
+    )
+
+
+def test_tangency_check_matches_the_fraction_definition():
+    # seeded rational fields, tangent and not, against the definition
+    rng = random.Random(101)
+    doc = load_input(str(CORPUS / "two_quadrics_c4.json"))
+    quadrics = buchberger(doc.ideal, ring=doc.ring)
+    curve = buchberger(polys(CUSP_RING, "2/5*x^2 - 7/3*y^3"))  # not monic
+    surface = buchberger(polys(XYZ, "2/3*x^4 + y^4 - 5/7*z^4 + x^2*y^2"))
+    cases = [
+        (curve, [field(CUSP_RING, "3/2*x", "y"), field(CUSP_RING, "-35/4*y^2", "-x")]),
+        (surface, hamiltonian_family_top(Variety(XYZ, surface.elements), 3)),
+        (quadrics, [xi for fs in derivations_up_to_degree(quadrics, 1).values() for xi in fs]),
+        (buchberger([XYZ.one()]), []),  # the unit ideal: every field is tangent
+        (buchberger([], ring=XYZ), []),  # the zero ideal: every field is tangent
+    ]
+    scales = (Fraction(3, 2), Fraction(-1, 3))
+    for gb, tangent in cases:
+        ring = gb.ring
+        seeded = [rational_field(rng, ring) for _ in range(8)]
+        pairs = zip(tangent, tangent[1:])
+        seeded += [xi.scale(rng.choice(scales)) + eta.scale(rng.choice(scales)) for xi, eta in pairs]
+        seeded += [xi + rational_field(rng, ring) for xi in tangent[:4]]
+        for xi in tangent + seeded:
+            assert tangency_check(xi, gb) == fraction_tangency(xi, gb), (xi, gb)
+        assert all(tangency_check(xi, gb) for xi in tangent)
+        if gb.elements and not gb.is_unit_ideal():
+            assert not all(tangency_check(xi, gb) for xi in seeded)
+        else:
+            assert all(tangency_check(xi, gb) for xi in seeded)
+    with pytest.raises(InputError, match="ring mismatch"):
+        tangency_check(cusp_tangent(), quadrics)
+
+
+def counted(monkeypatch, owner, name) -> list:
+    """A list that gets one entry per call of ``owner.name`` from now on."""
+    calls = []
+    original = getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, wrapper)
+    return calls
+
+
+def corpus_basis(name):
+    doc = load_input(str(CORPUS / f"{name}.json"))
+    return buchberger(doc.ideal, ring=doc.ring)
+
+
+def test_tangency_checks_build_no_fraction_images(monkeypatch):
+    # 232 normal forms and 232 field applications before the integer check
+    gb = corpus_basis("fermat3")
+    fields = [xi for fs in derivations_up_to_degree(gb, 6).values() for xi in fs]
+    assert len(fields) == 232
+    reduced = [counted(monkeypatch, module, "normal_form") for module in (vfields, groebner)]
+    applied = counted(monkeypatch, VectorField, "apply")
+    exceptional_ideal(fields, gb)
+    assert (sum(map(len, reduced)), len(applied)) == (0, 0)
+
+
+def test_the_graded_solve_enumerates_each_weight_once(monkeypatch):
+    # 33 enumerations before slots of equal weight shared one
+    gb = corpus_basis("fermat4")
+    calls = counted(monkeypatch, PolyRing, "monomials_of_weight")
+    derivations_up_to_degree(gb, 9)
+    assert len(calls) <= 11
+
+
 def random_gens(rng, ring, k):
     return [random_polynomial(rng, ring, max_degree=2, zero_ok=False) for _ in range(k)]
 
@@ -184,31 +268,50 @@ def test_jacobian_pairing_wedge_relation():
 
 
 def test_field_from_form_matches_explicit_sum():
+    # the explicit Fraction sum, for random rational forms and for the
+    # Hamiltonian family through weight 4, on integer and rational
+    # pairings and on a weighted surface
     rng = random.Random(73)
     cases = (
         (XY, []),
         (XYZ, ["x^3 + y^3 + z^3"]),
+        (XYZ, ["2/3*x^4 + y^4 - 5/7*z^4 + x^2*y^2"]),
+        (PolyRing(["x", "y", "z"], [6, 4, 3]), ["1/2*x^2 + 1/3*y^3 - 3/4*z^4"]),
         (XYZW, []),
         (XYZW, ["x^2 + y^2 + z^2 + w^2"]),
         (XYZWV, ["x^3 + y^3 + z^3 + w^3 + v^3", "x*y*z + w*v^2"]),
     )
     for ring, eqs in cases:
         table = jacobian_pairing(polys(ring, *eqs), ring)
+        integers, den = integer_pairing(table)
         n = ring.arity
-        for J in itertools.combinations(range(n), n - len(eqs) - 2):
+
+        def explicit(g, J):
+            expected = []
+            for i in range(n):
+                total = ring.zero()
+                for l, name in enumerate(ring.variables):
+                    seq = (l,) + J + (i,)
+                    if len(set(seq)) < len(seq):
+                        continue
+                    term = g.partial_derivative(name) * table[tuple(sorted(seq))]
+                    total = total + term if permutation_sign(seq) > 0 else total - term
+                expected.append(total)
+            return VectorField(ring, expected)
+
+        forms = list(itertools.combinations(range(n), n - len(eqs) - 2))
+        for J in forms:
             for _ in range(3):
-                g = random_polynomial(rng, ring, zero_ok=False)
-                expected = []
-                for i in range(n):
-                    total = ring.zero()
-                    for l, name in enumerate(ring.variables):
-                        seq = (l,) + J + (i,)
-                        if len(set(seq)) < len(seq):
-                            continue
-                        term = g.partial_derivative(name) * table[tuple(sorted(seq))]
-                        total = total + term if permutation_sign(seq) > 0 else total - term
-                    expected.append(total)
-                assert field_from_form(g, J, table) == VectorField(ring, expected)
+                g = random_polynomial(rng, ring, zero_ok=False).scale(Fraction(rng.choice((-5, 2)), 3))
+                assert field_from_form(g, form_slots(integers, J, n), den) == explicit(g, J)
+        family = (
+            explicit(ring.monomial(g), J)
+            for J in forms
+            for a in range(4 - sum(ring.weights[j] for j in J) + 1)
+            for g in ring.monomials_of_weight(a)
+        )
+        expected = list(dict.fromkeys(xi for xi in family if not xi.is_zero()))
+        assert hamiltonian_family_top(Variety(ring, polys(ring, *eqs)), 4) == expected
 
 
 def test_field_from_function_matches_bracket_route():
@@ -216,11 +319,11 @@ def test_field_from_function_matches_bracket_route():
     rng = random.Random(79)
     for ring, eqs in ((XYZ, ["x^3 + y^3 + z^3"]), (XYZW, ["x^2 + y^2 + z^2 + w^2", "x*y + z*w"])):
         X = Variety(ring, polys(ring, *eqs), JacobianPolyvector())
-        table = jacobian_pairing(X.ideal_gens, ring)
+        table, den = integer_pairing(jacobian_pairing(X.ideal_gens, ring))
         pi = jacobian_bracket_matrix(X)
         for _ in range(5):
             g = random_polynomial(rng, ring, zero_ok=False)
-            assert field_from_form(g, (), table) == hamiltonian_from_bracket(g, pi)
+            assert field_from_form(g, form_slots(table, (), ring.arity), den) == hamiltonian_from_bracket(g, pi)
 
 
 def test_hamiltonian_from_bracket_fermat():
@@ -339,8 +442,8 @@ def test_top_polyvector_field_cuspidal():
 
 
 def test_field_from_zero_form_is_zero():
-    pairing = jacobian_pairing(polys(XYZ, "x^3 + y^3 + z^3"), XYZ)
-    assert field_from_form(XYZ.zero(), (), pairing).is_zero()
+    table, den = integer_pairing(jacobian_pairing(polys(XYZ, "x^3 + y^3 + z^3"), XYZ))
+    assert field_from_form(XYZ.zero(), form_slots(table, (), 3), den).is_zero()
 
 
 def test_jacobi_structure_validation():

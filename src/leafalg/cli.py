@@ -15,7 +15,6 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import dataclass
 
 from .coinv import coinvariants_truncated, verify_hp0
 from .errors import DomainError, InputError
@@ -46,14 +45,12 @@ from .vfields import (
 )
 
 
-@dataclass
 class InputDocument:
-    ring: PolyRing
-    ideal: list
-    structure: object | None
-    options: dict
-    warnings: list
-    path: str
+    __slots__ = ("ring", "ideal", "structure", "options", "warnings", "path")
+
+    def __init__(self, ring: PolyRing, ideal: list, structure, options: dict, warnings: list, path: str):
+        self.ring, self.ideal, self.structure = ring, ideal, structure
+        self.options, self.warnings, self.path = options, warnings, path
 
 
 def _is_int(value) -> bool:

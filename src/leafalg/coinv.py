@@ -38,23 +38,23 @@ vector fields, each scaled to integers once.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from . import linalg
 from .errors import DomainError, InputError
 from .geom import Variety, hp0_series
 from .groebner import _nf_terms, monomial_basis
-from .vfields import VectorField, _form_dimension, derivations_up_to_degree, form_image, form_slots
-from .vfields import integer_pairing, jacobian_pairing, top_polyvector_field
+from .linalg import _integer_components
+from .vfields import VectorField, _form_dimension, apply_field, derivations_up_to_degree, form_image
+from .vfields import form_slots, integer_pairing, jacobian_pairing, top_polyvector_field
 
 
-@dataclass
 class CoinvariantTable:
     """Per-weight dimensions of the coinvariants up to the truncation."""
 
-    dimensions: dict
-    family: str
-    truncation: int
+    __slots__ = ("dimensions", "family", "truncation")
+
+    def __init__(self, dimensions: dict, family: str, truncation: int):
+        self.dimensions, self.family, self.truncation = dimensions, family, truncation
 
     def total(self) -> int:
         return sum(self.dimensions.values())
@@ -111,7 +111,8 @@ def graded_family(X: Variety, family, max_degree: int) -> tuple[dict[int, list[t
         w = xi.weight()
         if w is None:
             raise DomainError(f"family member {xi} is not weight-homogeneous")
-        graded.setdefault(w, []).append((xi.integral().apply_monomial, None))
+        coefficients, _ = _integer_components([c.terms for c in xi.coefficients])
+        graded.setdefault(w, []).append((lambda h, c=coefficients: apply_field(c, {h: 1}), None))
     return graded, family
 
 
@@ -145,12 +146,12 @@ def coinvariants_truncated(X: Variety, family, max_degree: int) -> CoinvariantTa
     return CoinvariantTable(dimensions=dims, family=label, truncation=max_degree)
 
 
-@dataclass
 class Hp0Verification:
-    match: bool
-    mismatches: list
-    table: CoinvariantTable
-    series_coefficients: dict
+    __slots__ = ("match", "mismatches", "table", "series_coefficients")
+
+    def __init__(self, match: bool, mismatches: list, table: CoinvariantTable, series_coefficients: dict):
+        self.match, self.mismatches, self.table = match, mismatches, table
+        self.series_coefficients = series_coefficients
 
     def __str__(self):
         if self.match:

@@ -18,8 +18,6 @@ weights).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import DomainError, InputError
 from .groebner import (
     INFINITE,
@@ -139,12 +137,12 @@ def milnor_number(X: Variety):
     return milnor_from_chain(milnor_breakdown(X))
 
 
-@dataclass
 class SingularityReport:
-    milnor: object
-    tjurina: object
-    gap: object
-    singularity_ring_series: PoincareSeries | None
+    __slots__ = ("milnor", "tjurina", "gap", "singularity_ring_series")
+
+    def __init__(self, milnor, tjurina, gap, singularity_ring_series: PoincareSeries | None):
+        self.milnor, self.tjurina, self.gap = milnor, tjurina, gap
+        self.singularity_ring_series = singularity_ring_series
 
 
 def _singularity_ring_gens(X: Variety) -> list:
@@ -213,11 +211,11 @@ def jacobian_bracket_matrix(X: Variety) -> list:
     return matrix
 
 
-@dataclass
 class RankStratum:
-    rank: int
-    ideal: GroebnerBasis
-    dimension: int
+    __slots__ = ("rank", "ideal", "dimension")
+
+    def __init__(self, rank: int, ideal: GroebnerBasis, dimension: int):
+        self.rank, self.ideal, self.dimension = rank, ideal, dimension
 
 
 def _structure_matrix(X: Variety, bracket_depth: int = 2):
@@ -267,11 +265,11 @@ def rank_strata(X: Variety, bracket_depth: int = 2) -> list[RankStratum]:
     return out
 
 
-@dataclass
 class LeavesReport:
-    passed: bool
-    strata: list
-    witness: RankStratum | None = None
+    __slots__ = ("passed", "strata", "witness")
+
+    def __init__(self, passed: bool, strata: list, witness: RankStratum | None = None):
+        self.passed, self.strata, self.witness = passed, strata, witness
 
     @property
     def verdict(self) -> str:
@@ -288,11 +286,11 @@ def leaves_check(X: Variety, bracket_depth: int = 2) -> LeavesReport:
     return LeavesReport(True, strata)
 
 
-@dataclass
 class DegenerateLocusReport:
-    ideal: GroebnerBasis
-    dimension: int
-    finite: bool
+    __slots__ = ("ideal", "dimension", "finite")
+
+    def __init__(self, ideal: GroebnerBasis, dimension: int, finite: bool):
+        self.ideal, self.dimension, self.finite = ideal, dimension, finite
 
 
 def degenerate_locus(X: Variety) -> DegenerateLocusReport:

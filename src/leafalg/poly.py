@@ -12,9 +12,9 @@ weighted-degree-then-reverse-lexicographic (largest term first).
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from operator import add, le, mul, neg, sub
-from typing import Iterable, Mapping
 
 from .errors import InputError, ParseError
 

@@ -27,18 +27,18 @@ unchanged under a global sign flip, which is why a single fixed
 convention suffices.
 
 Arithmetic in bulk runs on integers, each field or pairing scaled once:
-``tangency_check`` applies ``VectorField.integral`` to the basis's
-integer elements and reduces fraction-free; form fields come from the
-slots of ``integer_pairing`` (``form_slots``, ``form_image``, shared
-with the coinvariant oracle), with one ``Fraction`` per output term;
-the graded syzygy solve scales each vector once.
+``tangency_check`` scales the field's coefficient dicts to integers,
+applies them (``apply_field``) to the basis's integer elements and
+reduces fraction-free; form fields come from the slots of
+``integer_pairing`` (``form_slots``, ``form_image``, shared with the
+coinvariant oracle), with one ``Fraction`` per output term; the graded
+syzygy solve takes vectors its caller scaled once.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
@@ -97,22 +97,11 @@ class VectorField:
 
     def apply_terms(self, terms: dict) -> dict:
         """The terms of xi(p) from those of p, zeros included."""
-        out: dict = {}
-        for m, c in terms.items():
-            for t, v in self.apply_monomial(m).items():
-                out[t] = out.get(t, 0) + c * v
-        return out
+        return apply_field([c.terms for c in self.coefficients], terms)
 
     def apply_monomial(self, m: Monomial) -> dict:
         """Terms of xi(x^m) = sum_i m_i c_i x^(m - e_i), zeros included."""
-        out: dict = {}
-        for i, (e, c) in enumerate(zip(m, self.coefficients)):
-            if e:
-                down = m[:i] + (e - 1,) + m[i + 1 :]
-                for t, v in c.terms.items():
-                    k = mono_mul(t, down)
-                    out[k] = out.get(k, 0) + e * v
-        return out
+        return apply_field([c.terms for c in self.coefficients], {m: 1})
 
     def lie_bracket(self, other: "VectorField") -> "VectorField":
         if other.ring != self.ring:
@@ -129,12 +118,6 @@ class VectorField:
         for name, c in zip(self.ring.variables, self.coefficients):
             total = total + c.partial_derivative(name)
         return total
-
-    def integral(self) -> "VectorField":
-        """This field times the lcm of its coefficients' denominators, with
-        int coefficients: the same images up to one scale."""
-        coeffs, _ = _integer_components([c.terms for c in self.coefficients])
-        return VectorField(self.ring, [Polynomial(self.ring, t) for t in coeffs])
 
     def weight(self) -> int | None:
         """Weighted degree as a graded operator (coefficient degree minus
@@ -195,17 +178,34 @@ class VectorField:
         return f"<{self}>"
 
 
+def apply_field(coefficients: list, terms: dict) -> dict:
+    """The terms of xi(p) from those of p, zeros included, for the field
+    xi with coefficient dicts ``coefficients``: the sum over the terms
+    c x^m of p and the i with m_i > 0 of c m_i x^(m - e_i) xi_i."""
+    out: dict = {}
+    for m, c in terms.items():
+        for i, (e, coefficient) in enumerate(zip(m, coefficients)):
+            if e:
+                down = m[:i] + (e - 1,) + m[i + 1 :]
+                ce = c * e
+                for t, v in coefficient.items():
+                    k = mono_mul(t, down)
+                    out[k] = out.get(k, 0) + ce * v
+    return out
+
+
 def tangency_check(field: VectorField, gb: GroebnerBasis) -> bool:
     """True iff the field maps every ideal generator back into the ideal:
-    scaling moves no membership, so iff the integral field's image of
-    every integer basis element reduces to 0 (one step table per call)."""
+    scaling moves no membership, so iff the field's image, scaled to
+    integers, of every integer basis element reduces to 0 (one step
+    table per call)."""
     if field.ring != gb.ring:
         raise InputError("ring mismatch")
-    integral = field.integral()
+    coefficients, _ = _integer_components([c.terms for c in field.coefficients])
     elements, leads = gb._integer
     steps: dict = {}
     return not any(
-        _reduce_full(integral.apply_terms(g), elements, leads, gb._key, steps)[0] for g in elements
+        _reduce_full(apply_field(coefficients, g), elements, leads, gb._key, steps)[0] for g in elements
     )
 
 
@@ -235,43 +235,55 @@ def check_skew(matrix) -> None:
 # -- structures: every bracket matrix passes check_skew -----------------
 
 
-@dataclass(frozen=True)
-class JacobianPolyvector:
+class _Structure:
+    """Value equality for the structure kinds: the same kind with equal fields."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        return type(other) is type(self) and all(
+            getattr(self, name) == getattr(other, name) for name in self.__slots__
+        )
+
+
+class JacobianPolyvector(_Structure):
     """Marker: the variety carries the polyvector obtained by contracting
     the standard top polyvector of the ambient space with df_1 ^ ... ^ df_k."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
-class BracketStructure:
+
+class BracketStructure(_Structure):
     """Explicit skew bracket matrix with entries {x_i, x_j}."""
 
-    matrix: tuple
+    __slots__ = ("matrix",)
 
-    def __post_init__(self):
-        check_skew(self.matrix)
+    def __init__(self, matrix: tuple):
+        check_skew(matrix)
+        self.matrix = matrix
 
 
-@dataclass(frozen=True)
-class JacobiStructure:
+class JacobiStructure(_Structure):
     """A skew bracket bivector plus a vector field (pi, u)."""
 
-    ring: PolyRing
-    matrix: tuple
-    u: VectorField
+    __slots__ = ("ring", "matrix", "u")
 
-    def __post_init__(self):
-        check_skew(self.matrix)
-        if len(self.matrix) != self.ring.arity:
+    def __init__(self, ring: PolyRing, matrix: tuple, u: VectorField):
+        check_skew(matrix)
+        if len(matrix) != ring.arity:
             raise InputError("bracket matrix must be square of the ring arity")
-        if self.u.ring != self.ring:
+        if u.ring != ring:
             raise InputError("u lives in a different ring")
+        self.ring, self.matrix, self.u = ring, matrix, u
 
 
-@dataclass(frozen=True)
-class VectorFieldFamily:
+class VectorFieldFamily(_Structure):
     """Explicit generating vector fields (a Lie algebra up to closure)."""
 
-    generators: tuple
+    __slots__ = ("generators",)
+
+    def __init__(self, generators: tuple):
+        self.generators = generators
 
 
 Structure = JacobianPolyvector | BracketStructure | JacobiStructure | VectorFieldFamily
@@ -492,20 +504,20 @@ def _stack(polys) -> dict:
 
 def _graded_syzygies(gb: GroebnerBasis, vectors, weights, w: int, top, zero_weight_cap) -> list:
     """Relations modulo the ideal among the multiples x^a v_j of weight w:
-    v_j is ``vectors[j]``, a list of ``{monomial: coefficient}`` components
-    of weight ``weights[j]``, and weight(x^a) = w - weights[j] <= ``top``
-    (unbounded for None).  Slots (j, a) go by j, then by the basis order;
-    each relation is one ``{monomial a: coefficient}`` dict per vector.
-    Slots of equal weight share one sorted enumeration of the monomials.
-    Each v_j is scaled to integers once, and each slot's image goes to
+    ``vectors[j]`` is v_j scaled to integers by its caller, a pair of
+    ``{monomial: int}`` components of weight ``weights[j]`` and their
+    denominator (``linalg._integer_components``), and weight(x^a) =
+    w - weights[j] <= ``top`` (unbounded for None).  Slots (j, a) go by
+    j, then by the basis order; each relation is one ``{monomial a:
+    coefficient}`` dict per vector.  Slots of equal weight share one
+    sorted enumeration of the monomials.  Each slot's image goes to
     ``linalg.relations`` as an integer row with its denominator."""
     degrees = {w - vw for vw in weights if top is None or w - vw <= top}
     pieces = {d: sorted(gb.ring.monomials_of_weight(d, zero_weight_cap), key=gb._key) for d in degrees}
     slots = [(j, mono) for j, vw in enumerate(weights) if w - vw in pieces for mono in pieces[w - vw]]
-    scaled = [_integer_components(v) for v in vectors]
     images = []
     for j, mono in slots:
-        components, den = scaled[j]
+        components, den = vectors[j]
         nfs = [
             _nf_terms(gb, {mono_mul(t, mono): v for t, v in terms.items()}) for terms in components
         ]
@@ -546,7 +558,9 @@ def derivations_up_to_degree(
         raise InputError("ring has zero-weight variables: pass zero_weight_cap")
     if gb.is_unit_ideal():
         return {}  # O_X = 0 has no nonzero derivation
-    partials = [[g.partial_derivative(v).terms for g in gb.elements] for v in ring.variables]
+    partials = [
+        _integer_components([g.partial_derivative(v).terms for g in gb.elements]) for v in ring.variables
+    ]
     weights = [-mw for mw in ring.weights]
     out: dict[int, list[VectorField]] = {}
     lowest = -max(ring.weights) if ring.weights else 0
@@ -576,12 +590,18 @@ def exceptional_ideal(fields: list[VectorField], gb: GroebnerBasis) -> GroebnerB
     return buchberger(gens, gb.order, ring=gb.ring)
 
 
-@dataclass
 class IncompressibilityReport:
-    consistent: bool
-    max_degree: int
-    witness_coefficients: list | None = None
-    witness_residue: Polynomial | None = None
+    __slots__ = ("consistent", "max_degree", "witness_coefficients", "witness_residue")
+
+    def __init__(
+        self,
+        consistent: bool,
+        max_degree: int,
+        witness_coefficients: list | None = None,
+        witness_residue: Polynomial | None = None,
+    ):
+        self.consistent, self.max_degree = consistent, max_degree
+        self.witness_coefficients, self.witness_residue = witness_coefficients, witness_residue
 
     @property
     def verdict(self) -> str:
@@ -614,9 +634,9 @@ def incompressibility_truncated(
         if w is None:
             raise DomainError("incompressibility solver needs weight-homogeneous fields")
         weights.append(w)
-    coefficient_terms = [[c.terms for c in xi.coefficients] for xi in fields]
+    scaled = [_integer_components([c.terms for c in xi.coefficients]) for xi in fields]
     for w in range(min(weights), max_degree + max(weights) + 1):
-        for rel in _graded_syzygies(gb, coefficient_terms, weights, w, max_degree, zero_weight_cap):
+        for rel in _graded_syzygies(gb, scaled, weights, w, max_degree, zero_weight_cap):
             witness = [Polynomial(ring, t) for t in rel]
             residue = sum((xi.apply(f) for xi, f in zip(fields, witness)), ring.zero())
             if not normal_form(residue, gb).is_zero():

@@ -3,6 +3,8 @@
 import argparse
 import json
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -698,3 +700,20 @@ def test_a_zero_field_gives_the_single_rank_zero_stratum(tmp_path, capsys):
     result = json.loads(out)["result"]
     stratum = {"rank": 0, "ideal": [], "dimension": 2}
     assert (code, result["passed"], result["strata"], result["witness"]) == (0, False, [stratum], stratum)
+
+
+def test_importing_the_cli_loads_only_the_modules_it_runs():
+    """Every invocation pays for the package's imports: ``import
+    leafalg.cli`` in a fresh interpreter must not pull in ``dataclasses``
+    or ``typing`` and what they drag along.  Without ``site`` (``-S``) the
+    modules added are the package's own."""
+    code = (
+        "import sys; before = set(sys.modules); sys.path.insert(0, sys.argv[1]); "
+        "import leafalg.cli; print(*sorted(set(sys.modules) - before))"
+    )
+    src = Path(cli.__file__).resolve().parents[1]
+    done = subprocess.run([sys.executable, "-I", "-S", "-c", code, str(src)], capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    added = set(done.stdout.split())
+    assert "leafalg.cli" in added
+    assert not added & {"dataclasses", "inspect", "ast", "dis", "tokenize", "typing"}, sorted(added)

@@ -11,6 +11,8 @@ from leafalg.errors import DomainError
 from leafalg.geom import (
     BracketStructure,
     JacobianPolyvector,
+    LeavesReport,
+    RankStratum,
     Variety,
     VectorFieldFamily,
     degenerate_locus,
@@ -333,6 +335,16 @@ def test_leaves_check_plane_bracket_fails():
     assert report.witness.rank == 0
     assert [str(g) for g in report.witness.ideal.elements] == ["x"]
     assert report.witness.dimension == 1
+
+
+def test_leaves_report_defaults_and_keywords():
+    strata = rank_strata(Variety(XY, [], BracketStructure(((XY.zero(), XY.one()), (-XY.one(), XY.zero())))))
+    report = LeavesReport(True, strata)
+    assert (report.passed, report.strata, report.witness, report.verdict) == (True, strata, None, "PASS")
+    stratum = RankStratum(dimension=2, ideal=strata[0].ideal, rank=0)
+    assert (stratum.rank, stratum.ideal, stratum.dimension) == (0, strata[0].ideal, 2)
+    report = LeavesReport(witness=stratum, strata=strata, passed=False)
+    assert (report.passed, report.strata, report.witness, report.verdict) == (False, strata, stratum, "FAIL")
 
 
 def test_leaves_check_fermat_passes():

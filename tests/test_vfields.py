@@ -16,6 +16,7 @@ from leafalg.groebner import buchberger, poincare_series
 from leafalg.poly import Polynomial, PolyRing, parse_poly
 from leafalg.vfields import (
     BracketStructure,
+    IncompressibilityReport,
     JacobiStructure,
     VectorField,
     VectorFieldFamily,
@@ -448,10 +449,57 @@ def test_field_from_zero_form_is_zero():
 
 def test_jacobi_structure_validation():
     ring = PolyRing(["t", "x", "y"], [2, 1, 1])
-    bad = [[ring.zero()] * 3 for _ in range(3)]
+    zero, u = ring.zero(), VectorField.coordinate(ring, "t")
+    bad = [[zero] * 3 for _ in range(3)]
     bad[0][1] = ring.one()  # not skew
-    with pytest.raises(Exception):
-        JacobiStructure(ring, tuple(tuple(r) for r in bad), VectorField.coordinate(ring, "t"))
+    with pytest.raises(InputError, match="^bracket matrix must be skew-symmetric$"):
+        JacobiStructure(ring, tuple(tuple(r) for r in bad), u)
+    with pytest.raises(InputError, match="^bracket matrix must be square of the ring arity$"):
+        JacobiStructure(ring, ((zero, zero), (zero, zero)), u)
+    with pytest.raises(InputError, match="^u lives in a different ring$"):
+        JacobiStructure(ring, ((zero,) * 3,) * 3, VectorField.coordinate(XYZ, "x"))
+
+
+def test_structures_are_equal_iff_of_one_kind_with_equal_fields():
+    zero, x = XY.zero(), XY.var("x")
+    d_x, d_y = VectorField.coordinate(XY, "x"), VectorField.coordinate(XY, "y")
+    contact = standard_contact(1)
+    equal = [
+        (JacobianPolyvector(), JacobianPolyvector()),
+        (BracketStructure(((zero, x), (-x, zero))), BracketStructure(((zero, x), (-x, zero)))),
+        (VectorFieldFamily((d_x, d_y)), VectorFieldFamily((VectorField.coordinate(XY, "x"), d_y))),
+        (contact, standard_contact(1)),
+        (contact, JacobiStructure(contact.ring, contact.matrix, contact.u)),
+    ]
+    for a, b in equal:
+        assert a == b and not a != b
+    distinct = [
+        JacobianPolyvector(),
+        BracketStructure(((zero, x), (-x, zero))),
+        BracketStructure(((zero, -x), (x, zero))),
+        VectorFieldFamily(((zero, x), (-x, zero))),
+        VectorFieldFamily((d_x, d_y)),
+        VectorFieldFamily((d_y, d_x)),
+        VectorFieldFamily((d_x,)),
+        contact,
+        JacobiStructure(contact.ring, contact.matrix, -contact.u),
+        standard_contact(2),
+    ]
+    for a, b in itertools.combinations(distinct, 2):
+        assert a != b and not a == b
+    assert JacobianPolyvector() != () and VectorFieldFamily(()) != ()
+
+
+def test_incompressibility_report_defaults_and_keywords():
+    report = IncompressibilityReport(True, 3)
+    assert (report.consistent, report.max_degree, report.verdict) == (True, 3, "consistent-to-3")
+    assert report.witness_coefficients is None and report.witness_residue is None
+    witness, residue = [XY.one(), XY.zero()], XY.var("x")
+    report = IncompressibilityReport(
+        max_degree=2, consistent=False, witness_residue=residue, witness_coefficients=witness
+    )
+    assert (report.consistent, report.max_degree, report.verdict) == (False, 2, "violated")
+    assert report.witness_coefficients is witness and report.witness_residue is residue
 
 
 def test_standard_contact_hamiltonians():

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 
 from .coinv import coinvariants_truncated, verify_hp0
@@ -540,7 +541,11 @@ def main(argv=None) -> int:
         flags = build_parser().parse_args(argv)
         doc = load_input(flags.input)
         payload = run(flags.command, doc, flags)
-        report = render_report(flags.command, doc, payload, flags.format)
+        try:
+            print(render_report(flags.command, doc, payload, flags.format), flush=True)
+        except OSError:  # a closed or full stdout: aim it at devnull, or exit flushes it again
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            raise
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
@@ -551,7 +556,6 @@ def main(argv=None) -> int:
         message = " ".join(str(exc).splitlines())
         print(f"internal error: {type(exc).__name__}: {message}", file=sys.stderr)
         return 3
-    print(report)
     return 0
 
 

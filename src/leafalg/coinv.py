@@ -7,9 +7,10 @@ monomials of weight w) modulo the span of NF(xi(x^h)), over all family
 members xi and standard monomials x^h of the compatible weight.  Each
 image is an integer dict, reduced through the basis's table of monomial
 normal forms into an integer row, a nonzero multiple of the normal
-form.  The rows of a weight are built lazily, and ``linalg.span_rank``
-stops as soon as their rank equals the number of standard monomials of
-that weight: past the top weight of HP0 a few images span the piece.
+form.  The rows of a weight are built lazily (``graded_quotient``), and
+``linalg.span_rank`` stops once their rank equals the number of standard
+monomials of that weight: past the top weight of HP0 a few images span
+the piece.
 The grading keeps every piece finite-dimensional, and capping member
 weights at the truncation keeps it exact: no member of weight above w
 maps into w.
@@ -20,9 +21,9 @@ monomials g only.  The equations f_i are Casimirs: the field of the form
 d(a f_i) dies against the d f_i already in the Jacobian pairing.  Its
 images lie in the ideal, so the field of g dx_J equals that of NF(g) dx_J
 modulo fields with images in the ideal, and NF(g) is a combination of
-standard monomials of g's weight.  Its images come straight from the
-Jacobian pairing P, scaled to integers once, through the slots of
-``vfields.form_image``:
+standard monomials of g's weight.  Its forms are those of
+``vfields.monomial_forms``, and its images come straight from the Jacobian
+pairing P, scaled to integers once, through ``vfields.form_image``:
 
     xi_{g dx_J}(x^h) = sum over l < i outside J of
         sgn(l, J, i) (g_l h_i - g_i h_l) x^(g + h - e_l - e_i) P_sort(l, J, i),
@@ -37,15 +38,13 @@ vector fields, each scaled to integers once.
 
 from __future__ import annotations
 
-import itertools
-
 from . import linalg
 from .errors import DomainError, InputError
 from .geom import Variety, hp0_series
 from .groebner import _nf_terms, monomial_basis
 from .linalg import _integer_components
 from .vfields import VectorField, _form_dimension, apply_field, derivations_up_to_degree, form_image
-from .vfields import form_slots, integer_pairing, jacobian_pairing, top_polyvector_field
+from .vfields import monomial_forms, top_polyvector_field
 
 
 class CoinvariantTable:
@@ -64,25 +63,6 @@ class CoinvariantTable:
         return f"coinvariants up to weight {self.truncation} [{self.family}]: {{{dims}}} (total {self.total()})"
 
 
-def _form_images(X: Variety, m: int, max_degree: int) -> dict[int, list[tuple]]:
-    """The ``(image, g)`` entries by weight of the forms x^g dx_J of weight
-    at most ``max_degree`` on X of dimension m >= 2, with x^g a
-    nonconstant standard monomial, in order of J, then of the weight of
-    g, then of the basis order."""
-    ring, gens = X.ring, list(X.ideal_gens)
-    table, _ = integer_pairing(jacobian_pairing(gens, ring))
-    shift = sum(f.weighted_degree() or 0 for f in gens) - sum(ring.weights)
-    gb = X.groebner()
-    graded: dict[int, list[tuple]] = {}
-    for J in itertools.combinations(range(ring.arity), m - 2):
-        slots = form_slots(table, J, ring.arity)
-        base = shift + sum(ring.weights[j] for j in J)
-        for a in range(1, max_degree - base + 1):
-            for g in monomial_basis(gb, a):
-                graded.setdefault(a + base, []).append((form_image(g, slots), g))
-    return graded
-
-
 def graded_family(X: Variety, family, max_degree: int) -> tuple[dict[int, list[tuple]], str]:
     """The family by weight, up to ``max_degree``, as ``(image, floor)``
     entries, and its label.  ``image`` maps a source monomial to the
@@ -91,9 +71,16 @@ def graded_family(X: Variety, family, max_degree: int) -> tuple[dict[int, list[t
     monomials above ``floor`` in tuple order, all of them for None.
     ``family`` is 'hamiltonian-top', 'derivations', or an explicit list
     of weight-homogeneous vector fields."""
+    graded: dict[int, list[tuple]] = {}
     if family == "hamiltonian-top":
-        if (m := _form_dimension(X)) >= 2:
-            return _form_images(X, m, max_degree), family
+        if _form_dimension(X) >= 2:
+            gb, gens = X.groebner(), X.ideal_gens
+            shift = sum(f.weighted_degree() or 0 for f in gens) - sum(X.ring.weights)
+            # x^g nonconstant and standard: a dx_J alone has the zero field
+            forms, _ = monomial_forms(X, max_degree - shift, lambda a: monomial_basis(gb, a) if a else [])
+            for w, g, slots in forms:
+                graded.setdefault(w + shift, []).append((form_image(g, slots), g))
+            return graded, family
         fields = [top_polyvector_field(list(X.ideal_gens), X.ring)]
     elif family == "derivations":
         table = derivations_up_to_degree(X.groebner(), max_degree)
@@ -104,7 +91,6 @@ def graded_family(X: Variety, family, max_degree: int) -> tuple[dict[int, list[t
         fields, family = list(family), "explicit"
         if not all(isinstance(xi, VectorField) for xi in fields):
             raise InputError("explicit family must be a list of vector fields")
-    graded: dict[int, list[tuple]] = {}
     for xi in fields:
         if xi.is_zero():
             continue
@@ -130,11 +116,9 @@ def coinvariants_truncated(X: Variety, family, max_degree: int) -> CoinvariantTa
         raise DomainError("coinvariants need strictly positive weights")
     graded, label = graded_family(X, family, max_degree)
     gb = X.groebner()
-    dims: dict[int, int] = {}
-    for w in range(0, max_degree + 1):
-        size = len(monomial_basis(gb, w))
-        # each entry's image of each source above its floor, lazily
-        rows = (
+
+    def rows(w):  # each entry's image of each source above its floor
+        return (
             _nf_terms(gb, image(h))[0]
             for fw, entries in graded.items()
             if fw <= w
@@ -142,8 +126,16 @@ def coinvariants_truncated(X: Variety, family, max_degree: int) -> CoinvariantTa
             for h in monomial_basis(gb, w - fw)
             if floor is None or h > floor
         )
-        dims[w] = size - linalg.span_rank(rows, size) if size else 0
+
+    dims = graded_quotient(max_degree, lambda w: len(monomial_basis(gb, w)), rows)
     return CoinvariantTable(dimensions=dims, family=label, truncation=max_degree)
+
+
+def graded_quotient(max_degree: int, size, rows) -> dict[int, int]:
+    """``{w: size(w) - rank of rows(w)}`` for w up to ``max_degree``, 0
+    for an empty piece: each piece modulo the span of its integer rows,
+    read lazily up to full rank (``linalg.span_rank``)."""
+    return {w: n - linalg.span_rank(rows(w), n) if (n := size(w)) else 0 for w in range(max_degree + 1)}
 
 
 class Hp0Verification:

@@ -19,10 +19,9 @@ from __future__ import annotations
 import functools
 import math
 
-from . import linalg
 from .errors import DomainError, InputError
 from .geom import Variety, hp0_series
-from .coinv import graded_family
+from .coinv import graded_family, graded_quotient
 from .groebner import _nf_terms, monomial_basis
 
 
@@ -178,8 +177,4 @@ def brute_sym2_coinvariants(X: Variety, max_degree: int) -> dict[int, int]:
                         row[key] = row.get(key, 0) + c * den
                 yield row
 
-    dims: dict[int, int] = {}
-    for w in range(0, max_degree + 1):
-        size = len(pairs(w))
-        dims[w] = size - linalg.span_rank(rows(w), size) if size else 0
-    return dims
+    return graded_quotient(max_degree, lambda w: len(pairs(w)), rows)

@@ -29,10 +29,10 @@ convention suffices.
 Arithmetic in bulk runs on integers, each field or pairing scaled once:
 ``tangency_check`` scales the field's coefficient dicts to integers,
 applies them (``apply_field``) to the basis's integer elements and
-reduces fraction-free; form fields come from the slots of
-``integer_pairing`` (``form_slots``, ``form_image``, shared with the
-coinvariant oracle), with one ``Fraction`` per output term; the graded
-syzygy solve takes vectors its caller scaled once.
+reduces fraction-free; form fields come from the forms and slots of
+``monomial_forms`` (shared with the coinvariant oracle), with one
+``Fraction`` per output term; the graded syzygy solve takes vectors its
+caller scaled once.
 """
 
 from __future__ import annotations
@@ -93,15 +93,7 @@ class VectorField:
         """xi(g), the sum of c * xi(x^m) over the terms c x^m of g."""
         if g.ring != self.ring:
             raise InputError("ring mismatch")
-        return Polynomial(self.ring, self.apply_terms(g.terms))
-
-    def apply_terms(self, terms: dict) -> dict:
-        """The terms of xi(p) from those of p, zeros included."""
-        return apply_field([c.terms for c in self.coefficients], terms)
-
-    def apply_monomial(self, m: Monomial) -> dict:
-        """Terms of xi(x^m) = sum_i m_i c_i x^(m - e_i), zeros included."""
-        return apply_field([c.terms for c in self.coefficients], {m: 1})
+        return Polynomial(self.ring, apply_field([c.terms for c in self.coefficients], g.terms))
 
     def lie_bracket(self, other: "VectorField") -> "VectorField":
         if other.ring != self.ring:
@@ -435,32 +427,38 @@ def top_polyvector_field(gens, ring: PolyRing) -> VectorField:
     return VectorField(ring, [-c for c in coeffs] if k % 2 else coeffs)
 
 
+def monomial_forms(X, top: int, monomials) -> tuple[list[tuple], int]:
+    """The ``(weight, g, slots)`` of the (m-2)-forms x^g dx_J on X (m =
+    dim X >= 2) of weight wt(g) + sum_(j in J) w_j <= ``top``, with x^g in
+    ``monomials(wt(g))``, in order of J, then of wt(g), then of
+    ``monomials``; and the denominator of the slots' integer pairing."""
+    ring, m = X.ring, _form_dimension(X)
+    if ring.has_zero_weights:
+        raise DomainError("the Hamiltonian family needs strictly positive weights")
+    table, den = integer_pairing(jacobian_pairing(list(X.ideal_gens), ring))
+    forms = []
+    for J in itertools.combinations(range(ring.arity), m - 2):
+        slots = form_slots(table, J, ring.arity)
+        base = sum(ring.weights[j] for j in J)
+        forms += ((a + base, g, slots) for a in range(top - base + 1) for g in monomials(a))
+    return forms, den
+
+
 def hamiltonian_family_top(X, max_degree: int) -> list[VectorField]:
     """Hamiltonian fields of all monomial (m-2)-forms of weighted degree
     at most ``max_degree`` on a complete intersection with the standard
-    Jacobian polyvector structure (m = dim X = n - k >= 2), in order of
-    J, then of the weight of the monomial, then of the monomial; on a
-    curve (m = 1) the one field is the top polyvector field.
+    Jacobian polyvector structure (m = dim X = n - k >= 2), in the order
+    of ``monomial_forms``; on a curve (m = 1) the one field is the top
+    polyvector field.
 
     The weighted degree of a form g*dx_J counts the dx factors.  Zero
     fields are dropped; duplicates are kept only once.
     """
-    ring, gens = X.ring, list(X.ideal_gens)
-    m = _form_dimension(X)
-    if m == 1:
-        candidates = [top_polyvector_field(gens, ring)]
+    if _form_dimension(X) == 1:
+        candidates = [top_polyvector_field(list(X.ideal_gens), X.ring)]
     else:
-        if ring.has_zero_weights:
-            raise DomainError("the Hamiltonian family needs strictly positive weights")
-        table, den = integer_pairing(jacobian_pairing(gens, ring))
-        candidates = []
-        for J in itertools.combinations(range(ring.arity), m - 2):
-            slots = form_slots(table, J, ring.arity)
-            candidates += (
-                field_from_form(ring.monomial(g), slots, den)
-                for a in range(max_degree - sum(ring.weights[j] for j in J) + 1)
-                for g in ring.monomials_of_weight(a)
-            )
+        forms, den = monomial_forms(X, max_degree, X.ring.monomials_of_weight)
+        candidates = [field_from_form(X.ring.monomial(g), slots, den) for _, g, slots in forms]
     return list(dict.fromkeys(xi for xi in candidates if not xi.is_zero()))
 
 

@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import os
 import re
 import subprocess
 import sys
@@ -538,6 +539,14 @@ def test_hamgen_refuses_zero_weights_as_a_domain_error(tmp_path, capsys):
     assert err == "domain error: the Hamiltonian family needs strictly positive weights\n"
 
 
+def test_sym2_brute_refuses_zero_weights_as_a_domain_error(tmp_path, capsys):
+    # as hamgen and coinv do; sym2-brute has no --zero-weight-cap to ask for
+    doc = {"ring": {"vars": ["x", "y", "t"], "weights": [1, 1, 0]}, "ideal": []}
+    code, out, err = outcome(capsys, ["sym2-brute", "-i", write(tmp_path, "zero_weight.json", doc)])
+    assert (code, out) == (1, "")
+    assert err == "domain error: the Hamiltonian family needs strictly positive weights\n"
+
+
 def test_the_empty_variety_has_no_vector_fields(tmp_path, capsys):
     path = write(tmp_path, "unit.json", {"ring": {"vars": ["x", "y", "z"]}, "ideal": ["1"]})
     code, out, _ = outcome(capsys, ["derivations", "-i", path, "--max-degree", "3", "--format", "json"])
@@ -717,3 +726,52 @@ def test_importing_the_cli_loads_only_the_modules_it_runs():
     added = set(done.stdout.split())
     assert "leafalg.cli" in added
     assert not added & {"dataclasses", "inspect", "ast", "dis", "tokenize", "typing"}, sorted(added)
+
+
+def _gb_exit_and_stderr(stdout, setup=None):
+    """Exit code and stderr of ``leafalg gb`` on cyclic-4 in a fresh
+    interpreter whose stdout is ``stdout``; ``setup``, when given, is
+    Python source run before ``cli.main``."""
+    src = Path(cli.__file__).resolve().parents[1]
+    args = ["gb", "-i", str(CORPUS / "cyclic4.json")]
+    if setup is None:
+        argv = [sys.executable, "-m", "leafalg.cli", *args]
+    else:
+        argv = [sys.executable, "-c", f"{setup}\nfrom leafalg import cli\nsys.exit(cli.main({args!r}))"]
+    done = subprocess.run(argv, stdout=stdout, stderr=subprocess.PIPE, text=True, cwd=src)
+    return done.returncode, done.stderr
+
+
+def _closed_pipe_exit_and_stderr(setup=None):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        return _gb_exit_and_stderr(write_end, setup)
+    finally:
+        os.close(write_end)
+
+
+def test_a_closed_stdout_is_an_internal_error_in_one_line():
+    code, err = _closed_pipe_exit_and_stderr()
+    assert (code, err.count("\n")) == (3, 1), err
+    assert err.startswith("internal error: BrokenPipeError: ")
+
+
+def test_a_closed_stdout_that_keeps_its_buffer_is_one_line_too():
+    # the pure-Python io keeps the unwritten report after the failed flush,
+    # so that the flush at exit would fail again unless stdout is redirected
+    setup = (
+        "import _pyio, sys\n"
+        "sys.stdout = _pyio.TextIOWrapper(_pyio.BufferedWriter(_pyio.FileIO(1, 'w', closefd=False)))"
+    )
+    code, err = _closed_pipe_exit_and_stderr(setup)
+    assert (code, err.count("\n")) == (3, 1), err
+    assert err.startswith("internal error: BrokenPipeError: ")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_a_full_stdout_is_an_internal_error_in_one_line():
+    with open("/dev/full", "w") as full:
+        code, err = _gb_exit_and_stderr(full)
+    assert (code, err.count("\n")) == (3, 1), err
+    assert err.startswith("internal error: OSError: ")

@@ -99,7 +99,7 @@ def load_input(path: str) -> InputDocument:
             raw = json.load(handle)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or a number longer than int() converts
         raise InputError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         _fail("$", "top level must be an object")
@@ -240,12 +240,20 @@ def _default_degree(X: Variety, doc: InputDocument, flags) -> int:
         return 6
 
 
+def _derivation_table(X: Variety, flags, degree: int) -> dict:
+    """Tangent derivations by weight up to ``degree``; a ring with a zero
+    weight needs ``--zero-weight-cap`` to bound their exponents."""
+    if X.ring.has_zero_weights and flags.zero_weight_cap is None:
+        raise InputError("ring has zero-weight variables: pass --zero-weight-cap")
+    return derivations_up_to_degree(X.groebner(), degree, zero_weight_cap=flags.zero_weight_cap)
+
+
 def _family_fields(X: Variety, flags, degree: int):
     """Fields for solver commands: the declared vector-field structure if
     present, else tangent derivations up to the truncation."""
     if isinstance(X.structure, VectorFieldFamily):
         return list(X.structure.generators), "vector-fields structure"
-    table = derivations_up_to_degree(X.groebner(), degree, zero_weight_cap=flags.zero_weight_cap)
+    table = _derivation_table(X, flags, degree)
     fields = [xi for _, fs in sorted(table.items()) for xi in fs]
     return fields, f"derivations up to weight {degree}"
 
@@ -374,7 +382,7 @@ def _hamgen(doc, flags):
 def _derivations(doc, flags):
     X = _variety(doc, flags)
     degree = _default_degree(X, doc, flags)
-    table = derivations_up_to_degree(X.groebner(), degree, zero_weight_cap=flags.zero_weight_cap)
+    table = _derivation_table(X, flags, degree)
     by_weight = _by_weight({w: [str(xi) for xi in fs] for w, fs in table.items()})
     text = []
     for w, fs in by_weight.items():
@@ -477,8 +485,9 @@ def run(command: str, doc: InputDocument, flags) -> dict:
 
 
 def _count(text: str) -> int:
-    """Argument type of the degree, depth, cap and margin flags."""
-    if not text.isdecimal():
+    """Argument type of the degree, depth, cap and margin flags: ASCII
+    digits, as in polynomial strings."""
+    if not (text.isascii() and text.isdigit()):
         raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
     return int(text)
 

@@ -8,10 +8,18 @@ safe.
 
 The canonical order used for storing printed output is
 weighted-degree-then-reverse-lexicographic (largest term first).
+
+``parse_poly`` reads a string in one pass over its tokens, building
+plain {monomial: coefficient} dicts, and constructs exactly one
+``Polynomial`` at the end.  ``Polynomial`` multiplication and powers
+share the parser's term-dict product (``_mul_terms``) and power
+(``_pow_terms``).
 """
 
 from __future__ import annotations
 
+import re
+import sys
 from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from operator import add, le, mul, neg, sub
@@ -37,6 +45,34 @@ def mono_div(a: Monomial, b: Monomial) -> Monomial:
 
 def mono_lcm(a: Monomial, b: Monomial) -> Monomial:
     return tuple(map(max, a, b))
+
+
+def _mul_terms(a: dict, b: dict) -> dict:
+    """Product of two {monomial: coefficient} dicts, zero terms dropped."""
+    times = mono_mul
+    out: dict = {}
+    get = out.get
+    for ma, ca in a.items():
+        for mb, cb in b.items():
+            m = times(ma, mb)
+            out[m] = get(m, 0) + ca * cb
+    return {m: c for m, c in out.items() if c}
+
+
+def _pow_terms(terms: dict, n: int, one: Monomial) -> dict:
+    """``terms`` to the power n >= 0; ``one`` is the exponent tuple of 1.
+
+    A single term raises its exponents and coefficient directly.  A sum
+    is multiplied by the base n - 1 times, which makes fewer monomial
+    products than squaring ever larger powers (for (x+y+z)^60, a fifth)."""
+    if not n:
+        return {one: 1}
+    if len(terms) <= 1:
+        return {tuple([e * n for e in m]): c**n for m, c in terms.items()}
+    out = terms
+    for _ in range(n - 1):
+        out = _mul_terms(out, terms)
+    return out
 
 
 class PolyRing:
@@ -241,26 +277,14 @@ class Polynomial:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        terms: dict = {}
-        for ma, ca in self.terms.items():
-            for mb, cb in other.terms.items():
-                m = mono_mul(ma, mb)
-                terms[m] = terms.get(m, 0) + ca * cb
-        return Polynomial(self.ring, terms)
+        return Polynomial(self.ring, _mul_terms(self.terms, other.terms))
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "Polynomial":
         if n < 0:
             raise InputError("negative exponent")
-        result = self.ring.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return Polynomial(self.ring, _pow_terms(self.terms, n, (0,) * self.ring.arity))
 
     def scale(self, c) -> "Polynomial":
         c = Fraction(c)
@@ -345,11 +369,19 @@ class Polynomial:
 # term     := factor ("*" factor)*
 # factor   := base ("^" nat)?
 # base     := rational | var | "(" expr ")" | "-" factor
-# rational := int ("/" nat)?
+# rational := nat ("/" nat)?
+# nat      := ASCII digits 0-9
 #
-# Parentheses and unary minus nest at most _MAX_NESTING deep, so hostile
-# input gets a ParseError instead of exhausting the interpreter's stack.
+# One regex splits the text into tokens, skipping the whitespace before
+# each: a run of ASCII digits, a run of word characters (an identifier
+# when it starts with a letter or "_"), or any other single character.
+# Every node is a term dict with no zero coefficient, its coefficients
+# ints until a "p/q" literal brings in a Fraction.  Parentheses and
+# unary minus nest at most _MAX_NESTING deep, so hostile input gets a
+# ParseError instead of exhausting the interpreter's stack.
 
+_TOKEN = re.compile(r"\s*([0-9]+|\w+|\S)")
+_DIGITS = frozenset("0123456789")
 _MAX_NESTING = 100
 
 
@@ -357,117 +389,108 @@ class _Parser:
     def __init__(self, text: str, ring: PolyRing):
         self.text = text
         self.ring = ring
-        self.pos = 0
+        self.end = len(text.rstrip())  # trailing whitespace holds no token
+        self.tokens = _TOKEN.findall(text, 0, self.end)
+        self.tokens.append("")  # end of input
+        self.i = 0
         self.depth = 0
+        self.one = (0,) * ring.arity
 
-    def nested(self, parse):
+    def error(self, message: str, i: int | None = None, shift: int = 0):
+        """Raise a ParseError at the start of token ``i`` (the next token
+        by default) plus ``shift``; positions are found only here."""
+        starts = [m.start(1) for m in _TOKEN.finditer(self.text, 0, self.end)]
+        starts.append(len(self.text))
+        raise ParseError(message, starts[self.i if i is None else i] + shift)
+
+    def nested(self, parse) -> dict:
         self.depth += 1
         if self.depth > _MAX_NESTING:
-            self.error(f"nesting deeper than {_MAX_NESTING} levels")
-        p = parse()
+            self.error(f"nesting deeper than {_MAX_NESTING} levels", self.i - 1, 1)
+        terms = parse()
         self.depth -= 1
-        return p
+        return terms
 
-    def error(self, message: str):
-        raise ParseError(message, self.pos)
+    def parse(self) -> dict:
+        terms = self.expr()
+        token = self.tokens[self.i]
+        if token:
+            self.error(f"unexpected {token[0]!r}")
+        return terms
 
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
+    def expr(self) -> dict:
+        terms = self.term()
+        get = terms.get
+        op = self.tokens[self.i]
+        while op == "+" or op == "-":
+            self.i += 1
+            for m, c in self.term().items():
+                terms[m] = get(m, 0) + c if op == "+" else get(m, 0) - c
+            op = self.tokens[self.i]
+        return {m: c for m, c in terms.items() if c}
 
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
+    def term(self) -> dict:
+        terms = self.factor()
+        while self.tokens[self.i] == "*":
+            self.i += 1
+            terms = _mul_terms(terms, self.factor())
+        return terms
 
-    def expect(self, ch: str):
-        if self.peek() != ch:
-            self.error(f"expected {ch!r}")
-        self.pos += 1
+    def factor(self) -> dict:
+        terms = self.base()
+        if self.tokens[self.i] != "^":
+            return terms
+        self.i += 1
+        return _pow_terms(terms, self.nat(), self.one)
 
-    def parse(self) -> Polynomial:
-        p = self.expr()
-        if self.peek():
-            self.error(f"unexpected {self.peek()!r}")
-        return p
-
-    def expr(self) -> Polynomial:
-        p = self.term()
-        while True:
-            c = self.peek()
-            if c == "+":
-                self.pos += 1
-                p = p + self.term()
-            elif c == "-":
-                self.pos += 1
-                p = p - self.term()
-            else:
-                return p
-
-    def term(self) -> Polynomial:
-        p = self.factor()
-        while self.peek() == "*":
-            self.pos += 1
-            p = p * self.factor()
-        return p
-
-    def factor(self) -> Polynomial:
-        base = self.base()
-        if self.peek() == "^":
-            self.pos += 1
-            return base ** self.nat()
-        return base
-
-    def base(self) -> Polynomial:
-        c = self.peek()
-        if c == "(":
-            self.pos += 1
-            p = self.nested(self.expr)
-            self.expect(")")
-            return p
-        if c == "-":
-            self.pos += 1
-            return -self.nested(self.factor)
-        if c.isdigit():
+    def base(self) -> dict:
+        token = self.tokens[self.i]
+        if token == "(":
+            self.i += 1
+            terms = self.nested(self.expr)
+            if self.tokens[self.i] != ")":
+                self.error("expected ')'")
+            self.i += 1
+            return terms
+        if token == "-":
+            self.i += 1
+            return {m: -c for m, c in self.nested(self.factor).items()}
+        if token[:1] in _DIGITS:
             return self.rational()
-        if c.isalpha() or c == "_":
-            name = self.identifier()
-            if name not in self.ring._index:
+        if token[:1].isalpha() or token[:1] == "_":
+            index = self.ring._index.get(token)
+            if index is None:
                 raise InputError(
-                    f"unknown identifier {name!r}; ring variables are "
+                    f"unknown identifier {token!r}; ring variables are "
                     f"{', '.join(self.ring.variables)}"
                 )
-            return self.ring.var(name)
+            self.i += 1
+            return {self.one[:index] + (1,) + self.one[index + 1 :]: 1}
         self.error("expected a number, variable, or parenthesized expression")
 
-    def identifier(self) -> str:
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and (
-            self.text[self.pos].isalnum() or self.text[self.pos] == "_"
-        ):
-            self.pos += 1
-        return self.text[start : self.pos]
-
     def nat(self) -> int:
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if start == self.pos:
+        token = self.tokens[self.i]
+        if token[:1] not in _DIGITS:
             self.error("expected a non-negative integer")
-        return int(self.text[start : self.pos])
+        try:
+            value = int(token)
+        except ValueError:  # more digits than int() converts
+            self.error(f"integer literal longer than {sys.get_int_max_str_digits()} digits")
+        self.i += 1
+        return value
 
-    def rational(self) -> Polynomial:
-        num = self.nat()
-        if self.peek() == "/":
-            self.pos += 1
+    def rational(self) -> dict:
+        value = self.nat()
+        if self.tokens[self.i] == "/":
+            self.i += 1
             den = self.nat()
             if den == 0:
-                self.error("zero denominator")
-            return self.ring.const(Fraction(num, den))
-        return self.ring.const(num)
+                self.error("zero denominator", self.i - 1, len(self.tokens[self.i - 1]))
+            value = Fraction(value, den)
+        return {self.one: value} if value else {}
 
 
 def parse_poly(text: str, ring: PolyRing) -> Polynomial:
     """Parse an expression string into a canonical polynomial."""
-    return _Parser(text, ring).parse()
+    terms = _Parser(text, ring).parse()
+    return Polynomial(ring, {m: Fraction(c) for m, c in terms.items()})

@@ -10,6 +10,7 @@ printer) spell out the same definitions on ``Fraction``s instead.
 from fractions import Fraction
 from itertools import combinations, permutations, product
 
+from leafalg.errors import InputError, ParseError
 from leafalg.groebner import normal_form
 
 
@@ -329,3 +330,139 @@ def reference_str(p):
         else:
             chunks.append(f"+ {body}" if c > 0 else f"- {body}")
     return " ".join(chunks)
+
+
+# The polynomial-string parser as it was built on Polynomial arithmetic:
+# a Polynomial at every grammar node, powers by repeated squaring, and
+# the same grammar, nesting guard and refusals (message and position) as
+# poly.parse_poly on ASCII text.
+
+REFERENCE_MAX_NESTING = 100
+
+
+class _ReferenceParser:
+    def __init__(self, text, ring):
+        self.text = text
+        self.ring = ring
+        self.pos = 0
+        self.depth = 0
+
+    def nested(self, parse):
+        self.depth += 1
+        if self.depth > REFERENCE_MAX_NESTING:
+            self.error(f"nesting deeper than {REFERENCE_MAX_NESTING} levels")
+        p = parse()
+        self.depth -= 1
+        return p
+
+    def error(self, message):
+        raise ParseError(message, self.pos)
+
+    def skip_ws(self):
+        while self.pos < len(self.text) and self.text[self.pos].isspace():
+            self.pos += 1
+
+    def peek(self):
+        self.skip_ws()
+        return self.text[self.pos] if self.pos < len(self.text) else ""
+
+    def expect(self, ch):
+        if self.peek() != ch:
+            self.error(f"expected {ch!r}")
+        self.pos += 1
+
+    def parse(self):
+        p = self.expr()
+        if self.peek():
+            self.error(f"unexpected {self.peek()!r}")
+        return p
+
+    def expr(self):
+        p = self.term()
+        while True:
+            c = self.peek()
+            if c == "+":
+                self.pos += 1
+                p = p + self.term()
+            elif c == "-":
+                self.pos += 1
+                p = p - self.term()
+            else:
+                return p
+
+    def term(self):
+        p = self.factor()
+        while self.peek() == "*":
+            self.pos += 1
+            p = p * self.factor()
+        return p
+
+    def factor(self):
+        base = self.base()
+        if self.peek() == "^":
+            self.pos += 1
+            n = self.nat()
+            result = self.ring.one()
+            while n:
+                if n & 1:
+                    result = result * base
+                base = base * base
+                n >>= 1
+            return result
+        return base
+
+    def base(self):
+        c = self.peek()
+        if c == "(":
+            self.pos += 1
+            p = self.nested(self.expr)
+            self.expect(")")
+            return p
+        if c == "-":
+            self.pos += 1
+            return -self.nested(self.factor)
+        if c.isdigit():
+            return self.rational()
+        if c.isalpha() or c == "_":
+            name = self.identifier()
+            if name not in self.ring.variables:
+                raise InputError(
+                    f"unknown identifier {name!r}; ring variables are "
+                    f"{', '.join(self.ring.variables)}"
+                )
+            return self.ring.var(name)
+        self.error("expected a number, variable, or parenthesized expression")
+
+    def identifier(self):
+        self.skip_ws()
+        start = self.pos
+        while self.pos < len(self.text) and (
+            self.text[self.pos].isalnum() or self.text[self.pos] == "_"
+        ):
+            self.pos += 1
+        return self.text[start : self.pos]
+
+    def nat(self):
+        self.skip_ws()
+        start = self.pos
+        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+            self.pos += 1
+        if start == self.pos:
+            self.error("expected a non-negative integer")
+        return int(self.text[start : self.pos])
+
+    def rational(self):
+        num = self.nat()
+        if self.peek() == "/":
+            self.pos += 1
+            den = self.nat()
+            if den == 0:
+                self.error("zero denominator")
+            return self.ring.const(Fraction(num, den))
+        return self.ring.const(num)
+
+
+def reference_parse_poly(text, ring):
+    """The Polynomial-arithmetic parser above; its ``isdigit`` digits
+    agree with poly.parse_poly only on ASCII text."""
+    return _ReferenceParser(text, ring).parse()

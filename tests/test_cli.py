@@ -271,6 +271,7 @@ def test_main_rejects_negative_count_flags(tmp_path, capsys, command, flag):
         ["bracket", "-f", "x"],
         ["strata", "--bracket-depth", "x"],
         ["mystery"],
+        ["coinv", "--max-degree", "\u0663"],  # ARABIC-INDIC DIGIT THREE: int() reads 3
     ],
 )
 def test_main_reports_flag_errors_in_one_line(tmp_path, capsys, argv):
@@ -619,6 +620,8 @@ def test_no_command_ends_in_an_internal_error(tmp_path, capsys):
 
 
 TWO_VARS = {"vars": ["x", "y"]}
+EXPECTED_BASE = "expected a number, variable, or parenthesized expression"
+LONG_LITERAL = "integer literal longer than 4300 digits"
 
 
 @pytest.mark.parametrize(
@@ -657,12 +660,45 @@ TWO_VARS = {"vars": ["x", "y"]}
             "structure.generators: expected a non-empty list of coefficient lists",
         ),
         ({"ring": TWO_VARS, "options": []}, "options: expected an object"),
+        # digits are ASCII; int() refuses "²" and "³" and reads "٣" as 3
+        ({"ring": TWO_VARS, "ideal": ["x^\u00b2"]}, "ideal[0]: expected a non-negative integer (at position 2)"),
+        *(
+            ({"ring": TWO_VARS, "ideal": ["y", text]}, f"ideal[1]: {EXPECTED_BASE} (at position {at})")
+            for text, at in (("\u00b2", 0), ("x + \u00b3*y", 4), ("\u0663*x", 0))
+        ),
+        # a literal longer than int() converts, as an exponent and as a coefficient
+        ({"ring": TWO_VARS, "ideal": ["x^" + "9" * 4301]}, f"ideal[0]: {LONG_LITERAL} (at position 2)"),
+        ({"ring": TWO_VARS, "ideal": ["x - 1/" + "7" * 4301]}, f"ideal[0]: {LONG_LITERAL} (at position 6)"),
+        ({"ring": TWO_VARS, "ideal": [" " + "8" * 5000 + "*y"]}, f"ideal[0]: {LONG_LITERAL} (at position 1)"),
+        # a JSON number longer than int() converts (raw JSON text)
+        *(
+            pytest.param(
+                text,
+                "{path}: invalid JSON: Exceeds the limit (4300 digits) for integer string conversion: "
+                "value has 4301 digits; use sys.set_int_max_str_digits() to increase the limit",
+                id=name,
+            )
+            for name, text in (
+                ("long-weight", '{"ring": {"vars": ["x"], "weights": [%s]}}' % ("1" * 4301)),
+                ("long-max-degree", '{"ring": {"vars": ["x"]}, "options": {"max_degree": %s}}' % ("2" * 4301)),
+            )
+        ),
     ],
 )
 def test_main_refuses_a_malformed_document_in_one_line(tmp_path, capsys, doc, refusal):
-    # each refusal names the JSON path of the fault
-    code, out, err = outcome(capsys, ["gb", "-i", write(tmp_path, "bad.json", doc)])
-    assert (code, out, err) == (2, "", f"input error: {refusal}\n")
+    # each refusal names the JSON path of the fault; a str is the raw document
+    path = tmp_path / "bad.json"
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc), encoding="utf-8")
+    code, out, err = outcome(capsys, ["gb", "-i", str(path)])
+    assert (code, out, err) == (2, "", f"input error: {refusal.format(path=path)}\n")
+
+
+@pytest.mark.parametrize("command", ["derivations", "exceptional", "incompressible"])
+def test_the_zero_weight_refusal_names_the_flag(tmp_path, capsys, command):
+    doc = {"ring": {"vars": ["x", "y", "t"], "weights": [1, 1, 0]}, "ideal": []}
+    code, out, err = outcome(capsys, [command, "-i", write(tmp_path, "zero_weight.json", doc)])
+    assert (code, out) == (2, "")
+    assert err == "input error: ring has zero-weight variables: pass --zero-weight-cap\n"
 
 
 def test_verify_hp0_reports_each_mismatch(tmp_path, capsys, monkeypatch):

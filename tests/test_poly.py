@@ -1,10 +1,14 @@
 """Polynomial arithmetic, parsing, and grading."""
 
+import json
+import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from leafalg import poly
 from leafalg.errors import InputError, ParseError
 from leafalg.poly import (
     PolyRing,
@@ -16,7 +20,7 @@ from leafalg.poly import (
     parse_poly,
 )
 
-from oracles import random_polynomial, random_quasihomogeneous, reference_str
+from oracles import random_polynomial, random_quasihomogeneous, reference_parse_poly, reference_str
 
 XYZ = PolyRing(["x", "y", "z"])
 CUSP_RING = PolyRing(["x", "y"], [3, 2])
@@ -49,6 +53,106 @@ def test_parse_deep_nesting_is_syntax_error():
     # moderate nesting still parses
     assert parse_poly("(" * 50 + "x" + ")" * 50, XYZ) == parse_poly("x", XYZ)
     assert parse_poly("-" * 50 + "x", XYZ) == parse_poly("x", XYZ)
+
+
+def parse_outcome(parse, text, ring):
+    """Terms and coefficient types of a parse, or the refusal's type,
+    message and position."""
+    try:
+        p = parse(text, ring)
+    except InputError as exc:
+        return type(exc), str(exc), getattr(exc, "position", None)
+    return p.terms, sorted({type(c).__name__ for c in p.terms.values()})
+
+
+def random_expression(rng, depth=0):
+    """A string of the grammar: sums, products, powers, parentheses, unary
+    minus, integer and p/q literals, a name that is not a variable."""
+    r = rng.random()
+    if depth > 3 or r < 0.35:
+        atoms = ("x", "y", "z", str(rng.randint(0, 12)), f"{rng.randint(0, 9)}/{rng.randint(0, 4)}", "w", "x1")
+        return rng.choice(atoms)
+    if r < 0.55:
+        op = rng.choice(("+", " - ", "*", "  +", "-"))
+        return random_expression(rng, depth + 1) + op + random_expression(rng, depth + 1)
+    if r < 0.7:
+        return "(" + random_expression(rng, depth + 1) + ")"
+    if r < 0.85:
+        return f"{random_expression(rng, depth + 1)}^{rng.randint(0, 4)}"
+    return "-" + random_expression(rng, depth + 1)
+
+
+GRAMMAR_ALPHABET = "xyzw_0123456789+-*^/() \t\n"
+
+
+def test_parse_matches_the_reference_parser_on_random_strings():
+    # half the strings are random characters, half are grammar strings
+    # with a character inserted or deleted here and there
+    rng = random.Random(23)
+    kinds = set()
+    for k in range(4000):
+        if k % 2:
+            text = "".join(rng.choice(GRAMMAR_ALPHABET) for _ in range(rng.randint(0, 12)))
+        else:
+            chars = list(random_expression(rng))
+            for _ in range(rng.randint(0, 2)):
+                i = rng.randint(0, len(chars))
+                if rng.random() < 0.5:
+                    chars.insert(i, rng.choice(GRAMMAR_ALPHABET))
+                elif chars:
+                    del chars[min(i, len(chars) - 1)]
+            text = "".join(chars)
+        expected = parse_outcome(reference_parse_poly, text, XYZ)
+        assert parse_outcome(parse_poly, text, XYZ) == expected, text
+        kinds.add(expected[0] if isinstance(expected[0], type) else "parsed")
+    assert kinds == {"parsed", ParseError, InputError}
+
+
+def test_parse_matches_the_reference_parser_on_the_corpus():
+    strings = 0
+    for path in sorted((Path(__file__).resolve().parents[1] / "bench" / "corpus").glob("*.json")):
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        ring = PolyRing(doc["ring"]["vars"], doc["ring"].get("weights"))
+        structure = doc.get("structure", {})
+        texts = [*doc.get("ideal", []), *structure.get("u", [])]
+        texts += [text for row in structure.get("matrix", []) + structure.get("generators", []) for text in row]
+        for text in texts:
+            assert parse_outcome(parse_poly, text, ring) == parse_outcome(reference_parse_poly, text, ring), text
+        strings += len(texts)
+    assert strings == 69
+
+
+def test_parse_builds_one_polynomial(monkeypatch):
+    built = []
+    init = Polynomial.__init__
+
+    def counting_init(self, ring, terms):
+        built.append(ring)
+        init(self, ring, terms)
+
+    monkeypatch.setattr(Polynomial, "__init__", counting_init)
+    for text in ("x^4 + y^4 + z^4", "-(x - 1/2*y)^3*z + 7", "(x+y+z)^5 - (x+y+z)^5", "0", "2^10"):
+        built.clear()
+        parse_poly(text, XYZ)
+        assert built == [XYZ], text
+
+
+def test_a_power_of_a_sum_is_expanded_by_products_with_the_base(monkeypatch):
+    # squaring made 599 073 monomial products for (x+y+z)^60; 59 products
+    # by the three-term base make 113 457
+    calls = []
+    product = poly.mono_mul
+
+    def counting_mono_mul(a, b):
+        calls.append(1)
+        return product(a, b)
+
+    monkeypatch.setattr(poly, "mono_mul", counting_mono_mul)
+    p = parse_poly("(x+y+z)^60", XYZ)
+    assert len(calls) < 200_000
+    assert len(p.terms) == math.comb(62, 2)
+    assert p.terms[(20, 20, 20)] == math.factorial(60) // math.factorial(20) ** 3
+    assert p.evaluate((1, 1, 1)) == 3**60
 
 
 def test_parse_unknown_identifier():

@@ -14,7 +14,6 @@ from .groebner import (
     INFINITE,
     GroebnerBasis,
     LEX,
-    MonomialOrder,
     PoincareSeries,
     WGREVLEX,
     buchberger,
@@ -26,7 +25,6 @@ from .groebner import (
     poincare_series,
 )
 from .vfields import (
-    BracketStructure,
     JacobianPolyvector,
     JacobiStructure,
     VectorField,

@@ -34,7 +34,6 @@ from .groebner import INFINITE, LEX, WGREVLEX, buchberger, normal_form, poincare
 from .poly import PolyRing, parse_poly
 from .sympower import brute_sym2_coinvariants, hp0_sym_series
 from .vfields import (
-    BracketStructure,
     JacobianPolyvector,
     JacobiStructure,
     VectorField,
@@ -99,7 +98,7 @@ def load_input(path: str) -> InputDocument:
             raw = json.load(handle)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-    except ValueError as exc:  # JSONDecodeError, or a number longer than int() converts
+    except (ValueError, RecursionError) as exc:  # malformed, a number longer than int() converts, too deep
         raise InputError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         _fail("$", "top level must be an object")
@@ -137,19 +136,13 @@ def load_input(path: str) -> InputDocument:
         kind = s_obj["kind"]
         if kind == "jacobian":
             structure = JacobianPolyvector()
-        elif kind == "bracket":
+        elif kind in ("bracket", "jacobi"):  # a Poisson bracket is a Jacobi pair without u
             matrix = _parse_matrix(ring, s_obj.get("matrix"), "structure.matrix")
-            try:
-                structure = BracketStructure(matrix)
-            except InputError as exc:
-                _fail("structure.matrix", str(exc))
-        elif kind == "jacobi":
-            matrix = _parse_matrix(ring, s_obj.get("matrix"), "structure.matrix")
-            u = _parse_field(ring, s_obj.get("u"), "structure.u")
+            u = _parse_field(ring, s_obj.get("u"), "structure.u") if kind == "jacobi" else None
             try:
                 structure = JacobiStructure(ring, matrix, u)
             except InputError as exc:
-                _fail("structure", str(exc))
+                _fail("structure" if u is not None else "structure.matrix", str(exc))
         elif kind == "vector-fields":
             gens = s_obj.get("generators")
             if not isinstance(gens, list) or not gens:

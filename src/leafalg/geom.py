@@ -5,8 +5,8 @@ complete intersections, rank stratifications, the finite-leaves test,
 and degenerate loci of top polyvector structures.
 
 A ``Variety`` carries the Jacobian polyvector unless given another
-structure (``vfields``); the dispatch on structure kinds is here, in
-``hamiltonian`` and ``_structure_matrix``.
+structure (``vfields``).  Its bracket is one Jacobi pair (pi, u), with
+u = None for a Poisson bracket: the dispatch on kinds is in ``_bracket``.
 
 The studied point is always the origin; translate inputs first.
 
@@ -22,7 +22,6 @@ from .errors import DomainError, InputError
 from .groebner import (
     INFINITE,
     GroebnerBasis,
-    MonomialOrder,
     PoincareSeries,
     WGREVLEX,
     buchberger,
@@ -33,12 +32,10 @@ from .groebner import (
 )
 from .poly import PolyRing
 from .vfields import (
-    BracketStructure,
     JacobianPolyvector,
     JacobiStructure,
     Structure,
     VectorFieldFamily,
-    hamiltonian_from_bracket,
     jacobi_bracket,
     jacobi_hamiltonian,
     jacobian_matrix,
@@ -57,7 +54,7 @@ class Variety:
         ring: PolyRing,
         ideal_gens,
         structure: Structure | None = None,
-        order: MonomialOrder = WGREVLEX,
+        order=WGREVLEX,
     ):
         gens = tuple(ideal_gens)
         if len(gens) > ring.arity:
@@ -65,6 +62,10 @@ class Variety:
         for g in gens:
             if g.ring != ring:
                 raise InputError("ideal generator lives in a different ring")
+        if isinstance(structure, JacobiStructure) and structure.ring != ring:
+            raise InputError("Jacobi structure lives in a different ring")
+        if isinstance(structure, VectorFieldFamily) and any(xi.ring != ring for xi in structure.generators):
+            raise InputError("structure generator lives in a different ring")
         self.ring = ring
         self.ideal_gens = gens
         self.structure = JacobianPolyvector() if structure is None else structure
@@ -218,33 +219,31 @@ class RankStratum:
         self.rank, self.ideal, self.dimension = rank, ideal, dimension
 
 
-def _structure_matrix(X: Variety, bracket_depth: int = 2):
+def _bracket(X: Variety) -> JacobiStructure:
+    """The Jacobi pair of the variety's bracket: the declared pair, or the
+    Jacobian bracket matrix with no u.  Explicit vector fields carry no
+    bracket."""
     s = X.structure
-    if isinstance(s, BracketStructure):
-        return [list(row) for row in s.matrix]
-    if isinstance(s, JacobianPolyvector):
-        return jacobian_bracket_matrix(X)
-    if isinstance(s, JacobiStructure):
-        # evaluation span of the Hamiltonian family: rows of pi plus u
-        return [list(row) for row in s.matrix] + [list(s.u.coefficients)]
     if isinstance(s, VectorFieldFamily):
-        closed = lie_closure(list(s.generators), depth=bracket_depth)
+        raise DomainError("a vector-fields structure has no bracket; use a bracket, jacobi or jacobian one")
+    return s if isinstance(s, JacobiStructure) else JacobiStructure(X.ring, jacobian_bracket_matrix(X))
+
+
+def _structure_matrix(X: Variety, bracket_depth: int = 2):
+    """Rows spanning the structure's fields at each point: the Lie closure
+    of explicit vector fields, else the rows of pi, and u when there is one."""
+    if isinstance(X.structure, VectorFieldFamily):
+        closed = lie_closure(list(X.structure.generators), depth=bracket_depth)
         return [list(xi.coefficients) for xi in closed]
-    raise DomainError(f"unsupported structure {s!r}")
+    s = _bracket(X)
+    return [list(row) for row in s.matrix] + ([] if s.u is None else [list(s.u.coefficients)])
 
 
 def hamiltonian(X: Variety, f, g=None):
     """The Hamiltonian field of f for the variety's bracket, or the
-    bracket {f, g} when g is given.  A Jacobi structure has its own
-    formulas; a bracket structure and the Jacobian polyvector give their
-    bracket matrix.  Explicit vector fields carry no bracket."""
-    s = X.structure
-    if isinstance(s, VectorFieldFamily):
-        raise DomainError("a vector-fields structure has no bracket; use a bracket, jacobi or jacobian one")
-    if isinstance(s, JacobiStructure):
-        return jacobi_hamiltonian(f, s) if g is None else jacobi_bracket(f, g, s)
-    xi = hamiltonian_from_bracket(f, _structure_matrix(X))
-    return xi if g is None else xi.apply(g)
+    bracket {f, g} when g is given."""
+    s = _bracket(X)
+    return jacobi_hamiltonian(f, s) if g is None else jacobi_bracket(f, g, s)
 
 
 def rank_strata(X: Variety, bracket_depth: int = 2) -> list[RankStratum]:

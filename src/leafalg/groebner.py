@@ -1,6 +1,8 @@
 """Buchberger Groebner bases and the ideal invariants built on them.
 
-Everything here works over exact rationals.  The default monomial order
+Everything here works over exact rationals.  A monomial order is its
+key function: ``order(ring)`` keys monomials, a larger key for a larger
+monomial.  ``LEX`` keys a monomial by itself.  The default, ``WGREVLEX``,
 is weighted grevlex: weighted degree first, ties broken reverse-
 lexicographically on the ring's variable order, so its key is the flat
 int tuple (weighted degree, -m_n, ..., -m_1).  Rings with zero-weight
@@ -79,39 +81,19 @@ from .poly import (
 INFINITE = math.inf
 
 
-class MonomialOrder:
-    """Total multiplicative order on monomials: 'wgrevlex' or 'lex'."""
-
-    KINDS = ("wgrevlex", "lex")
-
-    def __init__(self, kind: str = "wgrevlex"):
-        if kind not in self.KINDS:
-            raise InputError(f"unknown monomial order {kind!r}; choices: {self.KINDS}")
-        self.kind = kind
-
-    def key(self, ring: PolyRing):
-        """Sort key for monomials, a flat int tuple; larger key means larger monomial."""
-        if self.kind == "lex":
-            return lambda m: m
-        weighted_degree = ring.weighted_degree
-        if ring.has_zero_weights:
-            # total degree between weight and the grevlex tiebreak keeps
-            # 1 strictly minimal when some variable has weight 0
-            return lambda m: (weighted_degree(m), sum(m), *map(neg, reversed(m)))
-        return lambda m: (weighted_degree(m), *map(neg, reversed(m)))
-
-    def __eq__(self, other):
-        return isinstance(other, MonomialOrder) and self.kind == other.kind
-
-    def __hash__(self):
-        return hash(self.kind)
-
-    def __repr__(self):
-        return f"MonomialOrder({self.kind!r})"
+def WGREVLEX(ring: PolyRing):
+    """The weighted grevlex key function of ``ring``."""
+    weighted_degree = ring.weighted_degree
+    if ring.has_zero_weights:
+        # total degree between weight and the grevlex tiebreak keeps
+        # 1 strictly minimal when some variable has weight 0
+        return lambda m: (weighted_degree(m), sum(m), *map(neg, reversed(m)))
+    return lambda m: (weighted_degree(m), *map(neg, reversed(m)))
 
 
-WGREVLEX = MonomialOrder("wgrevlex")
-LEX = MonomialOrder("lex")
+def LEX(ring: PolyRing):
+    """The lexicographic key function: a monomial is its own key."""
+    return lambda m: m
 
 
 def leading_term(terms: dict, key) -> tuple:
@@ -132,10 +114,10 @@ class GroebnerBasis:
 
     __slots__ = ("ring", "order", "elements", "_key", "_integer", "_table", "_standard")
 
-    def __init__(self, ring: PolyRing, order: MonomialOrder, integer_elements: list[dict]):
+    def __init__(self, ring: PolyRing, order, integer_elements: list[dict]):
         self.ring = ring
         self.order = order
-        self._key = key = order.key(ring)
+        self._key = key = order(ring)
         ranked = sorted(((leading_term(t, key), t) for t in integer_elements), key=lambda e: key(e[0][0]))
         self._integer = [t for _, t in ranked], [lt for lt, _ in ranked]
         self.elements = [
@@ -294,7 +276,7 @@ def _combine(pairs, table) -> tuple[dict, int]:
 
 def buchberger(
     generators: list[Polynomial],
-    order: MonomialOrder = WGREVLEX,
+    order=WGREVLEX,
     ring: PolyRing | None = None,
 ) -> GroebnerBasis:
     """Reduced Groebner basis of the ideal generated by ``generators``.
@@ -321,7 +303,7 @@ def buchberger(
     for g in gens:
         if g.ring != ring:
             raise InputError("generators live in different rings")
-    key = order.key(ring)
+    key = order(ring)
     basis, leads, _ = _complete(gens, ring, key)
 
     # reduce: keep minimal leading monomials, tail-reduce, make monic

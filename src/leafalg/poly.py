@@ -18,13 +18,14 @@ share the parser's term-dict product (``_mul_terms``) and power
 
 from __future__ import annotations
 
+import math
 import re
 import sys
 from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from operator import add, le, mul, neg, sub
 
-from .errors import InputError, ParseError
+from .errors import DomainError, InputError, ParseError
 
 Monomial = tuple  # exponent tuple, one entry per variable
 
@@ -340,7 +341,8 @@ class Polynomial:
     # -- printing ----------------------------------------------------
 
     def __str__(self) -> str:
-        """Terms leading-first by weighted degree, then grevlex."""
+        """Terms leading-first by weighted degree, then grevlex; a number
+        longer than ``str()`` converts is a DomainError."""
         if not self.terms:
             return "0"
         ring = self.ring
@@ -350,8 +352,11 @@ class Polynomial:
             c = self.terms[m]
             num, den = c.numerator, c.denominator
             size = -num if num < 0 else num
-            mag = str(size) if den == 1 else f"{size}/{den}"
-            factors = "*".join(f"{name}^{e}" if e > 1 else name for name, e in zip(ring.variables, m) if e)
+            try:
+                mag = str(size) if den == 1 else f"{size}/{den}"
+                factors = "*".join(f"{name}^{e}" if e > 1 else name for name, e in zip(ring.variables, m) if e)
+            except ValueError:
+                raise DomainError(f"cannot print a number longer than {sys.get_int_max_str_digits()} digits") from None
             body = mag if not factors else factors if mag == "1" else f"{mag}*{factors}"
             if chunks:
                 chunks.append(f"+ {body}" if num > 0 else f"- {body}")
@@ -378,7 +383,9 @@ class Polynomial:
 # Every node is a term dict with no zero coefficient, its coefficients
 # ints until a "p/q" literal brings in a Fraction.  Parentheses and
 # unary minus nest at most _MAX_NESTING deep, so hostile input gets a
-# ParseError instead of exhausting the interpreter's stack.
+# ParseError instead of exhausting the interpreter's stack.  A power of
+# one term is sized before it is computed, and refused like a literal
+# when its numerator or denominator would pass int()'s digit limit.
 
 _TOKEN = re.compile(r"\s*([0-9]+|\w+|\S)")
 _DIGITS = frozenset("0123456789")
@@ -441,7 +448,16 @@ class _Parser:
         if self.tokens[self.i] != "^":
             return terms
         self.i += 1
-        return _pow_terms(terms, self.nat(), self.one)
+        n = self.nat()
+        limit = sys.get_int_max_str_digits()
+        c = next(iter(terms.values())) if len(terms) == 1 else 1
+        if limit and c != 1 and c != -1:
+            for part in (abs(c.numerator), c.denominator):
+                # part >= 2 and n >= 4 * limit give over 1.2 * limit digits
+                size = math.log10(part) * min(n, 4 * limit) if part > 1 else 0
+                if size > limit + 1 or size > limit - 1 and part**n >= 10**limit:
+                    self.error(f"power longer than {limit} digits", self.i - 1)
+        return _pow_terms(terms, n, self.one)
 
     def base(self) -> dict:
         token = self.tokens[self.i]

@@ -50,22 +50,6 @@ class BigradedSeries:
         """The u-polynomial multiplying s^r."""
         return {u: c for (s, u), c in self.coefficients.items() if s == r}
 
-    def multiply_factor(self, r: int, u_exp: int, multiplicity: int) -> "BigradedSeries":
-        """Multiply by (1 - s^r u^u_exp)^(-multiplicity), truncated."""
-        if multiplicity < 0:
-            raise InputError("negative multiplicity")
-        if multiplicity == 0 or r > self.truncation:
-            return self
-        out: dict = {}
-        for (s, u), c in self.coefficients.items():
-            a = 0
-            while s + a * r <= self.truncation:
-                weight = math.comb(multiplicity - 1 + a, a)
-                key = (s + a * r, u + a * u_exp)
-                out[key] = out.get(key, 0) + c * weight
-                a += 1
-        return BigradedSeries(self.truncation, out)
-
     def __mul__(self, other: "BigradedSeries") -> "BigradedSeries":
         trunc = min(self.truncation, other.truncation)
         out: dict = {}
@@ -116,7 +100,10 @@ def sym_power_series(p: dict[int, int], shift: int, truncation: int) -> Bigraded
     series = BigradedSeries(truncation)
     for r in range(1, truncation + 1):
         for j, pj in sorted(p.items()):
-            series = series.multiply_factor(r, j - r * shift, pj)
+            if pj:  # (1 - s^r u^e)^(-pj) = sum_a C(pj - 1 + a, a) s^(r a) u^(e a)
+                e = j - r * shift
+                factor = {(r * a, e * a): math.comb(pj - 1 + a, a) for a in range(truncation // r + 1)}
+                series = BigradedSeries(truncation, factor) * series  # outer loop over the short factor
     return series
 
 

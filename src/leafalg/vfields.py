@@ -48,11 +48,9 @@ from .linalg import _integer_components, _integer_row
 from .poly import Monomial, Polynomial, PolyRing, mono_mul
 
 
-def _sort_sign(seq) -> tuple[tuple, int] | None:
-    """The sorted tuple of the indices in ``seq`` and the sign of the
-    permutation that sorts them; None if an index repeats."""
-    if len(set(seq)) != len(seq):
-        return None
+def _sort_sign(seq) -> tuple[tuple, int]:
+    """The sorted tuple of the distinct indices in ``seq`` and the sign of
+    the permutation that sorts them."""
     sign = 1
     for i, a in enumerate(seq):
         for b in seq[i + 1 :]:
@@ -245,26 +243,18 @@ class JacobianPolyvector(_Structure):
     __slots__ = ()
 
 
-class BracketStructure(_Structure):
-    """Explicit skew bracket matrix with entries {x_i, x_j}."""
-
-    __slots__ = ("matrix",)
-
-    def __init__(self, matrix: tuple):
-        check_skew(matrix)
-        self.matrix = matrix
-
-
 class JacobiStructure(_Structure):
-    """A skew bracket bivector plus a vector field (pi, u)."""
+    """A Jacobi pair (pi, u): a skew bracket matrix with entries
+    pi[i][j] = {x_i, x_j} over ``ring``, and a vector field u, or None
+    for a Poisson bracket (u = 0)."""
 
     __slots__ = ("ring", "matrix", "u")
 
-    def __init__(self, ring: PolyRing, matrix: tuple, u: VectorField):
+    def __init__(self, ring: PolyRing, matrix: tuple, u: VectorField | None = None):
         check_skew(matrix)
         if len(matrix) != ring.arity:
             raise InputError("bracket matrix must be square of the ring arity")
-        if u.ring != ring:
+        if u is not None and u.ring != ring:
             raise InputError("u lives in a different ring")
         self.ring, self.matrix, self.u = ring, matrix, u
 
@@ -278,21 +268,21 @@ class VectorFieldFamily(_Structure):
         self.generators = generators
 
 
-Structure = JacobianPolyvector | BracketStructure | JacobiStructure | VectorFieldFamily
+Structure = JacobianPolyvector | JacobiStructure | VectorFieldFamily
 
 
 def jacobi_hamiltonian(f: Polynomial, structure: JacobiStructure) -> VectorField:
     """xi_f = pi(df) + f u, componentwise xi_f(x_i) = sum_j d_jf pi[j][i] + f u_i."""
     if f.ring != structure.ring:
         raise InputError("ring mismatch")
-    base = hamiltonian_from_bracket(f, structure.matrix)
-    return base + structure.u.scale(f)
+    base, u = hamiltonian_from_bracket(f, structure.matrix), structure.u
+    return base if u is None else base + u.scale(f)
 
 
 def jacobi_bracket(f: Polynomial, g: Polynomial, structure: JacobiStructure) -> Polynomial:
     """{f, g} = pi(df, dg) + f u(g) - g u(f)."""
-    pi_part = hamiltonian_from_bracket(f, structure.matrix).apply(g)
-    return pi_part + f * structure.u.apply(g) - g * structure.u.apply(f)
+    pi_part, u = hamiltonian_from_bracket(f, structure.matrix).apply(g), structure.u
+    return pi_part if u is None else pi_part + f * u.apply(g) - g * u.apply(f)
 
 
 def standard_contact(pairs: int = 1) -> JacobiStructure:

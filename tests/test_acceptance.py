@@ -13,7 +13,7 @@ import random
 from leafalg.cli import build_parser, load_input, run
 from leafalg.coinv import coinvariants_truncated, verify_hp0
 from leafalg.geom import (
-    BracketStructure,
+    JacobiStructure,
     JacobianPolyvector,
     Variety,
     degenerate_locus,
@@ -130,7 +130,7 @@ def test_criterion_5_two_quadrics():
 
 def test_criterion_6_leaves_criterion():
     x = parse_poly("x", XY)
-    plane = Variety(XY, [], BracketStructure(((XY.zero(), x), (-x, XY.zero()))))
+    plane = Variety(XY, [], JacobiStructure(XY, ((XY.zero(), x), (-x, XY.zero()))))
     failing = leaves_check(plane)
     ok = (
         not failing.passed

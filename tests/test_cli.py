@@ -355,6 +355,15 @@ def test_main_reports_unexpected_errors_in_one_line(tmp_path, capsys, monkeypatc
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_printing_a_number_longer_than_str_converts_is_a_domain_error(tmp_path, capsys, fmt):
+    # each power has at most 4300 digits; their product has 5910
+    fermat = write(tmp_path, "fermat.json", FERMAT)
+    argv = ["member", "-i", fermat, "--format", fmt, "-f", "2^4000*3^4000*5^4000*x"]
+    code, out, err = outcome(capsys, argv)
+    assert (code, out, err) == (1, "", "domain error: cannot print a number longer than 4300 digits\n")
+
+
 def test_member_command(tmp_path):
     doc = {
         "ring": {"vars": ["x", "y"]},
@@ -682,6 +691,12 @@ LONG_LITERAL = "integer literal longer than 4300 digits"
                 ("long-weight", '{"ring": {"vars": ["x"], "weights": [%s]}}' % ("1" * 4301)),
                 ("long-max-degree", '{"ring": {"vars": ["x"]}, "options": {"max_degree": %s}}' % ("2" * 4301)),
             )
+        ),
+        # nesting deeper than the JSON decoder recurses (raw JSON text)
+        pytest.param(
+            "[" * 100_000 + "]" * 100_000,
+            "{path}: invalid JSON: maximum recursion depth exceeded while decoding a JSON array from a unicode string",
+            id="deep-nesting",
         ),
     ],
 )

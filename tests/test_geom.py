@@ -7,9 +7,9 @@ import pytest
 
 from leafalg import geom, groebner
 from leafalg.cli import load_input
-from leafalg.errors import DomainError
+from leafalg.errors import DomainError, InputError
 from leafalg.geom import (
-    BracketStructure,
+    JacobiStructure,
     JacobianPolyvector,
     LeavesReport,
     RankStratum,
@@ -57,6 +57,16 @@ def two_quadrics():
 def test_a_variety_without_a_structure_carries_the_jacobian_polyvector():
     assert Variety(XYZ, polys(XYZ, "x^3 + y^3 + z^3")).structure == JacobianPolyvector()
     assert Variety(XY, []).structure == JacobianPolyvector()
+
+
+def test_a_variety_refuses_a_structure_from_another_ring():
+    # a pair over (x, y) on a variety over (x, y, z) would read y*z as y
+    x = parse_poly("x", XY)
+    with pytest.raises(InputError, match="^Jacobi structure lives in a different ring$"):
+        Variety(XYZ, [], JacobiStructure(XY, ((XY.zero(), x), (-x, XY.zero()))))
+    fields = (VectorField(XYZ, polys(XYZ, "x", "y", "z")), VectorField(XY, polys(XY, "-y", "x")))
+    with pytest.raises(InputError, match="^structure generator lives in a different ring$"):
+        Variety(XYZ, [], VectorFieldFamily(fields))
 
 
 def test_jacobian_chain_two_quadrics():
@@ -284,7 +294,7 @@ def test_jacobi_identity_for_surface_brackets():
 
 def test_rank_strata_plane_bracket():
     x = parse_poly("x", XY)
-    structure = BracketStructure(((XY.zero(), x), (-x, XY.zero())))
+    structure = JacobiStructure(XY, ((XY.zero(), x), (-x, XY.zero())))
     plane = Variety(XY, [], structure)
     strata = rank_strata(plane)
     assert strata[0].rank == 0
@@ -302,7 +312,7 @@ def test_rank_strata_fermat():
 
 def test_rank_strata_zero_bracket():
     zero = XY.zero()
-    plane = Variety(XY, [], BracketStructure(((zero, zero), (zero, zero))))
+    plane = Variety(XY, [], JacobiStructure(XY, ((zero, zero), (zero, zero))))
     strata = rank_strata(plane)
     assert strata[0].rank == 0
     assert not strata[0].ideal.elements
@@ -329,7 +339,7 @@ def test_rank_strata_vector_fields():
 
 def test_leaves_check_plane_bracket_fails():
     x = parse_poly("x", XY)
-    plane = Variety(XY, [], BracketStructure(((XY.zero(), x), (-x, XY.zero()))))
+    plane = Variety(XY, [], JacobiStructure(XY, ((XY.zero(), x), (-x, XY.zero()))))
     report = leaves_check(plane)
     assert not report.passed
     assert report.witness.rank == 0
@@ -338,7 +348,7 @@ def test_leaves_check_plane_bracket_fails():
 
 
 def test_leaves_report_defaults_and_keywords():
-    strata = rank_strata(Variety(XY, [], BracketStructure(((XY.zero(), XY.one()), (-XY.one(), XY.zero())))))
+    strata = rank_strata(Variety(XY, [], JacobiStructure(XY, ((XY.zero(), XY.one()), (-XY.one(), XY.zero())))))
     report = LeavesReport(True, strata)
     assert (report.passed, report.strata, report.witness, report.verdict) == (True, strata, None, "PASS")
     stratum = RankStratum(dimension=2, ideal=strata[0].ideal, rank=0)
@@ -368,7 +378,7 @@ def test_leaves_check_contact_space_passes():
 
 def test_leaves_check_symplectic_plane_passes():
     one = XY.one()
-    plane = Variety(XY, [], BracketStructure(((XY.zero(), one), (-one, XY.zero()))))
+    plane = Variety(XY, [], JacobiStructure(XY, ((XY.zero(), one), (-one, XY.zero()))))
     assert leaves_check(plane).passed
 
 

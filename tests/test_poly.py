@@ -55,6 +55,23 @@ def test_parse_deep_nesting_is_syntax_error():
     assert parse_poly("-" * 50 + "x", XYZ) == parse_poly("x", XYZ)
 
 
+def test_a_constant_power_is_bounded_before_it_is_computed():
+    # one rule with the literal limit: a number written or raised has at
+    # most 4300 digits; the parts of c^n are sized before c^n is computed
+    big = 10**4300 - 1  # the longest exponent literal
+    refused = [("7^20000", 2), ("10^4300", 3), ("(-3/10)^4300", 8), ("(1/7)^6000", 6), ("x + 2*(2^14285)", 9)]
+    for text, at in refused:
+        with pytest.raises(ParseError, match=f"^power longer than 4300 digits \\(at position {at}\\)$"):
+            parse_poly(text, XYZ)
+    assert parse_poly("10^4299", XYZ).terms == {(0, 0, 0): 10**4299}
+    assert parse_poly("2^14284", XYZ).terms == {(0, 0, 0): 2**14284}
+    assert parse_poly("(1/7)^5088*x", XYZ).terms == {(1, 0, 0): Fraction(1, 7**5088)}
+    for base, value in (("1", 1), ("(-1)", -1), ("-1", -1), ("0", 0)):
+        terms = {(0, 0, 0): value} if value else {}
+        assert parse_poly(f"{base}^{big}", XYZ).terms == terms
+    assert parse_poly(f"x^{big}*y", XYZ).terms == {(big, 1, 0): 1}
+
+
 def parse_outcome(parse, text, ring):
     """Terms and coefficient types of a parse, or the refusal's type,
     message and position."""

@@ -15,7 +15,6 @@ from leafalg.geom import JacobianPolyvector, Variety, jacobian_bracket_matrix
 from leafalg.groebner import buchberger, poincare_series
 from leafalg.poly import PolyRing, parse_poly
 from leafalg.vfields import (
-    BracketStructure,
     IncompressibilityReport,
     JacobiStructure,
     VectorField,
@@ -388,8 +387,8 @@ def test_hamiltonian_family_requires_structure_and_dimension():
 
 @pytest.mark.parametrize(
     "build",
-    [BracketStructure, lambda m: hamiltonian_from_bracket(parse_poly("x", XY), m)],
-    ids=["BracketStructure", "hamiltonian_from_bracket"],
+    [lambda m: JacobiStructure(XY, m), lambda m: hamiltonian_from_bracket(parse_poly("x", XY), m)],
+    ids=["JacobiStructure", "hamiltonian_from_bracket"],
 )
 def test_a_bracket_matrix_that_is_not_square_is_rejected(build):
     x = parse_poly("x", XY)
@@ -466,7 +465,7 @@ def test_structures_are_equal_iff_of_one_kind_with_equal_fields():
     contact = standard_contact(1)
     equal = [
         (JacobianPolyvector(), JacobianPolyvector()),
-        (BracketStructure(((zero, x), (-x, zero))), BracketStructure(((zero, x), (-x, zero)))),
+        (JacobiStructure(XY, ((zero, x), (-x, zero))), JacobiStructure(XY, ((zero, x), (-x, zero)))),
         (VectorFieldFamily((d_x, d_y)), VectorFieldFamily((VectorField.coordinate(XY, "x"), d_y))),
         (contact, standard_contact(1)),
         (contact, JacobiStructure(contact.ring, contact.matrix, contact.u)),
@@ -475,8 +474,8 @@ def test_structures_are_equal_iff_of_one_kind_with_equal_fields():
         assert a == b and not a != b
     distinct = [
         JacobianPolyvector(),
-        BracketStructure(((zero, x), (-x, zero))),
-        BracketStructure(((zero, -x), (x, zero))),
+        JacobiStructure(XY, ((zero, x), (-x, zero))),
+        JacobiStructure(XY, ((zero, -x), (x, zero))),
         VectorFieldFamily(((zero, x), (-x, zero))),
         VectorFieldFamily((d_x, d_y)),
         VectorFieldFamily((d_y, d_x)),

@@ -90,6 +90,10 @@ def _parse_field(ring: PolyRing, coeffs, path: str) -> VectorField:
     return VectorField(ring, [_parse_entry(ring, c, f"{path}[{i}]") for i, c in enumerate(coeffs)])
 
 
+# the keys each structure kind reads besides "kind"; any other is refused
+_STRUCTURE_KEYS = {"jacobian": (), "bracket": ("matrix",), "jacobi": ("matrix", "u"), "vector-fields": ("generators",)}
+
+
 def load_input(path: str) -> InputDocument:
     """Parse and validate an input document; raises InputError on any
     schema violation, naming the JSON path of the fault."""
@@ -134,6 +138,12 @@ def load_input(path: str) -> InputDocument:
         if not isinstance(s_obj, dict) or "kind" not in s_obj:
             _fail("structure", "expected an object with a 'kind'")
         kind = s_obj["kind"]
+        if not isinstance(kind, str) or kind not in _STRUCTURE_KEYS:
+            _fail("structure.kind", f"unknown kind {kind!r}")
+        reads = ("kind", *_STRUCTURE_KEYS[kind])
+        for key in s_obj:
+            if key not in reads:
+                _fail(f"structure.{key}", f"kind {kind!r} reads only {', '.join(reads)}")
         if kind == "jacobian":
             structure = JacobianPolyvector()
         elif kind in ("bracket", "jacobi"):  # a Poisson bracket is a Jacobi pair without u
@@ -143,7 +153,7 @@ def load_input(path: str) -> InputDocument:
                 structure = JacobiStructure(ring, matrix, u)
             except InputError as exc:
                 _fail("structure" if u is not None else "structure.matrix", str(exc))
-        elif kind == "vector-fields":
+        else:  # vector-fields
             gens = s_obj.get("generators")
             if not isinstance(gens, list) or not gens:
                 _fail("structure.generators", "expected a non-empty list of coefficient lists")
@@ -151,8 +161,6 @@ def load_input(path: str) -> InputDocument:
                 _parse_field(ring, g, f"structure.generators[{i}]") for i, g in enumerate(gens)
             )
             structure = VectorFieldFamily(fields)
-        else:
-            _fail("structure.kind", f"unknown kind {kind!r}")
 
     options = raw.get("options", {})
     if not isinstance(options, dict):

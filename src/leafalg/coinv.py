@@ -134,7 +134,8 @@ def coinvariants_truncated(X: Variety, family, max_degree: int) -> CoinvariantTa
 def graded_quotient(max_degree: int, size, rows) -> dict[int, int]:
     """``{w: size(w) - rank of rows(w)}`` for w up to ``max_degree``, 0
     for an empty piece: each piece modulo the span of its integer rows,
-    read lazily up to full rank (``linalg.span_rank``)."""
+    without zero entries, read lazily up to full rank
+    (``linalg.span_rank``)."""
     return {w: n - linalg.span_rank(rows(w), n) if (n := size(w)) else 0 for w in range(max_degree + 1)}
 
 

@@ -7,7 +7,9 @@ is weighted grevlex: weighted degree first, ties broken reverse-
 lexicographically on the ring's variable order, so its key is the flat
 int tuple (weighted degree, -m_n, ..., -m_1).  Rings with zero-weight
 variables put the total degree between the two, so that the order stays
-a well-order (1 must be the unique minimum).
+a well-order (1 must be the unique minimum).  ``WGREVLEX`` and the local
+order of ``colength_local`` read their keys from the ring's monomial
+table (``PolyRing.column``), so each key is built once per monomial.
 
 ``buchberger`` keeps its S-pairs in a heap keyed once, when each pair is
 created, by (weighted degree of the lcm, order key of the lcm, (i, j)).
@@ -15,7 +17,8 @@ Keys never change and pairs leave only when popped, so the heap picks
 the same pair as a full rescan of the queue would, at every step.
 Leading terms are computed once per element, both while the basis grows
 and in a finished ``GroebnerBasis``; reduction takes the next term from a
-heap of (negated key, monomial) tuples, largest monomial first.  The
+heap of (negated key, monomial) tuples, largest monomial first, each
+negated key read from the ring's monomial table under every order.  The
 basis is seeded from the generators in sorted order, and a generator in
 the linear span of the earlier ones is skipped without a reduction: it
 lies in their ideal, so the ideal and its reduced basis are the same.
@@ -64,7 +67,7 @@ import heapq
 import itertools
 import math
 from fractions import Fraction
-from operator import neg
+from operator import mul, neg
 
 from .errors import DomainError, InputError
 from .linalg import Echelon, _integer_components, _integer_row
@@ -82,18 +85,31 @@ INFINITE = math.inf
 
 
 def WGREVLEX(ring: PolyRing):
-    """The weighted grevlex key function of ``ring``."""
-    weighted_degree = ring.weighted_degree
-    if ring.has_zero_weights:
-        # total degree between weight and the grevlex tiebreak keeps
-        # 1 strictly minimal when some variable has weight 0
-        return lambda m: (weighted_degree(m), sum(m), *map(neg, reversed(m)))
-    return lambda m: (weighted_degree(m), *map(neg, reversed(m)))
+    """The weighted grevlex key function of ``ring``, memoized in its
+    monomial table."""
+    weights = ring.weights
+    # total degree between weight and the grevlex tiebreak keeps
+    # 1 strictly minimal when some variable has weight 0
+    formula = (
+        (lambda m: (sum(map(mul, weights, m)), sum(m), *map(neg, reversed(m))))
+        if ring.has_zero_weights
+        else (lambda m: (sum(map(mul, weights, m)), *map(neg, reversed(m))))
+    )
+    return ring.column(WGREVLEX, formula).__getitem__
 
 
 def LEX(ring: PolyRing):
-    """The lexicographic key function: a monomial is its own key."""
-    return lambda m: m
+    """The lexicographic key function: a monomial is its own key
+    (``tuple`` returns a tuple as it is)."""
+    return tuple
+
+
+def _heap_key(ring: PolyRing, key):
+    """The reducer's heap key under the order ``key``: the negated key,
+    so that the heap pops the largest monomial first, memoized in the
+    ring's monomial table under the key function."""
+    # a starred display sizes each tuple exactly; tuple(map(...)) over-allocates
+    return ring.column((neg, key), lambda m: (*map(neg, key(m)),)).__getitem__
 
 
 def leading_term(terms: dict, key) -> tuple:
@@ -112,12 +128,13 @@ class GroebnerBasis:
     as ``_integer`` = (elements, their (leading monomial, coefficient)),
     the form both normal forms reduce by."""
 
-    __slots__ = ("ring", "order", "elements", "_key", "_integer", "_table", "_standard")
+    __slots__ = ("ring", "order", "elements", "_key", "_heap_key", "_integer", "_table", "_standard")
 
     def __init__(self, ring: PolyRing, order, integer_elements: list[dict]):
         self.ring = ring
         self.order = order
         self._key = key = order(ring)
+        self._heap_key = _heap_key(ring, key)
         ranked = sorted(((leading_term(t, key), t) for t in integer_elements), key=lambda e: key(e[0][0]))
         self._integer = [t for _, t in ranked], [lt for lt, _ in ranked]
         self.elements = [
@@ -146,15 +163,16 @@ class GroebnerBasis:
         return f"GroebnerBasis[{'; '.join(str(g) for g in self.elements)}]"
 
 
-def _reduce_full(terms: dict, basis: list[dict], leads, key, steps: dict, below=None) -> tuple[dict, int]:
+def _reduce_full(terms: dict, basis: list[dict], leads, heap_key, steps: dict, below=None) -> tuple[dict, int]:
     """Fraction-free full reduction of p, given as ``{monomial: int}``
     terms, by integer polynomials with (leading monomial, coefficient)
     ``leads``: (r, mult) with mult * p = r modulo them.  The next term
     c * m meets the first lead lc * lm dividing m; with a / b = c / lc in
     lowest terms, the pending terms and mult are scaled by b and
     a * x^(m - lm) * tail is subtracted.  Pending terms come largest first
-    from a heap of (negated key, monomial), one per monomial of ``work``
-    (keys are injective, so none tie): a cancelled term stays in ``work``
+    from a heap of (``heap_key(m)``, m), ``heap_key`` being the negated
+    order key of ``_heap_key``, one per monomial of ``work`` (keys are
+    injective, so none tie): a cancelled term stays in ``work``
     with coefficient 0 until its entry is popped, and a popped monomial
     never returns, since every step only adds terms below it.  With
     ``below`` set, every term of total degree >= below is dropped: the
@@ -171,8 +189,7 @@ def _reduce_full(terms: dict, basis: list[dict], leads, key, steps: dict, below=
     remainder = []  # (monomial, coefficient, mult when it was set aside)
     mult = 1
     work = {m: c for m, c in terms.items() if below is None or sum(m) < below}
-    # a starred display sizes each tuple exactly; tuple(map(...)) over-allocates
-    heap = [((*map(neg, key(m)),), m) for m in work]
+    heap = [(heap_key(m), m) for m in work]
     heapq.heapify(heap)
     while heap:
         _, m = heapq.heappop(heap)
@@ -202,7 +219,7 @@ def _reduce_full(terms: dict, basis: list[dict], leads, key, steps: dict, below=
             s = work.get(t)
             if s is None:
                 work[t] = -a * gc
-                heapq.heappush(heap, ((*map(neg, key(t)),), t))
+                heapq.heappush(heap, (heap_key(t), t))
             else:
                 work[t] = s - a * gc
     return {m: c * (mult // at) for m, c, at in remainder}, mult
@@ -214,7 +231,7 @@ def normal_form(p: Polynomial, gb: GroebnerBasis) -> Polynomial:
     if p.ring != gb.ring:
         raise InputError("ring mismatch between polynomial and basis")
     terms, den = _integer_row(p.terms)
-    r, mult = _reduce_full(terms, *gb._integer, gb._key, {})
+    r, mult = _reduce_full(terms, *gb._integer, gb._heap_key, {})
     den *= mult
     return Polynomial(p.ring, {m: Fraction(c, den) for m, c in r.items()})
 
@@ -307,6 +324,7 @@ def buchberger(
     basis, leads, _ = _complete(gens, ring, key)
 
     # reduce: keep minimal leading monomials, tail-reduce, make monic
+    heap_key = _heap_key(ring, key)
     order_idx = sorted(range(len(basis)), key=lambda i: key(leads[i][0]))
     minimal: list[int] = []
     for i in order_idx:
@@ -315,7 +333,7 @@ def buchberger(
     reduced: list[dict] = []
     for i in minimal:
         others = [j for j in minimal if j != i]
-        r, _ = _reduce_full(basis[i], [basis[j] for j in others], [leads[j] for j in others], key, {})
+        r, _ = _reduce_full(basis[i], [basis[j] for j in others], [leads[j] for j in others], heap_key, {})
         # no other minimal lead divides leads[i], so it stays the leading term;
         # divide by the content, signed so that coefficient comes out positive
         content = math.gcd(*r.values())
@@ -339,6 +357,7 @@ def _complete(gens: list[Polynomial], ring: PolyRing, key, below: int | None = N
     degree is then a lead, so the quotient stays the same.
     """
     degree = ring.weighted_degree if below is None else sum
+    heap_key = _heap_key(ring, key)
 
     # seed with an interreduced, deterministic generating set;
     # leads[i] is the (leading monomial, coefficient) of basis[i]
@@ -361,7 +380,7 @@ def _complete(gens: list[Polynomial], ring: PolyRing, key, below: int | None = N
         row, _ = _integer_row(g.terms)
         if not span.add_row(dict(row)):
             continue
-        r, _ = _reduce_full(row, basis, leads, key, steps, below)
+        r, _ = _reduce_full(row, basis, leads, heap_key, steps, below)
         if r:
             add(r)
 
@@ -403,7 +422,7 @@ def _complete(gens: list[Polynomial], ring: PolyRing, key, below: int | None = N
         for m, c in basis[j].items():
             t = mono_mul(m, sj)
             spoly[t] = spoly.get(t, 0) - ci // d * c
-        r, _ = _reduce_full(spoly, basis, leads, key, steps, below)
+        r, _ = _reduce_full(spoly, basis, leads, heap_key, steps, below)
         if not r:
             continue
         new = len(basis)
@@ -421,6 +440,11 @@ COLENGTH_CAP = 64
 def _local_key(m: Monomial):
     """Local degree order: lower total degree is larger, then grevlex."""
     return (-sum(m), *map(neg, reversed(m)))
+
+
+def _local_order(ring: PolyRing):
+    """``_local_key`` memoized in the ring's monomial table."""
+    return ring.column(_local_key, _local_key).__getitem__
 
 
 def _staircase(lead: list[Monomial], arity: int, below: int) -> list[Monomial]:
@@ -473,7 +497,7 @@ def colength_local(generators: list[Polynomial], ring: PolyRing) -> int | float:
         return poincare_series(buchberger(gens, WGREVLEX, ring=ring)).total_dimension()
     n = 2
     while n <= COLENGTH_CAP:
-        _, leads, below = _complete(gens, ring, _local_key, below=n)
+        _, leads, below = _complete(gens, ring, _local_order(ring), below=n)
         if below < n:
             return len(_staircase([lm for lm, _ in leads], ring.arity, below))
         n *= 2

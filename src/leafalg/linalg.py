@@ -2,12 +2,11 @@
 
 Callers hand in sparse vectors, dicts from any sortable key to a
 Fraction or an int (zero entries and empty vectors are allowed), and ask
-for the rank of their span (``span_rank``), for the linear relations
-among them (``relations``, each a sparse dict from vector index to
-Fraction), or grow a span one vector at a time (``Echelon.add``).  An
-integer row without zeros enters the elimination as it is through
-``Echelon.add_row``; ``relations`` also takes an integer row with its
-denominator.
+for the linear relations among them (``relations``, each a sparse dict
+from vector index to Fraction), or grow a span one vector at a time
+(``Echelon.add``).  An integer row without zeros enters the elimination
+as it is through ``Echelon.add_row``; ``span_rank`` takes such rows
+only, and ``relations`` also takes an integer row with its denominator.
 
 Underneath is one sparse elimination routine, ``Echelon._reduce``.  A
 vector is scaled to a primitive integer row, a dict from column to int,
@@ -105,13 +104,15 @@ def _integer_components(components) -> tuple[list[dict], int]:
     return out, den
 
 
-def span_rank(vectors, size: int | None = None) -> int:
-    """Rank of the span of the sparse vectors, read one at a time.  With
-    ``size``, the dimension of the space they lie in, reading stops once
-    the rank reaches it, so a lazy iterable builds no vector past that."""
+def span_rank(rows, size: int | None = None) -> int:
+    """Rank of the span of the integer rows without zero entries, read
+    one at a time and handed to ``Echelon.add_row`` as they come (which
+    may change them).  With ``size``, the dimension of the space they lie
+    in, reading stops once the rank reaches it, so a lazy iterable builds
+    no row past that."""
     echelon = Echelon()
-    for v in vectors:
-        if echelon.add(v) and len(echelon.rows) == size:
+    for row in rows:
+        if echelon.add_row(row) and len(echelon.rows) == size:
             break
     return len(echelon.rows)
 

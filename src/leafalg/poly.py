@@ -9,6 +9,12 @@ safe.
 The canonical order used for storing printed output is
 weighted-degree-then-reverse-lexicographic (largest term first).
 
+Each ``PolyRing`` keeps one monomial table: data derived from a monomial
+alone (an order key, a heap key, printed text) is made on the first
+lookup and then read back, for as long as the ring lives.  The table
+has one column per kind of datum (``PolyRing.column``); it takes no
+part in ring equality or hashing.
+
 ``parse_poly`` reads a string in one pass over its tokens, building
 plain {monomial: coefficient} dicts, and constructs exactly one
 ``Polynomial`` at the end.  ``Polynomial`` multiplication and powers
@@ -76,6 +82,20 @@ def _pow_terms(terms: dict, n: int, one: Monomial) -> dict:
     return out
 
 
+class _Column(dict):
+    """A column of ``PolyRing.column``; its ``__getitem__`` is the
+    memoized formula, and a repeat lookup runs no Python code."""
+
+    __slots__ = ("formula",)
+
+    def __init__(self, formula):
+        self.formula = formula
+
+    def __missing__(self, m):
+        value = self[m] = self.formula(m)
+        return value
+
+
 class PolyRing:
     """A polynomial ring over Q with named variables and positive weights.
 
@@ -87,7 +107,7 @@ class PolyRing:
     an explicit cap).
     """
 
-    __slots__ = ("variables", "weights", "_index")
+    __slots__ = ("variables", "weights", "_index", "_columns")
 
     def __init__(self, variables: Iterable[str], weights: Iterable[int] | None = None):
         names = tuple(variables)
@@ -106,6 +126,7 @@ class PolyRing:
         self.variables = names
         self.weights = wts
         self._index = {n: i for i, n in enumerate(names)}
+        self._columns: dict = {}  # the monomial table, one column per name
 
     @property
     def arity(self) -> int:
@@ -137,6 +158,17 @@ class PolyRing:
 
     def weighted_degree(self, mono: Monomial) -> int:
         return sum(map(mul, self.weights, mono))
+
+    def column(self, name, formula) -> dict:
+        """The column ``name`` of the ring's monomial table: a dict that
+        maps each monomial looked up in it to ``formula(monomial)``, made
+        on the first lookup and kept while the ring lives.  ``formula``
+        is used only when the column is new; it should not hold the ring,
+        so that the table is freed with it."""
+        col = self._columns.get(name)
+        if col is None:
+            col = self._columns[name] = _Column(formula)
+        return col
 
     # -- constructors ------------------------------------------------
 
@@ -342,19 +374,24 @@ class Polynomial:
 
     def __str__(self) -> str:
         """Terms leading-first by weighted degree, then grevlex; a number
-        longer than ``str()`` converts is a DomainError."""
+        longer than ``str()`` converts is a DomainError.  Each monomial's
+        print key and factor text come from the ring's monomial table."""
         if not self.terms:
             return "0"
         ring = self.ring
-        degree = ring.weighted_degree
+        weights, names = ring.weights, ring.variables
+        rank = ring.column("print key", lambda m: (sum(map(mul, weights, m)), *map(neg, reversed(m))))
+        text = ring.column(
+            "factor text", lambda m: "*".join(f"{name}^{e}" if e > 1 else name for name, e in zip(names, m) if e)
+        )
         chunks: list[str] = []
-        for m in sorted(self.terms, key=lambda m: (degree(m), *map(neg, reversed(m))), reverse=True):
+        for m in sorted(self.terms, key=rank.__getitem__, reverse=True):
             c = self.terms[m]
             num, den = c.numerator, c.denominator
             size = -num if num < 0 else num
             try:
                 mag = str(size) if den == 1 else f"{size}/{den}"
-                factors = "*".join(f"{name}^{e}" if e > 1 else name for name, e in zip(ring.variables, m) if e)
+                factors = text[m]
             except ValueError:
                 raise DomainError(f"cannot print a number longer than {sys.get_int_max_str_digits()} digits") from None
             body = mag if not factors else factors if mag == "1" else f"{mag}*{factors}"

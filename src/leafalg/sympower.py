@@ -162,6 +162,7 @@ def brute_sym2_coinvariants(X: Variety, max_degree: int) -> dict[int, int]:
                     for x, c in terms.items():
                         key = (x, y) if x <= y else (y, x)
                         row[key] = row.get(key, 0) + c * den
-                yield row
+                # a cancelled entry at the smallest column would be a false pivot
+                yield {key: v for key, v in row.items() if v}
 
     return graded_quotient(max_degree, lambda w: len(pairs(w)), rows)

@@ -195,7 +195,7 @@ def tangency_check(field: VectorField, gb: GroebnerBasis) -> bool:
     elements, leads = gb._integer
     steps: dict = {}
     return not any(
-        _reduce_full(apply_field(coefficients, g), elements, leads, gb._key, steps)[0] for g in elements
+        _reduce_full(apply_field(coefficients, g), elements, leads, gb._heap_key, steps)[0] for g in elements
     )
 
 

@@ -4,13 +4,17 @@ Groebner machinery under test.
 Everything here is plain truncated linear algebra over Fractions with
 its own row reduction; only the polynomial carrier type is shared with
 the package.  The references for the integer code paths (tangency, the
-printer) spell out the same definitions on ``Fraction``s instead.
+printer) spell out the same definitions on ``Fraction``s instead, and
+``per_use_str`` is the printer that builds its monomial data on every
+use, the reference for the one that reads it from the ring's table.
 """
 
+import sys
 from fractions import Fraction
 from itertools import combinations, permutations, product
+from operator import neg
 
-from leafalg.errors import InputError, ParseError
+from leafalg.errors import DomainError, InputError, ParseError
 from leafalg.groebner import normal_form
 
 
@@ -329,6 +333,32 @@ def reference_str(p):
             chunks.append(body if c > 0 else f"-{body}")
         else:
             chunks.append(f"+ {body}" if c > 0 else f"- {body}")
+    return " ".join(chunks)
+
+
+def per_use_str(p):
+    """The printer as it was before the ring's monomial table: each
+    monomial's print key and factor text are built again on every use,
+    and a number longer than ``str()`` converts is a DomainError."""
+    if not p.terms:
+        return "0"
+    ring = p.ring
+    degree = ring.weighted_degree
+    chunks = []
+    for m in sorted(p.terms, key=lambda m: (degree(m), *map(neg, reversed(m))), reverse=True):
+        c = p.terms[m]
+        num, den = c.numerator, c.denominator
+        size = -num if num < 0 else num
+        try:
+            mag = str(size) if den == 1 else f"{size}/{den}"
+            factors = "*".join(f"{name}^{e}" if e > 1 else name for name, e in zip(ring.variables, m) if e)
+        except ValueError:
+            raise DomainError(f"cannot print a number longer than {sys.get_int_max_str_digits()} digits") from None
+        body = mag if not factors else factors if mag == "1" else f"{mag}*{factors}"
+        if chunks:
+            chunks.append(f"+ {body}" if num > 0 else f"- {body}")
+        else:
+            chunks.append(body if num > 0 else f"-{body}")
     return " ".join(chunks)
 
 

@@ -698,6 +698,24 @@ LONG_LITERAL = "integer literal longer than 4300 digits"
             "{path}: invalid JSON: maximum recursion depth exceeded while decoding a JSON array from a unicode string",
             id="deep-nesting",
         ),
+        # a key the kind does not read: a bracket with u is no Jacobi pair
+        pytest.param(
+            {
+                "ring": {"vars": ["t", "x", "y"]},
+                "structure": {
+                    "kind": "bracket",
+                    "matrix": [["0", "0", "y"], ["0", "0", "-1"], ["-y", "1", "0"]],
+                    "u": ["1", "0", "0"],
+                },
+            },
+            "structure.u: kind 'bracket' reads only kind, matrix",
+            id="bracket-with-u",
+        ),
+        pytest.param(
+            {"ring": TWO_VARS, "structure": {"kind": "jacobian", "matrix": [["0", "x"], ["-x", "0"]]}},
+            "structure.matrix: kind 'jacobian' reads only kind",
+            id="jacobian-with-matrix",
+        ),
     ],
 )
 def test_main_refuses_a_malformed_document_in_one_line(tmp_path, capsys, doc, refusal):

@@ -1,9 +1,11 @@
 """Groebner bases and the ideal invariants derived from them."""
 
+import collections
 import itertools
 import math
 import random
 from fractions import Fraction
+from operator import neg
 from pathlib import Path
 
 import pytest
@@ -655,7 +657,7 @@ def test_buchberger_pair_order_is_pinned(monkeypatch, name, reductions, size):
 def test_a_miss_is_checked_again_against_appended_leads():
     # x*y is no multiple of x^2, so the table records a miss there; once
     # 2y - 1 is appended, as the completion appends, x*y must reduce
-    key = WGREVLEX(XY)
+    key = groebner._heap_key(XY, WGREVLEX(XY))
     basis, leads, steps = [{(2, 0): 1}], [((2, 0), 1)], {}
     p = {(1, 1): 3, (0, 0): 1}
     assert groebner._reduce_full(p, basis, leads, key, steps) == (p, 1)
@@ -674,7 +676,7 @@ def test_a_cached_tail_is_truncated_at_a_lower_bound():
     p = {(1, 1): 1}
 
     def reduce(below):
-        return groebner._reduce_full(p, basis, leads, groebner._local_key, steps, below)
+        return groebner._reduce_full(p, basis, leads, groebner._heap_key(XY, groebner._local_key), steps, below)
 
     assert reduce(5) == ({(0, 3): 1, (0, 4): -1}, 1)
     step = steps[(1, 1)]
@@ -816,6 +818,67 @@ def test_buchberger_matches_sympy():
         }
         ours = {monic_terms(g.terms) for g in buchberger(gens, order, ring=ring).elements}
         assert ours == expected, (gens, order)
+
+
+def test_memoized_keys_equal_their_formulas():
+    # seeded random monomials, a zero-weight ring among the rings: the
+    # order keys read from the ring's table are their formulas written
+    # out, each is made once, and the heap key is the negated order key
+    rng = random.Random(71)
+    for weights in ((1, 1, 1), (3, 2, 5, 1), (1, 0, 2), (0, 0, 1, 4)):
+        ring = PolyRing([f"x{i}" for i in range(len(weights))], weights)
+        keys = [WGREVLEX(ring), groebner._local_order(ring), LEX(ring)]
+        heaps = [groebner._heap_key(ring, key) for key in keys]
+        for _ in range(300):
+            m = tuple(rng.choice((0, 0, 1, 2, 3, 7)) for _ in weights)
+            degree = sum(w * e for w, e in zip(weights, m))
+            tiebreak = tuple(-e for e in reversed(m))
+            grevlex = (degree, sum(m), *tiebreak) if 0 in weights else (degree, *tiebreak)
+            assert [key(m) for key in keys] == [grevlex, (-sum(m), *tiebreak), m]
+            assert WGREVLEX(ring)(m) is keys[0](m) and groebner._local_order(ring)(m) is keys[1](m)
+            for key, heap in zip(keys, heaps):
+                assert heap(m) == tuple(-k for k in key(m))
+                assert groebner._heap_key(ring, key)(m) is heap(m)
+
+
+def memo_builds(monkeypatch):
+    """A Counter of (column name, monomial) -> formula calls, for every
+    column of a monomial table made from now on."""
+    builds = collections.Counter()
+    column = PolyRing.column
+
+    def counted(ring, name, formula):
+        def tallied(m):
+            builds[name, m] += 1
+            return formula(m)
+
+        return column(ring, name, tallied)
+
+    monkeypatch.setattr(PolyRing, "column", counted)
+    return builds
+
+
+def test_each_order_key_is_built_once_per_monomial(monkeypatch):
+    # a cyclic-5 completion keys each distinct monomial once under
+    # grevlex and once for the reducer's heap, however often it recurs;
+    # a fresh ring, so that no earlier test has filled its table
+    ideal = corpus_ideal("cyclic5")
+    ring = PolyRing(ideal[0].ring.variables, ideal[0].ring.weights)
+    gens = [Polynomial(ring, g.terms) for g in ideal]
+    builds = memo_builds(monkeypatch)
+    gb = buchberger(gens)
+    assert len(gb.elements) == 20
+    assert {name for name, _ in builds} == {WGREVLEX, (neg, gb._key)}
+    assert set(builds.values()) == {1}
+    assert len(builds) == sum(map(len, ring._columns.values())) > 0
+    # the local order of a non-homogeneous colength: its key and heap key
+    builds.clear()
+    local = PolyRing(["x", "y"])
+    assert colength_local(polys(local, "x^2 - y^3 + x*y^3", "x*y - y^4"), local) == local_colength_brute(
+        polys(local, "x^2 - y^3 + x*y^3", "x*y - y^4")
+    )
+    assert {name for name, _ in builds} == {groebner._local_key, (neg, groebner._local_order(local))}
+    assert set(builds.values()) == {1}
 
 
 def test_order_keys_match_their_definitions():

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from leafalg import poly
-from leafalg.errors import InputError, ParseError
+from leafalg.errors import DomainError, InputError, ParseError
 from leafalg.poly import (
     PolyRing,
     Polynomial,
@@ -20,7 +20,7 @@ from leafalg.poly import (
     parse_poly,
 )
 
-from oracles import random_polynomial, random_quasihomogeneous, reference_parse_poly, reference_str
+from oracles import per_use_str, random_polynomial, random_quasihomogeneous, reference_parse_poly, reference_str
 
 XYZ = PolyRing(["x", "y", "z"])
 CUSP_RING = PolyRing(["x", "y"], [3, 2])
@@ -315,6 +315,51 @@ def test_printer_matches_the_fraction_reference():
         assert str(-p) == reference_str(-p)
     assert str(parse_poly("-1/2", XYZ)) == reference_str(parse_poly("-1/2", XYZ)) == "-1/2"
     assert str(parse_poly("-x + 1", XYZ)) == "-x + 1"
+
+
+def test_the_tabled_printer_matches_the_per_use_printer():
+    # seeded polynomials with negative and p/q coefficients, a weighted
+    # ring and a ring with a zero weight, each printed twice: once while
+    # the ring's table fills, once reading it back
+    rng = random.Random(83)
+    rings = (PolyRing(["x", "y", "z"]), PolyRing(["x", "y"], [3, 2]), PolyRing(["x", "y", "t"], [1, 1, 0]))
+    coefficients = [Fraction(n, d) for n in (-12, -5, -1, 1, 3, 8) for d in (1, 1, 4, 7)]
+    for _ in range(300):
+        ring = rng.choice(rings)
+        terms = {
+            tuple(rng.randint(0, 4) for _ in range(ring.arity)): rng.choice(coefficients)
+            for _ in range(rng.randint(1, 7))
+        }
+        p = Polynomial(ring, terms)
+        expected = per_use_str(p)
+        assert str(p) == expected
+        assert str(p) == expected
+    assert all(ring._columns for ring in rings)
+
+
+def test_a_number_longer_than_str_converts_still_fails_to_print():
+    # the factor text is made inside the printer's try, so a long
+    # exponent is a DomainError, as is a long coefficient, and no table
+    # entry is left behind for the monomial that failed
+    ring = PolyRing(["x", "y"])
+    long_exponent = Polynomial(ring, {(10**4300, 1): 1, (0, 1): 2})
+    long_coefficient = Polynomial(ring, {(1, 1): Fraction(-(10**4300), 3)})
+    for p in (long_exponent, long_coefficient):
+        for printer in (str, per_use_str):
+            with pytest.raises(DomainError, match="cannot print a number longer than 4300 digits"):
+                printer(p)
+    assert (10**4300, 1) not in ring._columns["factor text"]
+    assert str(Polynomial(ring, {(2, 1): -3})) == "-3*x^2*y"
+
+
+def test_equal_rings_ignore_their_monomial_tables():
+    filled, empty = PolyRing(["x", "y", "t"], [2, 3, 0]), PolyRing(["x", "y", "t"], [2, 3, 0])
+    str(parse_poly("x^2*t - 1/2*y + 3", filled))
+    filled.column("squares", lambda m: tuple(e * e for e in m))[(1, 2, 3)]
+    assert filled._columns and not empty._columns
+    assert filled == empty and hash(filled) == hash(empty)
+    assert parse_poly("y - x", filled) == parse_poly("y - x", empty)
+    assert len({filled, empty}) == 1
 
 
 def test_evaluate():

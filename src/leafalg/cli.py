@@ -62,6 +62,13 @@ def _fail(path: str, message: str):
     raise InputError(f"{path}: {message}")
 
 
+def _only(obj: dict, path: str, reader: str, reads: tuple) -> None:
+    """Refuse the first key of ``obj`` outside ``reads``, at ``path + key``."""
+    for key in obj:
+        if key not in reads:
+            _fail(path + key, f"{reader} reads only {', '.join(reads)}")
+
+
 def _parse_matrix(ring: PolyRing, rows, path: str):
     if not isinstance(rows, list) or not rows:
         _fail(path, "expected a non-empty list of rows")
@@ -106,11 +113,13 @@ def load_input(path: str) -> InputDocument:
         raise InputError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         _fail("$", "top level must be an object")
+    _only(raw, "", "a document", ("ring", "ideal", "structure", "options"))
     warnings: list[str] = []
 
     ring_obj = raw.get("ring")
     if not isinstance(ring_obj, dict):
         _fail("ring", "required object with 'vars' and optional 'weights'")
+    _only(ring_obj, "ring.", "a ring", ("vars", "weights"))
     var_names = ring_obj.get("vars")
     if not isinstance(var_names, list) or not all(isinstance(v, str) for v in var_names) or not var_names:
         _fail("ring.vars", "required non-empty list of strings")
@@ -140,10 +149,7 @@ def load_input(path: str) -> InputDocument:
         kind = s_obj["kind"]
         if not isinstance(kind, str) or kind not in _STRUCTURE_KEYS:
             _fail("structure.kind", f"unknown kind {kind!r}")
-        reads = ("kind", *_STRUCTURE_KEYS[kind])
-        for key in s_obj:
-            if key not in reads:
-                _fail(f"structure.{key}", f"kind {kind!r} reads only {', '.join(reads)}")
+        _only(s_obj, "structure.", f"kind {kind!r}", ("kind", *_STRUCTURE_KEYS[kind]))
         if kind == "jacobian":
             structure = JacobianPolyvector()
         elif kind in ("bracket", "jacobi"):  # a Poisson bracket is a Jacobi pair without u
@@ -165,6 +171,7 @@ def load_input(path: str) -> InputDocument:
     options = raw.get("options", {})
     if not isinstance(options, dict):
         _fail("options", "expected an object")
+    _only(options, "options.", "an options object", ("max_degree",))
     if "max_degree" in options and not (_is_int(options["max_degree"]) and options["max_degree"] >= 0):
         _fail("options.max_degree", "expected a non-negative integer")
     return InputDocument(ring, ideal, structure, options, warnings, path)

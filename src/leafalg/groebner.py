@@ -571,8 +571,7 @@ class PoincareSeries:
 
     def expand(self, degree: int) -> dict[int, int]:
         """Coefficients of the series through the given degree."""
-        coeffs = {e: c for e, c in self.numerator.items()}
-        out = [coeffs.get(d, 0) for d in range(degree + 1)]
+        out = [self.numerator.get(d, 0) for d in range(degree + 1)]
         for w in self.denominator:
             # multiply by 1/(1 - u^w) = 1 + u^w + u^{2w} + ...
             for d in range(w, degree + 1):
@@ -587,17 +586,7 @@ class PoincareSeries:
         )
 
     def __str__(self):
-        if not self.numerator:
-            return "0"
-        chunks = []
-        for e, c in sorted(self.numerator.items()):
-            if e == 0:
-                body = str(c)
-            else:
-                mono = "u" if e == 1 else f"u^{e}"
-                body = mono if c == 1 else (f"-{mono}" if c == -1 else f"{c}*{mono}")
-            chunks.append(body if not chunks else (f"+ {body}" if c > 0 else f"- {body.lstrip('-')}"))
-        num = " ".join(chunks)
+        num = u_polynomial_text(self.numerator)
         if self.finite:
             return num
         den = "*".join(f"(1-u^{w})" if w != 1 else "(1-u)" for w in self.denominator)
@@ -607,31 +596,37 @@ class PoincareSeries:
         return f"PoincareSeries({self})"
 
 
-def _poly_mul_u(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
-    out: dict[int, int] = {}
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            e = ea + eb
-            out[e] = out.get(e, 0) + ca * cb
-    return {e: c for e, c in out.items() if c != 0}
+def u_polynomial_text(coefficients: dict[int, int]) -> str:
+    """Exponent -> nonzero coefficient (exponents may be negative) as
+    ``c*u^e`` terms in increasing e, each after its sign: ``-1 + u - 2*u^3``
+    ("0" for none)."""
+    text = ""
+    for e, c in sorted(coefficients.items()):
+        mono = "u" if e == 1 else f"u^{e}"
+        body = str(abs(c)) if e == 0 else mono if abs(c) == 1 else f"{abs(c)}*{mono}"
+        text += (" - " if c < 0 else " + ") + body if text else ("-" if c < 0 else "") + body
+    return text or "0"
+
+
+def _add_shifted(a: dict[int, int], b: dict[int, int], w: int, sign: int = 1) -> dict[int, int]:
+    """The u-polynomial a + sign * u^w * b, zero terms dropped."""
+    out = dict(a)
+    for e, c in b.items():
+        out[e + w] = out.get(e + w, 0) + sign * c
+    return {e: c for e, c in out.items() if c}
 
 
 def _try_divide(num: dict[int, int], w: int) -> dict[int, int] | None:
-    """Exact quotient num / (1 - u^w) in Z[u], or None if not divisible."""
-    if not num:
-        return {}
+    """Exact quotient num / (1 - u^w) in Z[u], or None if there is none:
+    q_e = num_e + q_(e-w) from the lowest exponent up (as ``expand`` runs
+    it), refused at the first nonzero q_e below 0 or above deg(num) - w."""
     q: dict[int, int] = {}
-    rem = dict(num)
-    # divide by (1 - u^w) from the top degree down: -u^w * q picks up terms
-    while rem:
-        top = max(rem)
-        c = rem.pop(top)
-        if top - w < 0:
+    top = max(num, default=0)
+    for e in range(min(num, default=0), top + 1):
+        c = q[e] = num.get(e, 0) + q.get(e - w, 0)
+        if c and not 0 <= e <= top - w:
             return None
-        q[top - w] = -c
-        rem[top - w] = rem.get(top - w, 0) + c
-        rem = {e: v for e, v in rem.items() if v != 0}
-    return q
+    return {e: c for e, c in q.items() if c}
 
 
 def _cancel(num: dict[int, int], den: tuple[int, ...]):
@@ -656,9 +651,8 @@ def _hilbert_numerator(lead: list[Monomial], ring: PolyRing) -> dict[int, int]:
     mixed = [m for m in gens if sum(1 for e in m if e > 0) > 1]
     if not mixed:
         out = {0: 1}
-        for m in gens:
-            w = ring.weighted_degree(m)
-            out = _poly_mul_u(out, {0: 1, w: -1})
+        for m in gens:  # times (1 - u^deg(m))
+            out = _add_shifted(out, out, ring.weighted_degree(m), -1)
         return out
     # pivot on the most common variable among mixed generators
     counts = [0] * ring.arity
@@ -670,13 +664,7 @@ def _hilbert_numerator(lead: list[Monomial], ring: PolyRing) -> dict[int, int]:
     pvec = tuple(1 if i == piv else 0 for i in range(ring.arity))
     plus = _minimalize_monomials(gens + [pvec])
     colon = _minimalize_monomials([mono_div(m, tuple(min(a, b) for a, b in zip(m, pvec))) for m in gens])
-    n_plus = _hilbert_numerator(plus, ring)
-    n_colon = _hilbert_numerator(colon, ring)
-    w = ring.weights[piv]
-    out = dict(n_plus)
-    for e, c in n_colon.items():
-        out[e + w] = out.get(e + w, 0) + c
-    return {e: c for e, c in out.items() if c != 0}
+    return _add_shifted(_hilbert_numerator(plus, ring), _hilbert_numerator(colon, ring), ring.weights[piv])
 
 
 def _minimalize_monomials(monos: list[Monomial]) -> list[Monomial]:

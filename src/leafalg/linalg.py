@@ -94,14 +94,10 @@ def _integer_row(vector) -> tuple[dict, int]:
 
 def _integer_components(components) -> tuple[list[dict], int]:
     """The ``{key: coefficient}`` components of one vector times the lcm D
-    of all their denominators, as int dicts, and D."""
-    stacked, den = _integer_row(
-        {(k, m): c for k, terms in enumerate(components) for m, c in terms.items()}
-    )
-    out = [{} for _ in components]
-    for (k, m), c in stacked.items():
-        out[k][m] = c
-    return out, den
+    of all their denominators, as int dicts without zero entries (keys in
+    their order), and D."""
+    den = lcm(*(c.denominator for terms in components for c in terms.values()))
+    return [{m: c.numerator * (den // c.denominator) for m, c in terms.items() if c} for terms in components], den
 
 
 def span_rank(rows, size: int | None = None) -> int:

@@ -179,15 +179,13 @@ class PolyRing:
         return self.const(1)
 
     def const(self, c) -> "Polynomial":
-        c = Fraction(c)
-        if c == 0:
-            return self.zero()
-        return Polynomial(self, {(0,) * self.arity: c})
+        """The constant c, a ``Fraction`` coefficient (zero for c = 0)."""
+        return self.monomial((0,) * self.arity, c)
 
     def var(self, name: str) -> "Polynomial":
+        """The variable ``name``, with coefficient ``Fraction(1)``."""
         i = self.index(name)
-        expo = tuple(1 if j == i else 0 for j in range(self.arity))
-        return Polynomial(self, {expo: Fraction(1)})
+        return self.monomial(tuple(1 if j == i else 0 for j in range(self.arity)))
 
     def gens(self) -> tuple:
         return tuple(self.var(n) for n in self.variables)
@@ -320,10 +318,8 @@ class Polynomial:
         return Polynomial(self.ring, _pow_terms(self.terms, n, (0,) * self.ring.arity))
 
     def scale(self, c) -> "Polynomial":
-        c = Fraction(c)
-        if c == 0:
-            return self.ring.zero()
-        return Polynomial(self.ring, {m: c * v for m, v in self.terms.items()})
+        """The product with the number c, as ``Fraction(c)`` (zero for c = 0)."""
+        return self * Fraction(c)
 
     # -- calculus and grading ----------------------------------------
 
@@ -354,7 +350,8 @@ class Polynomial:
         return components, len(components) <= 1
 
     def is_quasihomogeneous(self) -> bool:
-        return self.weighted_components()[1]
+        """At most one weighted degree among the terms (true for zero)."""
+        return len(set(map(self.ring.weighted_degree, self.terms))) <= 1
 
     def evaluate(self, values) -> Fraction:
         """Evaluate at a rational point given as a sequence, one value per variable."""

@@ -22,7 +22,7 @@ import math
 from .errors import DomainError, InputError
 from .geom import Variety, hp0_series
 from .coinv import graded_family, graded_quotient
-from .groebner import _nf_terms, monomial_basis
+from .groebner import _nf_terms, monomial_basis, u_polynomial_text
 
 
 class BigradedSeries:
@@ -72,17 +72,9 @@ class BigradedSeries:
         layers = []
         for r in range(self.truncation + 1):
             layer = self.s_layer(r)
-            if not layer:
-                continue
-            chunks = []
-            for u, c in sorted(layer.items()):
-                if u == 0:
-                    chunks.append(str(c))
-                else:
-                    base = "u" if u == 1 else f"u^{u}"
-                    chunks.append(base if c == 1 else f"{c}*{base}")
-            body = " + ".join(chunks)
-            layers.append(body if r == 0 else f"({body})*s^{r}" if r > 1 else f"({body})*s")
+            if layer:
+                body = u_polynomial_text(layer)
+                layers.append(body if r == 0 else f"({body})*s^{r}" if r > 1 else f"({body})*s")
         return " + ".join(layers)
 
     __repr__ = __str__

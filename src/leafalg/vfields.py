@@ -133,9 +133,8 @@ class VectorField:
         return VectorField(self.ring, [-a for a in self.coefficients])
 
     def scale(self, p) -> "VectorField":
-        if isinstance(p, Polynomial):
-            return VectorField(self.ring, [p * a for a in self.coefficients])
-        return VectorField(self.ring, [a.scale(p) for a in self.coefficients])
+        """The product with p, a polynomial or a number."""
+        return VectorField(self.ring, [p * a for a in self.coefficients])
 
     def evaluate(self, point) -> tuple:
         return tuple(c.evaluate(point) for c in self.coefficients)

@@ -7,10 +7,14 @@ the package.  The references for the integer code paths (tangency, the
 printer) spell out the same definitions on ``Fraction``s instead, and
 ``per_use_str`` is the printer that builds its monomial data on every
 use, the reference for the one that reads it from the ring's table.
+The small u-polynomial kernels (exact division by 1 - u^w, the series
+printers, the rational scaling of several components) are kept here as
+they were first written, as references for their simpler rewrites.
 """
 
 import sys
 from fractions import Fraction
+from math import lcm
 from itertools import combinations, permutations, product
 from operator import neg
 
@@ -360,6 +364,70 @@ def per_use_str(p):
         else:
             chunks.append(body if num > 0 else f"-{body}")
     return " ".join(chunks)
+
+
+def long_division_by_one_minus_u_power(num, w):
+    """Exact quotient num / (1 - u^w) in Z[u], or None: long division
+    from the top degree down, where -u^w * q picks up each top term; a
+    quotient term below exponent 0 means there is none."""
+    if not num:
+        return {}
+    q = {}
+    rem = dict(num)
+    while rem:
+        top = max(rem)
+        c = rem.pop(top)
+        if top - w < 0:
+            return None
+        q[top - w] = -c
+        rem[top - w] = rem.get(top - w, 0) + c
+        rem = {e: v for e, v in rem.items() if v != 0}
+    return q
+
+
+def numerator_text(numerator):
+    """A Poincare numerator (exponent -> nonzero coefficient) printed as
+    the series printed it: terms in increasing exponent, the first with
+    its own sign, each later one after "+ " or "- "; "0" for none."""
+    if not numerator:
+        return "0"
+    chunks = []
+    for e, c in sorted(numerator.items()):
+        if e == 0:
+            body = str(c)
+        else:
+            mono = "u" if e == 1 else f"u^{e}"
+            body = mono if c == 1 else (f"-{mono}" if c == -1 else f"{c}*{mono}")
+        chunks.append(body if not chunks else (f"+ {body}" if c > 0 else f"- {body.lstrip('-')}"))
+    return " ".join(chunks)
+
+
+def layer_text(layer):
+    """One s-layer of a bigraded series (exponent -> positive
+    coefficient) printed as the bigraded printer printed it: terms in
+    increasing exponent joined by " + "."""
+    chunks = []
+    for u, c in sorted(layer.items()):
+        if u == 0:
+            chunks.append(str(c))
+        else:
+            base = "u" if u == 1 else f"u^{u}"
+            chunks.append(base if c == 1 else f"{c}*{base}")
+    return " + ".join(chunks)
+
+
+def stacked_integer_components(components):
+    """The components of one vector scaled to integers by stacking them
+    into one vector keyed by (component, key), scaling that by the lcm D
+    of its denominators with zero entries dropped, and unstacking: the
+    int dicts and D."""
+    stacked = {(k, m): c for k, terms in enumerate(components) for m, c in terms.items()}
+    den = lcm(*(c.denominator for c in stacked.values()))
+    out = [{} for _ in components]
+    for (k, m), c in stacked.items():
+        if c:
+            out[k][m] = c.numerator * (den // c.denominator)
+    return out, den
 
 
 # The polynomial-string parser as it was built on Polynomial arithmetic:

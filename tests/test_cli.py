@@ -716,6 +716,22 @@ LONG_LITERAL = "integer literal longer than 4300 digits"
             "structure.matrix: kind 'jacobian' reads only kind",
             id="jacobian-with-matrix",
         ),
+        # a misspelt key of any other object is refused the same way
+        pytest.param(
+            {"ring": {"vars": ["x", "y"], "weights": [1, 1]}, "ideals": ["x^2", "y^3"]},
+            "ideals: a document reads only ring, ideal, structure, options",
+            id="top-level-ideals",
+        ),
+        pytest.param(
+            {"ring": {"vars": ["x", "y"], "weights": [1, 1], "weight": [2, 3]}, "ideal": ["x^2", "y^3"]},
+            "ring.weight: a ring reads only vars, weights",
+            id="ring-weight",
+        ),
+        pytest.param(
+            {"ring": TWO_VARS, "ideal": ["x^2", "y^3"], "options": {"max_degre": 1}},
+            "options.max_degre: an options object reads only max_degree",
+            id="options-max-degre",
+        ),
     ],
 )
 def test_main_refuses_a_malformed_document_in_one_line(tmp_path, capsys, doc, refusal):

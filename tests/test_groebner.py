@@ -34,6 +34,8 @@ from oracles import (
     graded_quotient_dims,
     leibniz_determinant,
     local_colength_brute,
+    long_division_by_one_minus_u_power,
+    numerator_text,
     random_polynomial,
     random_quasihomogeneous,
 )
@@ -303,6 +305,49 @@ def test_krull_dimension_examples():
     assert krull_dimension(buchberger(polys(XY, "1/2"))) == -1
     assert krull_dimension(buchberger(polys(XYZ, "x*y", "x*z", "y*z"))) == 1
     assert krull_dimension(buchberger([XYZ.zero()], ring=XYZ)) == 3
+
+
+def random_u_polynomial(rng, low, high):
+    """Exponent -> nonzero coefficient at up to six exponents in [low, high]."""
+    sizes = (1, 1, 2, 3, 17)
+    return {rng.randint(low, high): rng.choice((-1, 1)) * rng.choice(sizes) for _ in range(rng.randint(0, 6))}
+
+
+def times_one_minus_u_power(q, w):
+    """q * (1 - u^w), coefficient by coefficient."""
+    out = {e: q.get(e, 0) - q.get(e - w, 0) for e in q.keys() | {e + w for e in q}}
+    return {e: c for e, c in out.items() if c}
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_exact_division_by_one_minus_u_power_matches_long_division(seed):
+    # divisible, non-divisible, empty and negative-exponent numerators
+    rng = random.Random(seed)
+    for _ in range(20):
+        for w in range(1, 7):
+            q = random_u_polynomial(rng, 0, 9)
+            laurent = random_u_polynomial(rng, -4, 9)
+            for num in (times_one_minus_u_power(q, w), random_u_polynomial(rng, 0, 12), {}, laurent):
+                assert groebner._try_divide(num, w) == long_division_by_one_minus_u_power(num, w)
+            assert groebner._try_divide(times_one_minus_u_power(q, w), w) == q
+            if min(laurent, default=0) < 0:
+                assert groebner._try_divide(times_one_minus_u_power(laurent, w), w) is None
+
+
+def test_a_quotient_below_exponent_0_is_refused():
+    # (u^-1 - u^(w-1)) / (1 - u^w) = u^-1 is not in Z[u]
+    for w in range(1, 7):
+        assert groebner._try_divide({-1: 1, w - 1: -1}, w) is None
+        assert groebner._try_divide({0: 1, w: -1}, w) == {0: 1}
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_the_u_polynomial_printer_matches_the_series_printer(seed):
+    # negative coefficients and negative exponents, as corrected layers have
+    rng = random.Random(seed)
+    for _ in range(100):
+        num = random_u_polynomial(rng, -5, 11)
+        assert groebner.u_polynomial_text(num) == numerator_text(num)
 
 
 def test_poincare_series_cube():

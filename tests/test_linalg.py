@@ -7,7 +7,9 @@ from fractions import Fraction
 
 import pytest
 
-from leafalg.linalg import Echelon, _integer_row, nullspace, relations, rref, span_rank
+from leafalg.linalg import Echelon, _integer_components, _integer_row, nullspace, relations, rref, span_rank
+
+from oracles import stacked_integer_components
 
 SEEDS = range(40)
 
@@ -177,3 +179,20 @@ def test_add_is_false_exactly_on_the_current_span(seed):
     outside = set(rref(transpose)[1])
     echelon = Echelon()
     assert [echelon.add(v) for v in vectors] == [i in outside for i in range(len(vectors))]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_integer_components_match_the_stacked_reference(seed):
+    # Fraction, int and zero entries and empty components: same dicts, key order and denominator
+    rng = random.Random(seed)
+    for _ in range(25):
+        entries = (0, Fraction(0), 1, -4, Fraction(rng.randint(-9, 9), rng.randint(1, 12)), Fraction(5, 6))
+        components = [
+            {(rng.randrange(3), rng.randrange(3)): rng.choice(entries) for _ in range(rng.randint(0, 4))}
+            for _ in range(rng.randint(0, 4))
+        ]
+        rows, den = _integer_components(components)
+        expected, expected_den = stacked_integer_components(components)
+        assert den == expected_den
+        assert [list(row.items()) for row in rows] == [list(row.items()) for row in expected]
+        assert all(type(c) is int and c for row in rows for c in row.values())

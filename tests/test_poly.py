@@ -396,3 +396,22 @@ def test_monomial_kernels_match_their_definitions():
         for w, e in zip(ring.weights, a):
             total += w * e
         assert ring.weighted_degree(a) == total
+
+
+def test_constants_variables_and_scalings_keep_fraction_coefficients():
+    p = parse_poly("x^2 - 1/3*y*z + 2", XYZ)
+    assert XYZ.const(0).terms == {} and XYZ.const(Fraction(0)) == XYZ.zero()
+    assert p.scale(0).terms == {} and p.scale(Fraction(0)) == XYZ.zero()
+    assert XYZ.const(3).terms == {(0, 0, 0): 3} and XYZ.var("y").terms == {(0, 1, 0): 1}
+    assert p.scale(Fraction(-3, 7)).terms == {m: Fraction(-3, 7) * c for m, c in p.terms.items()}
+    assert list(p.scale(-2).terms) == list(p.terms)
+    for q in (XYZ.const(3), XYZ.const(Fraction(-2, 5)), XYZ.one(), XYZ.var("y"), p.scale(2), p.scale(Fraction(1, 2))):
+        assert all(type(c) is Fraction for c in q.terms.values())
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_quasihomogeneity_is_one_weighted_component(seed):
+    rng = random.Random(seed)
+    for ring in (XYZ, CUSP_RING):
+        for p in (random_polynomial(rng, ring), random_quasihomogeneous(rng, ring, rng.choice((0, 2, 3, 6)))):
+            assert p.is_quasihomogeneous() == (len(p.weighted_components()[0]) <= 1)

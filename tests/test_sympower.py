@@ -16,7 +16,7 @@ from leafalg.sympower import (
 
 from leafalg.vfields import hamiltonian_family_top
 from oracles import brute_sym2_coinvariants as sym2_oracle
-from oracles import partition_count
+from oracles import layer_text, partition_count
 
 CUSP_RING = PolyRing(["x", "y"], [3, 2])
 
@@ -35,6 +35,21 @@ def test_s1_layer_is_shifted_p():
         d = rng.randint(0, 4)
         series = sym_power_series(p, d, 2)
         assert series.s_layer(1) == {j - d: c for j, c in p.items()}
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_each_layer_prints_as_the_layer_reference(seed):
+    # corrected layers reach negative u-exponents; each layer's coefficients are positive
+    rng = random.Random(seed)
+    p = {j: rng.randint(1, 3) for j in rng.sample(range(0, 7), rng.randint(1, 3))}
+    series = sym_power_series(p, rng.randint(0, 4), 3)
+    layers = [(r, layer_text(series.s_layer(r))) for r in range(4) if series.s_layer(r)]
+    expected = " + ".join(body if r == 0 else f"({body})*s" + (f"^{r}" if r > 1 else "") for r, body in layers)
+    assert str(series) == expected
+    for _ in range(50):
+        layer = {rng.randint(-6, 6): rng.choice((1, 1, 2, 5, 31)) for _ in range(rng.randint(1, 6))}
+        series = BigradedSeries(1, {(0, 0): 1, **{(1, u): c for u, c in layer.items()}})
+        assert str(series) == f"1 + ({layer_text(layer)})*s"
 
 
 def test_s2_layer_hand_expansion():

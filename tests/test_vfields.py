@@ -688,3 +688,13 @@ def test_lie_closure_grows_and_stops():
 
     assert any(is_dy_multiple(xi) for xi in closed)
     assert not any(is_dy_multiple(xi) for xi in lie_closure([d_x, x2_dy], depth=1))
+
+
+def test_a_field_scales_by_a_number_or_a_polynomial():
+    xi = field(XYZ, "x^2 - 1/3*y", "0", "2*z + x*y")
+    for number in (Fraction(-3, 4), 2, 0):
+        for a, b in zip(xi.scale(number).coefficients, xi.coefficients):
+            assert list(a.terms.items()) == [(m, Fraction(number) * c) for m, c in b.terms.items() if number]
+            assert all(type(c) is Fraction for c in a.terms.values())
+    product = field(XYZ, "x^2*y - 2*x^2 - 1/3*y^2 + 2/3*y", "0", "2*y*z - 4*z + x*y^2 - 2*x*y")
+    assert xi.scale(parse_poly("y - 2", XYZ)) == product

@@ -1,22 +1,23 @@
-"""Exact linear algebra over the rationals.
+"""Exact linear algebra over the rationals, on integer rows.
 
-Callers hand in sparse vectors, dicts from any sortable key to a
-Fraction or an int (zero entries and empty vectors are allowed), and ask
-for the linear relations among them (``relations``, each a sparse dict
-from vector index to Fraction), or grow a span one vector at a time
-(``Echelon.add``).  An integer row without zeros enters the elimination
-as it is through ``Echelon.add_row``; ``span_rank`` takes such rows
-only, and ``relations`` also takes an integer row with its denominator.
+A row is a sparse dict from a sortable key to a nonzero int.  Callers
+scale their rational vectors to such rows themselves (``_integer_row``,
+``_integer_components``), grow a span one row at a time
+(``Echelon.add_row``), ask for its rank (``span_rank``), or ask for the
+linear relations among rows that each come with a positive denominator
+(``relations``, each relation a sparse dict from row index to Fraction).
 
 Underneath is one sparse elimination routine, ``Echelon._reduce``.  A
-vector is scaled to a primitive integer row, a dict from column to int,
-and its pivot is its smallest column.  A new row is reduced against the
+row's pivot is its smallest column.  A new row is reduced against the
 pivot rows, fraction-free, until it vanishes or its smallest column is
-not yet a pivot; then it becomes the pivot row there.  Columns are the
-keys themselves in ``Echelon`` and ``span_rank``; ``relations`` numbers
-the sorted keys as columns.  Either way pivoting follows the key order,
-so every caller gets reproducible ranks and relation bases.  ``rref``
-and ``nullspace`` are the dense reference the tests compare against.
+not yet a pivot; then it becomes the primitive pivot row there.  Columns
+are the keys themselves in ``Echelon`` and ``span_rank``; ``relations``
+numbers the sorted keys as columns.  Either way pivoting follows the key
+order, so every caller gets reproducible ranks and relation bases.
+
+The dense ``rref`` is used by tests only.  It stays here because the
+bench tracer (``bench/spans.py``) wraps it by name; once the tracer
+wraps the sparse routines instead, it moves to the tests' oracles.
 """
 
 from __future__ import annotations
@@ -27,18 +28,14 @@ from math import gcd, lcm
 
 
 class Echelon:
-    """Echelon form of a growing span of sparse rational vectors."""
+    """Echelon form of a growing span of integer rows."""
 
     def __init__(self):
         self.rows: dict = {}  # pivot column -> primitive integer row
 
-    def add(self, vector) -> bool:
-        """Add the vector; True if it was not already in the span."""
-        return self.add_row(_integer_row(vector)[0])
-
     def add_row(self, row: dict) -> bool:
-        """``add`` for an integer row without zero entries, which it may
-        change in place."""
+        """Add an integer row without zero entries, which it may change
+        in place; True if it was not already in the span."""
         lead, row = self._reduce(row)
         if lead is None:
             return False
@@ -113,12 +110,12 @@ def span_rank(rows, size: int | None = None) -> int:
     return len(echelon.rows)
 
 
-def relations(vectors) -> list[dict[int, Fraction]]:
-    """Basis of the coefficient tuples c with sum_a c[a] * vectors[a] = 0,
-    each as a sparse ``{index a: Fraction}`` of its nonzero entries in
-    ascending index order.  A vector is a sparse rational dict, or a
-    pair ``(row, den)`` of a sparse integer dict and a positive integer
-    that stands for row / den.
+def relations(pairs) -> list[dict[int, Fraction]]:
+    """Basis of the coefficient tuples c with sum_a c[a] * v_a = 0, each
+    as a sparse ``{index a: Fraction}`` of its nonzero entries in
+    ascending index order.  ``pairs[a]`` is ``(row, den)``, an integer
+    row (zero entries are skipped) and a positive int, standing for the
+    vector v_a = row / den.
 
     The vectors are reduced in the given order, each carrying the
     record of how it combines the earlier ones (columns past the
@@ -129,7 +126,6 @@ def relations(vectors) -> list[dict[int, Fraction]]:
     vectors.  That is the basis read off the reduced row echelon form of
     the matrix with one column per vector.
     """
-    pairs = [v if isinstance(v, tuple) else _integer_row(v) for v in vectors]
     cols = {k: i for i, k in enumerate(sorted({k for row, _ in pairs for k in row}))}
     n = len(cols)
     echelon = Echelon()
@@ -175,18 +171,3 @@ def rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
         if r == len(mat):
             break
     return mat[:r] + [row for row in mat[r:] if any(v != 0 for v in row)], pivots
-
-
-def nullspace(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
-    """Basis of the right nullspace of the matrix (rows of length ncols)."""
-    reduced, pivots = rref(rows)
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
-    basis = []
-    for fc in free:
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            vec[pc] = -reduced[r][fc]
-        basis.append(vec)
-    return basis

@@ -334,21 +334,6 @@ class Polynomial:
             terms[dm] = terms.get(dm, 0) + c * e
         return Polynomial(self.ring, terms)
 
-    def weighted_components(self) -> tuple[dict, bool]:
-        """Split into weighted-homogeneous components.
-
-        Returns ``(components, is_quasihomogeneous)`` where components
-        maps weighted degree to the homogeneous part.  The polynomial is
-        the sum of its components; the flag is true iff at most one is
-        nonzero (the zero polynomial counts as quasihomogeneous).
-        """
-        buckets: dict = {}
-        for m, c in self.terms.items():
-            d = self.ring.weighted_degree(m)
-            buckets.setdefault(d, {})[m] = c
-        components = {d: Polynomial(self.ring, t) for d, t in sorted(buckets.items())}
-        return components, len(components) <= 1
-
     def is_quasihomogeneous(self) -> bool:
         """At most one weighted degree among the terms (true for zero)."""
         return len(set(map(self.ring.weighted_degree, self.terms))) <= 1

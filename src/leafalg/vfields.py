@@ -471,12 +471,12 @@ def lie_closure(fields: list[VectorField], depth: int = 2) -> list[VectorField]:
     """Close a generating set under Lie brackets to the given depth,
     keeping only fields that are linearly independent over Q."""
     span = linalg.Echelon()
-    current = [xi for xi in fields if span.add(_stack(xi.coefficients))]
+    current = [xi for xi in fields if span.add_row(_stack(xi.coefficients))]
     for _ in range(depth):
         added = False
         for a, b in itertools.combinations(list(current), 2):
             br = a.lie_bracket(b)
-            if span.add(_stack(br.coefficients)):
+            if span.add_row(_stack(br.coefficients)):
                 current.append(br)
                 added = True
         if not added:
@@ -485,8 +485,10 @@ def lie_closure(fields: list[VectorField], depth: int = 2) -> list[VectorField]:
 
 
 def _stack(polys) -> dict:
-    """One sparse vector from a tuple of polynomials, keyed by (slot, monomial)."""
-    return {(j, m): c for j, p in enumerate(polys) for m, c in p.terms.items()}
+    """One integer row from a tuple of polynomials scaled together
+    (``_integer_components``), keyed by (slot, monomial)."""
+    rows, _ = _integer_components([p.terms for p in polys])
+    return {(j, m): c for j, row in enumerate(rows) for m, c in row.items()}
 
 
 def _graded_syzygies(gb: GroebnerBasis, vectors, weights, w: int, top, zero_weight_cap) -> list:

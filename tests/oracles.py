@@ -10,6 +10,8 @@ use, the reference for the one that reads it from the ring's table.
 The small u-polynomial kernels (exact division by 1 - u^w, the series
 printers, the rational scaling of several components) are kept here as
 they were first written, as references for their simpler rewrites.
+The dense ``nullspace`` (on the package's dense ``rref``) and
+``weighted_components`` are helpers the package itself no longer needs.
 """
 
 import sys
@@ -20,6 +22,8 @@ from operator import neg
 
 from leafalg.errors import DomainError, InputError, ParseError
 from leafalg.groebner import normal_form
+from leafalg.linalg import rref
+from leafalg.poly import Polynomial
 
 
 def rref_rank(rows):
@@ -41,6 +45,29 @@ def rref_rank(rows):
             inv = Fraction(1) / row[lead]
             pivots[lead] = [v * inv for v in row]
     return len(pivots)
+
+
+def nullspace(rows, ncols):
+    """Basis of the right nullspace of the matrix (rows of length ncols),
+    one vector per free column of its reduced row echelon form."""
+    reduced, pivots = rref(rows)
+    basis = []
+    for fc in sorted(set(range(ncols)) - set(pivots)):
+        vec = [Fraction(0)] * ncols
+        vec[fc] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            vec[pc] = -reduced[r][fc]
+        basis.append(vec)
+    return basis
+
+
+def weighted_components(p):
+    """``{weighted degree: homogeneous part}`` of p, in ascending degree;
+    p is the sum of the parts, and the zero polynomial has none."""
+    buckets = {}
+    for m, c in p.terms.items():
+        buckets.setdefault(p.ring.weighted_degree(m), {})[m] = c
+    return {d: Polynomial(p.ring, t) for d, t in sorted(buckets.items())}
 
 
 def graded_piece(gens, weight):

@@ -351,3 +351,16 @@ def test_all_tangent_fields_leave_the_euler_closed_form(X):
     expected[0] = 0 if gb.is_unit_ideal() or constant else 1
     assert table.dimensions == expected
     assert derivation_coinvariants(list(X.ideal_gens), fields, top) == expected
+
+
+@pytest.mark.parametrize(
+    "family, message",
+    [
+        ("hamiltonian", "^unknown family 'hamiltonian'; use 'hamiltonian-top', 'derivations', or a list of fields$"),
+        (polys(CUSP_RING, "x"), "^explicit family must be a list of vector fields$"),
+    ],
+    ids=["unknown-name", "not-fields"],
+)
+def test_rejects_a_family_it_cannot_read(family, message):
+    with pytest.raises(InputError, match=message):
+        coinvariants_truncated(cuspidal(), family, 4)

@@ -423,3 +423,16 @@ def test_degenerate_locus_smooth():
     rep = degenerate_locus(X)
     assert rep.finite
     assert rep.ideal.is_unit_ideal()
+
+
+@pytest.mark.parametrize(
+    "gens, message",
+    [
+        (polys(XY, "x", "y", "x*y"), "^more generators than ambient variables$"),
+        ([parse_poly("x", XYZ)], "^ideal generator lives in a different ring$"),
+    ],
+    ids=["too-many", "other-ring"],
+)
+def test_a_variety_refuses_bad_generators(gens, message):
+    with pytest.raises(InputError, match=message):
+        Variety(XY, gens)

@@ -38,6 +38,7 @@ from oracles import (
     numerator_text,
     random_polynomial,
     random_quasihomogeneous,
+    weighted_components,
 )
 
 CORPUS = Path(__file__).resolve().parents[1] / "bench" / "corpus"
@@ -116,7 +117,7 @@ def test_membership_agrees_with_graded_brute_force():
         member = XYZ.zero()
         for g in gens:
             member = member + random_quasihomogeneous(rng, XYZ, 4 - g.weighted_degree()) * g
-        comps, _ = member.weighted_components()
+        comps = weighted_components(member)
         for piece in comps.values():
             assert normal_form(piece, gb).is_zero() == graded_member(piece, gens)
         # random homogeneous candidates must agree too
@@ -942,3 +943,32 @@ def test_order_keys_match_their_definitions():
             else:
                 assert key(m) == (degree, *tiebreak)
             assert groebner._local_key(m) == (-sum(m), *tiebreak)
+
+
+INFINITE_SERIES = poincare_series(buchberger(polys(XY, "x")))
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: normal_form(XY.var("x"), buchberger(polys(XYZ, "x"))), InputError, "^ring mismatch between"),
+        (lambda: buchberger([]), InputError, "^cannot infer the ring from an empty generator list$"),
+        (lambda: buchberger([XY.var("x"), XYZ.var("x")]), InputError, "^generators live in different rings$"),
+        (lambda: INFINITE_SERIES.coefficient(0), DomainError, "^per-degree coefficients of an infinite series: expand"),
+        (lambda: INFINITE_SERIES.coefficients(), DomainError, "^infinite series has no finite coefficient table$"),
+        (lambda: INFINITE_SERIES.socle_degree(), DomainError, "^infinite series has no socle degree$"),
+        (lambda: minors([], 1), InputError, "^empty matrix$"),
+        (lambda: minors([[]], 1), InputError, "^empty matrix$"),
+        (lambda: minors([polys(XY, "x", "y"), polys(XY, "x")], 1), InputError, "^ragged matrix$"),
+    ],
+    ids=["normal-form-ring", "no-generators", "mixed-rings", "coefficient", "coefficients", "socle", "no-rows",
+         "no-columns", "ragged"],
+)
+def test_library_refusals(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
+def test_colength_local_of_a_unit_is_zero():
+    # 1 + x is a unit in the local ring: the local route sees the constant lead
+    assert colength_local(polys(XY, "1 + x"), XY) == 0 == local_colength_brute(polys(XY, "1 + x"))

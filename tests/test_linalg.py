@@ -1,4 +1,4 @@
-"""Sparse-vector interface to exact linear algebra, on seeded random input,
+"""Integer-row interface to exact linear algebra, on seeded random input,
 checked against the dense reference ``rref`` / ``nullspace``."""
 
 import math
@@ -7,9 +7,9 @@ from fractions import Fraction
 
 import pytest
 
-from leafalg.linalg import Echelon, _integer_components, _integer_row, nullspace, relations, rref, span_rank
+from leafalg.linalg import Echelon, _integer_components, _integer_row, relations, rref, span_rank
 
-from oracles import stacked_integer_components
+from oracles import nullspace, stacked_integer_components
 
 SEEDS = range(40)
 
@@ -22,6 +22,11 @@ def dense(rels, n):
 def integer_rows(vectors):
     """The vectors as the zero-free integer rows ``span_rank`` reads."""
     return [_integer_row(v)[0] for v in vectors]
+
+
+def integer_pairs(vectors):
+    """The vectors as the ``(row, den)`` pairs ``relations`` reads."""
+    return [_integer_row(v) for v in vectors]
 
 
 def random_vectors(rng):
@@ -47,7 +52,7 @@ def random_vectors(rng):
 def test_relations_annihilate(seed):
     vectors = random_vectors(random.Random(seed))
     keys = {k for v in vectors for k in v}
-    for rel in relations(vectors):
+    for rel in relations(integer_pairs(vectors)):
         assert all(rel.values()) and list(rel) == sorted(rel)
         c = dense([rel], len(vectors))[0]
         assert len(c) == len(vectors)
@@ -59,7 +64,7 @@ def test_relations_annihilate(seed):
 @pytest.mark.parametrize("seed", SEEDS)
 def test_relations_count_is_corank(seed):
     vectors = random_vectors(random.Random(seed))
-    assert len(relations(vectors)) == len(vectors) - span_rank(integer_rows(vectors))
+    assert len(relations(integer_pairs(vectors))) == len(vectors) - span_rank(integer_rows(vectors))
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -76,7 +81,7 @@ def test_relations_match_dense_nullspace(seed):
     vectors = random_vectors(random.Random(seed))
     support = sorted({k for v in vectors for k in v})
     matrix = [[Fraction(v.get(k, 0)) for v in vectors] for k in support]
-    assert dense(relations(vectors), len(vectors)) == nullspace(matrix, len(vectors))
+    assert dense(relations(integer_pairs(vectors)), len(vectors)) == nullspace(matrix, len(vectors))
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -93,15 +98,15 @@ def test_relations_of_rows_with_denominators_match_dense_nullspace(seed):
     matrix = [[Fraction(v.get(k, 0)) for v in vectors] for k in support]
     found = relations(pairs)
     assert dense(found, len(vectors)) == nullspace(matrix, len(vectors))
-    assert found == relations(vectors)
+    assert found == relations(integer_pairs(vectors))
 
 
 def test_small_cases():
     assert span_rank([]) == 0
     assert span_rank(integer_rows([{}, {"a": Fraction(0)}])) == 0
-    assert relations([{}, {"a": Fraction(1)}]) == [{0: 1}]
+    assert relations(integer_pairs([{}, {"a": Fraction(1)}])) == [{0: 1}]
     assert span_rank([{"a": 1, "b": 2}, {"a": 2, "b": 4}, {"c": 1}]) == 2
-    assert relations([{"a": 1, "b": 2}, {"a": 2, "b": 4}]) == [{0: -2, 1: 1}]
+    assert relations(integer_pairs([{"a": 1, "b": 2}, {"a": 2, "b": 4}])) == [{0: -2, 1: 1}]
 
 
 LARGE_SEEDS = range(8)
@@ -148,7 +153,7 @@ def dense_rows(vectors):
 def test_large_relations_match_dense_nullspace(seed):
     vectors = large_sparse_vectors(random.Random(1000 + seed))
     transpose = [list(col) for col in zip(*dense_rows(vectors))]
-    found = relations(vectors)
+    found = relations(integer_pairs(vectors))
     assert dense(found, len(vectors)) == nullspace(transpose, len(vectors))
     assert found  # the forced combinations give relations
     assert all(type(c) is Fraction and c for rel in found for c in rel.values())
@@ -178,7 +183,7 @@ def test_add_is_false_exactly_on_the_current_span(seed):
     transpose = [list(col) for col in zip(*dense_rows(vectors))]
     outside = set(rref(transpose)[1])
     echelon = Echelon()
-    assert [echelon.add(v) for v in vectors] == [i in outside for i in range(len(vectors))]
+    assert [echelon.add_row(row) for row in integer_rows(vectors)] == [i in outside for i in range(len(vectors))]
 
 
 @pytest.mark.parametrize("seed", SEEDS)

@@ -1,6 +1,8 @@
 """Every function, class, method and property defined in the package has
-a caller: a use in the package, the tests or the bench scripts, a name
-the bench tracer wraps, or a mention in the README."""
+a caller: a use in the package (an export from ``__init__`` counts) or
+in the bench scripts, a name the bench tracer wraps, or a mention in the
+README.  The tests are no callers: what only they use belongs in
+``tests/oracles.py``."""
 
 import ast
 import re
@@ -11,7 +13,7 @@ from test_bench_spans import load_spans
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = sorted((ROOT / "src" / "leafalg").glob("*.py"))
-USERS = PACKAGE + sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "bench").glob("*.py"))
+USERS = PACKAGE + sorted((ROOT / "bench").glob("*.py"))
 
 
 def _definitions(tree):

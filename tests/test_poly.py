@@ -20,7 +20,14 @@ from leafalg.poly import (
     parse_poly,
 )
 
-from oracles import per_use_str, random_polynomial, random_quasihomogeneous, reference_parse_poly, reference_str
+from oracles import (
+    per_use_str,
+    random_polynomial,
+    random_quasihomogeneous,
+    reference_parse_poly,
+    reference_str,
+    weighted_components,
+)
 
 XYZ = PolyRing(["x", "y", "z"])
 CUSP_RING = PolyRing(["x", "y"], [3, 2])
@@ -217,7 +224,7 @@ def test_partial_derivative_mixed():
 
 def test_weighted_components_cuspidal():
     p = parse_poly("x^2 - y^3", CUSP_RING)
-    comps, homogeneous = p.weighted_components()
+    comps, homogeneous = weighted_components(p), p.is_quasihomogeneous()
     assert homogeneous
     assert list(comps) == [6]
     assert comps[6] == p
@@ -225,7 +232,8 @@ def test_weighted_components_cuspidal():
 
 def test_weighted_components_mixed():
     R = PolyRing(["x", "y"])
-    comps, homogeneous = parse_poly("x^3 + x^2*y + y^4", R).weighted_components()
+    p = parse_poly("x^3 + x^2*y + y^4", R)
+    comps, homogeneous = weighted_components(p), p.is_quasihomogeneous()
     assert not homogeneous
     assert sorted(comps) == [3, 4]
     assert comps[3] == parse_poly("x^3 + x^2*y", R)
@@ -233,7 +241,7 @@ def test_weighted_components_mixed():
 
 
 def test_weighted_components_zero():
-    comps, homogeneous = XYZ.zero().weighted_components()
+    comps, homogeneous = weighted_components(XYZ.zero()), XYZ.zero().is_quasihomogeneous()
     assert comps == {} and homogeneous
 
 
@@ -414,4 +422,21 @@ def test_quasihomogeneity_is_one_weighted_component(seed):
     rng = random.Random(seed)
     for ring in (XYZ, CUSP_RING):
         for p in (random_polynomial(rng, ring), random_quasihomogeneous(rng, ring, rng.choice((0, 2, 3, 6)))):
-            assert p.is_quasihomogeneous() == (len(p.weighted_components()[0]) <= 1)
+            assert p.is_quasihomogeneous() == (len(weighted_components(p)) <= 1)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: PolyRing(["x", "2y"]), r"^variable names must be identifiers: \('x', '2y'\)$"),
+        (lambda: XYZ.index("w"), r"^unknown variable 'w' in PolyRing\(x,y,z; weights 1,1,1\)$"),
+        (lambda: XYZ.monomial((1, 2)), "^exponent tuple has wrong length$"),
+        (lambda: PolyRing(["x", "t"], [1, 0]).monomials_of_weight(2), "^ring has zero-weight variables; an explicit cap"),
+        (lambda: XYZ.var("x") ** -1, "^negative exponent$"),
+        (lambda: XYZ.var("x").evaluate([1, 2]), "^wrong number of values$"),
+    ],
+    ids=["name", "index", "monomial", "zero-weight-piece", "power", "evaluate"],
+)
+def test_ring_and_polynomial_refusals(call, message):
+    with pytest.raises(InputError, match=message):
+        call()

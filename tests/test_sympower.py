@@ -155,3 +155,16 @@ def test_hp0_sym_series_corrected_and_plain():
     corrected = hp0_sym_series(cusp, 2, corrected=True)
     assert plain.s_layer(1) == {0: 1, 2: 1}
     assert corrected.s_layer(1) == {-6: 1, -4: 1}
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: BigradedSeries(2, {(0, 0): 1, (1, 2): -1}), "^coefficients must be non-negative$"),
+        (lambda: sym_power_series({0: 1}, 0, -1), "^truncation must be non-negative$"),
+    ],
+    ids=["negative-coefficient", "negative-truncation"],
+)
+def test_series_refusals(call, message):
+    with pytest.raises(InputError, match=message):
+        call()

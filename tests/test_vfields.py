@@ -698,3 +698,58 @@ def test_a_field_scales_by_a_number_or_a_polynomial():
             assert all(type(c) is Fraction for c in a.terms.values())
     product = field(XYZ, "x^2*y - 2*x^2 - 1/3*y^2 + 2/3*y", "0", "2*y*z - 4*z + x*y^2 - 2*x*y")
     assert xi.scale(parse_poly("y - 2", XYZ)) == product
+
+
+ZERO_WEIGHT = PolyRing(["x", "y", "t"], [1, 1, 0])
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: VectorField(XY, polys(XY, "x")), InputError, "^coefficient list length must equal the ring arity$"),
+        (lambda: VectorField(XY, [XY.var("x"), XYZ.var("y")]), InputError, "^coefficient lives in a different ring$"),
+        (lambda: VectorField.coordinate(XY, "x").apply(XYZ.var("x")), InputError, "^ring mismatch$"),
+        (
+            lambda: VectorField.coordinate(XY, "x").lie_bracket(VectorField.coordinate(XYZ, "x")),
+            InputError,
+            "^ring mismatch$",
+        ),
+        (lambda: jacobi_hamiltonian(XY.var("x"), standard_contact()), InputError, "^ring mismatch$"),
+        (lambda: standard_contact(0), InputError, r"^need at least one \(x, y\) pair$"),
+        (lambda: top_polyvector_field(polys(XYZ, "x"), XYZ), DomainError, "^top polyvector field of a curve needs"),
+        (
+            # the CLI refuses this before the solver with its own wording
+            lambda: derivations_up_to_degree(buchberger(polys(ZERO_WEIGHT, "x^2")), 2),
+            InputError,
+            "^ring has zero-weight variables: pass zero_weight_cap$",
+        ),
+        (
+            lambda: incompressibility_truncated(
+                [VectorField.coordinate(CUSP_RING, "x")], buchberger(polys(CUSP_RING, "x^2 - y^3")), 2
+            ),
+            DomainError,
+            "^field .* is not tangent to the variety$",
+        ),
+        (
+            # every field is tangent to the plane; this one has two weights
+            lambda: incompressibility_truncated([field(XY, "x + x^2", "0")], buchberger([XY.zero()], ring=XY), 2),
+            DomainError,
+            "^incompressibility solver needs weight-homogeneous fields$",
+        ),
+    ],
+    ids=[
+        "arity",
+        "coefficient-ring",
+        "apply-ring",
+        "bracket-ring",
+        "jacobi-ring",
+        "no-pairs",
+        "top-codimension",
+        "zero-weight",
+        "not-tangent",
+        "inhomogeneous",
+    ],
+)
+def test_library_refusals(call, error, message):
+    with pytest.raises(error, match=message):
+        call()

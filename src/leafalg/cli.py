@@ -38,6 +38,7 @@ from .vfields import (
     JacobiStructure,
     VectorField,
     VectorFieldFamily,
+    derivation_generators,
     derivations_up_to_degree,
     exceptional_ideal,
     hamiltonian_family_top,
@@ -248,20 +249,23 @@ def _default_degree(X: Variety, doc: InputDocument, flags) -> int:
         return 6
 
 
-def _derivation_table(X: Variety, flags, degree: int) -> dict:
-    """Tangent derivations by weight up to ``degree``; a ring with a zero
-    weight needs ``--zero-weight-cap`` to bound their exponents."""
+def _derivation_table(X: Variety, flags, degree: int, generators: bool = False) -> dict:
+    """Tangent derivations by weight up to ``degree``, or only the ones
+    that generate them as a module; a ring with a zero weight needs
+    ``--zero-weight-cap`` to bound their exponents."""
     if X.ring.has_zero_weights and flags.zero_weight_cap is None:
         raise InputError("ring has zero-weight variables: pass --zero-weight-cap")
-    return derivations_up_to_degree(X.groebner(), degree, zero_weight_cap=flags.zero_weight_cap)
+    solve = derivation_generators if generators else derivations_up_to_degree
+    return solve(X.groebner(), degree, zero_weight_cap=flags.zero_weight_cap)
 
 
-def _family_fields(X: Variety, flags, degree: int):
+def _family_fields(X: Variety, flags, degree: int, generators: bool = False):
     """Fields for solver commands: the declared vector-field structure if
-    present, else tangent derivations up to the truncation."""
+    present, else tangent derivations up to the truncation (only their
+    generators with ``generators``)."""
     if isinstance(X.structure, VectorFieldFamily):
         return list(X.structure.generators), "vector-fields structure"
-    table = _derivation_table(X, flags, degree)
+    table = _derivation_table(X, flags, degree, generators)
     fields = [xi for _, fs in sorted(table.items()) for xi in fs]
     return fields, f"derivations up to weight {degree}"
 
@@ -401,7 +405,8 @@ def _derivations(doc, flags):
 
 def _exceptional(doc, flags):
     X = _variety(doc, flags)
-    fields, label = _family_fields(X, flags, _default_degree(X, doc, flags))
+    # the generators of the derivation module give the same ideal
+    fields, label = _family_fields(X, flags, _default_degree(X, doc, flags), generators=True)
     gb = exceptional_ideal(fields, X.groebner())
     result = {"family": label, "ideal": [str(g) for g in gb.elements]}
     text = [f"exceptional ideal ({_ideal_text(result['ideal'])}) [family: {label}]"]

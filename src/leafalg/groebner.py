@@ -513,14 +513,16 @@ def krull_dimension(gb: GroebnerBasis) -> int:
     """Krull dimension of the quotient ring, from the leading-term ideal.
 
     Maximal size of a set S of variables such that no leading monomial
-    is supported entirely inside S.  Returns -1 for the unit ideal.
+    is supported entirely inside S.  Returns -1 for the unit ideal.  A
+    proper ideal has no constant lead, so the empty set always fits: the
+    sizes n down to 1 are tried, and 0 answers when none fits.
     """
     if gb.is_unit_ideal():
         return -1
     lead = gb.leading_monomials()
     n = gb.ring.arity
     supports = [frozenset(i for i, e in enumerate(m) if e > 0) for m in lead]
-    for size in range(n, -1, -1):
+    for size in range(n, 0, -1):
         for subset in itertools.combinations(range(n), size):
             s = frozenset(subset)
             if not any(sup <= s for sup in supports):

@@ -137,7 +137,7 @@ class PolyRing:
         return any(w == 0 for w in self.weights)
 
     def __eq__(self, other) -> bool:
-        return (
+        return other is self or (
             isinstance(other, PolyRing)
             and self.variables == other.variables
             and self.weights == other.weights

@@ -33,6 +33,12 @@ reduces fraction-free; form fields come from the forms and slots of
 ``monomial_forms`` (shared with the coinvariant oracle), with one
 ``Fraction`` per output term; the graded syzygy solve takes vectors its
 caller scaled once.
+
+The tangent derivations form a module over O (K. Saito's logarithmic
+vector fields).  The graded solve keeps each dependent slot's relation
+from one weight to the next, substitutes the slots that x_i times such
+a relation forces, and takes normal forms of the other slots only; the
+dependent slots not forced generate the module.
 """
 
 from __future__ import annotations
@@ -184,13 +190,18 @@ def apply_field(coefficients: list, terms: dict) -> dict:
 
 
 def tangency_check(field: VectorField, gb: GroebnerBasis) -> bool:
-    """True iff the field maps every ideal generator back into the ideal:
-    scaling moves no membership, so iff the field's image, scaled to
-    integers, of every integer basis element reduces to 0 (one step
-    table per call)."""
+    """True iff the field maps every ideal generator back into the ideal
+    (``_tangent`` on its coefficient dicts scaled to integers)."""
     if field.ring != gb.ring:
         raise InputError("ring mismatch")
-    coefficients, _ = _integer_components([c.terms for c in field.coefficients])
+    return _tangent(_integer_components([c.terms for c in field.coefficients])[0], gb)
+
+
+def _tangent(coefficients: list, gb: GroebnerBasis) -> bool:
+    """True iff the field with the integer coefficient dicts
+    ``coefficients`` is tangent: scaling moves no membership, so iff its
+    image (``apply_field``) of every integer basis element reduces to 0
+    (one step table per call)."""
     elements, leads = gb._integer
     steps: dict = {}
     return not any(
@@ -491,36 +502,100 @@ def _stack(polys) -> dict:
     return {(j, m): c for j, row in enumerate(rows) for m, c in row.items()}
 
 
-def _graded_syzygies(gb: GroebnerBasis, vectors, weights, w: int, top, zero_weight_cap) -> list:
-    """Relations modulo the ideal among the multiples x^a v_j of weight w:
-    ``vectors[j]`` is v_j scaled to integers by its caller, a pair of
-    ``{monomial: int}`` components of weight ``weights[j]`` and their
-    denominator (``linalg._integer_components``), and weight(x^a) =
-    w - weights[j] <= ``top`` (unbounded for None).  Slots (j, a) go by
-    j, then by the basis order; each relation is one ``{monomial a:
-    coefficient}`` dict per vector.  Slots of equal weight share one
-    sorted enumeration of the monomials.  Each slot's image goes to
-    ``linalg.relations`` as an integer row with its denominator."""
-    degrees = {w - vw for vw in weights if top is None or w - vw <= top}
-    pieces = {d: sorted(gb.ring.monomials_of_weight(d, zero_weight_cap), key=gb._key) for d in degrees}
-    slots = [(j, mono) for j, vw in enumerate(weights) if w - vw in pieces for mono in pieces[w - vw]]
-    images = []
-    for j, mono in slots:
-        components, den = vectors[j]
-        nfs = [
-            _nf_terms(gb, {mono_mul(t, mono): v for t, v in terms.items()}) for terms in components
-        ]
-        common = math.lcm(*(d for _, d in nfs))
-        row = {(k, m): c * (common // d) for k, (nf, d) in enumerate(nfs) for m, c in nf.items()}
-        images.append((row, common * den))
-    out = []
-    for rel in linalg.relations(images):
-        coeffs = [{} for _ in vectors]
-        for a, c in rel.items():
-            j, mono = slots[a]
-            coeffs[j][mono] = c
-        out.append(coeffs)
-    return out
+def _graded_syzygies(gb: GroebnerBasis, vectors, weights, span, top, zero_weight_cap):
+    """Relations modulo the ideal among the multiples x^a v_j, for each
+    weight w of the increasing ``span`` in turn, among its slots (j, a),
+    weight(x^a) = w - weights[j] <= ``top`` (None: no bound), which go
+    by j, then by the basis order.  ``vectors[j]`` is v_j as
+    ``linalg._integer_components`` scales it.
+
+    A dependent slot s gives one relation, 1 at s and otherwise only on
+    earlier pivot slots; the pivots' images are independent, so it is
+    unique however it is found.  The relations come in slot order, each
+    as ``(w, entries, den, forced)``: its ``((j, a), int)`` entries in
+    slot order over ``den``, and whether s was forced.
+
+    * (j, x_i a), w_i > 0, is forced when (j, a) was dependent at
+      w - w_i and x_i times its relation lies on slots here (a
+      truncation may cut some off).  Monomial orders are multiplicative and
+      slots go by j first, so that product ends at (j, x_i a); its other
+      dependent slots come earlier, and substituting their relations, on
+      integers, gives the reduced one.
+    * The other slots' images, normal forms over one lcm, go to
+      ``linalg.relations``.  A forced slot is in the span of earlier
+      slots, so leaving it out moves no pivot.
+
+    So the dependent slots not forced generate the others: x_i times a
+    lower relation, less relations of its own weight.
+    """
+    ring = gb.ring
+    steps = [(w_i, tuple(int(k == i) for k in range(ring.arity))) for i, w_i in enumerate(ring.weights) if w_i > 0]
+    reach = max((w_i for w_i, _ in steps), default=0)
+    done: dict[int, tuple] = {}  # weight -> its slots, {dependent slot index: (row, den)}
+    for w in span:
+        degrees = {w - vw for vw in weights if top is None or w - vw <= top}
+        pieces = {d: sorted(ring.monomials_of_weight(d, zero_weight_cap), key=gb._key) for d in degrees}
+        slots = [(j, mono) for j, vw in enumerate(weights) if w - vw in pieces for mono in pieces[w - vw]]
+        index = {s: a for a, s in enumerate(slots)}
+        forced = {}
+        for w_i, x_i in steps:
+            if w - w_i not in done:
+                continue
+            lower, relations = done[w - w_i]
+            up = [index.get((j, mono_mul(mono, x_i))) for j, mono in lower]  # None: not a slot here
+            for a, (row, den) in relations.items():
+                s = up[a]
+                if s is None or s in forced:
+                    continue
+                shifted = {up[b]: c for b, c in row.items()}
+                if None not in shifted:
+                    forced[s] = shifted, den
+        free = [a for a in range(len(slots)) if a not in forced]
+        images = []
+        for j, mono in map(slots.__getitem__, free):
+            components, den = vectors[j]
+            nfs = [
+                _nf_terms(gb, {mono_mul(t, mono): v for t, v in terms.items()}) for terms in components
+            ]
+            common = math.lcm(*(d for _, d in nfs))
+            row = {(k, m): c * (common // d) for k, (nf, d) in enumerate(nfs) for m, c in nf.items()}
+            images.append((row, common * den))
+        found = {}
+        for rel in linalg.relations(images):
+            found[free[max(rel)]] = _integer_row({free[a]: c for a, c in rel.items()})
+        for s in sorted(forced):
+            found[s] = _substitute(*forced[s], found)
+        done[w] = slots, found
+        done.pop(w - reach, None)  # no later weight shifts from it
+        for s, (row, den) in sorted(found.items()):
+            yield w, [(slots[k], c) for k, c in sorted(row.items())], den, s in forced
+
+
+def _substitute(row: dict, den: int, found: dict) -> tuple[dict, int]:
+    """The relation row / den less row[t] / den times r / d for each
+    slot t with ``found[t]`` = (r, d), r[t] = d, common factors cancelled."""
+    known = [(t, c, *found[t]) for t, c in row.items() if t in found]
+    if not known:
+        return row, den
+    scale = math.lcm(*(d for _, _, _, d in known))
+    out = {t: c * scale for t, c in row.items() if t not in found}
+    for t, c, r, d in known:
+        f = c * (scale // d)
+        for k, v in r.items():
+            if k != t:
+                out[k] = out.get(k, 0) - f * v
+    den *= scale
+    g = math.gcd(den, *out.values())
+    return {k: v // g for k, v in out.items() if v}, den // g
+
+
+def _vector_terms(entries, den: int, count: int) -> list[dict]:
+    """A relation's ``((j, a), int)`` entries over ``den`` as one
+    ``{monomial a: Fraction}`` dict per vector j < ``count``."""
+    coeffs = [{} for _ in range(count)]
+    for (j, a), c in entries:
+        coeffs[j][a] = Fraction(c, den)
+    return coeffs
 
 
 # -- truncated solvers -------------------------------------------------
@@ -532,13 +607,30 @@ def derivations_up_to_degree(
     """Bases of tangent vector fields by weight, up to ``max_weight``.
 
     The ideal must be weighted-homogeneous so that tangency splits into
-    independent per-weight linear solves with Groebner normal forms as
-    the membership oracle: the candidate x^a d_i maps each basis element
-    g to NF(x^a dg/dx_i), a shift of the precomputed partials reduced
-    through the basis's monomial table.  Rings with zero-weight
-    variables need ``zero_weight_cap`` to bound those exponents.  The
-    unit ideal, whose quotient is 0, has none.
+    per-weight linear solves with Groebner normal forms as the membership
+    oracle: the candidate x^a d_i maps each basis element g to NF(x^a
+    dg/dx_i), a shift of the precomputed partials reduced through the
+    basis's monomial table.  A forced slot takes no normal forms: its
+    relation comes by substitution, the same one, since each dependent
+    slot's reduced relation is unique (``_graded_syzygies``).  The
+    fields of the slots not forced generate the rest as an O-module
+    (``derivation_generators``).  Rings with zero-weight variables need
+    ``zero_weight_cap`` to bound those exponents.  The unit ideal, whose
+    quotient is 0, has none.
     """
+    return _derivations(gb, max_weight, zero_weight_cap, generators=False)
+
+
+def derivation_generators(
+    gb: GroebnerBasis, max_weight: int, zero_weight_cap: int | None = None
+) -> dict[int, list[VectorField]]:
+    """The fields of ``derivations_up_to_degree`` whose slot is not
+    forced, by weight: they generate the others as an O-module."""
+    return _derivations(gb, max_weight, zero_weight_cap, generators=True)
+
+
+def _derivations(gb: GroebnerBasis, max_weight: int, zero_weight_cap, generators: bool) -> dict:
+    """The tangent fields by weight, or only their generators."""
     ring = gb.ring
     for g in gb.elements:
         if not g.is_quasihomogeneous():
@@ -551,24 +643,24 @@ def derivations_up_to_degree(
         _integer_components([g.partial_derivative(v).terms for g in gb.elements]) for v in ring.variables
     ]
     weights = [-mw for mw in ring.weights]
+    span = range(-max(ring.weights) if ring.weights else 0, max_weight + 1)
     out: dict[int, list[VectorField]] = {}
-    lowest = -max(ring.weights) if ring.weights else 0
-    for w in range(lowest, max_weight + 1):
-        fields = [
-            VectorField(ring, [Polynomial(ring, t) for t in rel])
-            for rel in _graded_syzygies(gb, partials, weights, w, None, zero_weight_cap)
-        ]
-        if fields:
-            out[w] = fields
+    for w, entries, den, forced in _graded_syzygies(gb, partials, weights, span, None, zero_weight_cap):
+        if not (generators and forced):
+            terms = _vector_terms(entries, den, ring.arity)
+            out.setdefault(w, []).append(VectorField(ring, [Polynomial(ring, t) for t in terms]))
     return out
 
 
 def exceptional_ideal(fields: list[VectorField], gb: GroebnerBasis) -> GroebnerBasis:
     """The ideal (mod the variety ideal) generated by all coefficient
-    functions of the fields: the vanishing locus of the family.
+    functions of the fields: the vanishing locus of the family.  Every
+    field is checked for tangency first.
 
     Coordinate images generate the full image ideal because
-    xi(fg) = f xi(g) + g xi(f).
+    xi(fg) = f xi(g) + g xi(f).  Fields that generate the same O-module
+    give the same ideal, so the tangent derivations may come as their
+    generators (``derivation_generators``).
     """
     for xi in fields:
         if not tangency_check(xi, gb):
@@ -615,21 +707,24 @@ def incompressibility_truncated(
     fields = [f for f in fields if not f.is_zero()]
     if not fields:
         return IncompressibilityReport(True, max_degree)
-    weights = []
+    scaled, weights = [], []
     for xi in fields:
-        if not tangency_check(xi, gb):
+        if xi.ring != ring:
+            raise InputError("ring mismatch")
+        components = _integer_components([c.terms for c in xi.coefficients])
+        if not _tangent(components[0], gb):
             raise DomainError(f"field {xi} is not tangent to the variety")
         w = xi.weight()
         if w is None:
             raise DomainError("incompressibility solver needs weight-homogeneous fields")
+        scaled.append(components)
         weights.append(w)
-    scaled = [_integer_components([c.terms for c in xi.coefficients]) for xi in fields]
-    for w in range(min(weights), max_degree + max(weights) + 1):
-        for rel in _graded_syzygies(gb, scaled, weights, w, max_degree, zero_weight_cap):
-            witness = [Polynomial(ring, t) for t in rel]
-            residue = sum((xi.apply(f) for xi, f in zip(fields, witness)), ring.zero())
-            if not normal_form(residue, gb).is_zero():
-                return IncompressibilityReport(
-                    False, max_degree, witness_coefficients=witness, witness_residue=residue
-                )
+    span = range(min(weights), max_degree + max(weights) + 1)
+    for _, entries, den, _ in _graded_syzygies(gb, scaled, weights, span, max_degree, zero_weight_cap):
+        witness = [Polynomial(ring, t) for t in _vector_terms(entries, den, len(fields))]
+        residue = sum((xi.apply(f) for xi, f in zip(fields, witness)), ring.zero())
+        if not normal_form(residue, gb).is_zero():
+            return IncompressibilityReport(
+                False, max_degree, witness_coefficients=witness, witness_residue=residue
+            )
     return IncompressibilityReport(True, max_degree)

@@ -12,6 +12,8 @@ printers, the rational scaling of several components) are kept here as
 they were first written, as references for their simpler rewrites.
 The dense ``nullspace`` (on the package's dense ``rref``) and
 ``weighted_components`` are helpers the package itself no longer needs.
+``all_slot_syzygies`` is the graded relation solve that builds every
+slot's image, the reference for the one that substitutes forced slots.
 """
 
 import sys
@@ -21,9 +23,9 @@ from itertools import combinations, permutations, product
 from operator import neg
 
 from leafalg.errors import DomainError, InputError, ParseError
-from leafalg.groebner import normal_form
-from leafalg.linalg import rref
-from leafalg.poly import Polynomial
+from leafalg.groebner import _nf_terms, normal_form
+from leafalg.linalg import relations, rref
+from leafalg.poly import Polynomial, mono_mul
 
 
 def rref_rank(rows):
@@ -455,6 +457,35 @@ def stacked_integer_components(components):
         if c:
             out[k][m] = c.numerator * (den // c.denominator)
     return out, den
+
+
+def all_slot_syzygies(gb, vectors, weights, w, top, zero_weight_cap):
+    """Relations modulo the ideal among the multiples x^a v_j of weight w,
+    as the graded solve found them before it kept relations from one
+    weight to the next: every slot's image is built and handed to
+    ``linalg.relations``.  ``vectors[j]`` is a pair of integer
+    ``{monomial: int}`` components of weight ``weights[j]`` and their
+    denominator, and weight(x^a) = w - weights[j] <= ``top`` (unbounded
+    for None).  Slots (j, a) go by j, then by the basis order; each
+    relation is one ``{monomial a: coefficient}`` dict per vector."""
+    degrees = {w - vw for vw in weights if top is None or w - vw <= top}
+    pieces = {d: sorted(gb.ring.monomials_of_weight(d, zero_weight_cap), key=gb._key) for d in degrees}
+    slots = [(j, mono) for j, vw in enumerate(weights) if w - vw in pieces for mono in pieces[w - vw]]
+    images = []
+    for j, mono in slots:
+        components, den = vectors[j]
+        nfs = [_nf_terms(gb, {mono_mul(t, mono): v for t, v in terms.items()}) for terms in components]
+        common = lcm(*(d for _, d in nfs))
+        row = {(k, m): c * (common // d) for k, (nf, d) in enumerate(nfs) for m, c in nf.items()}
+        images.append((row, common * den))
+    out = []
+    for rel in relations(images):
+        coeffs = [{} for _ in vectors]
+        for a, c in rel.items():
+            j, mono = slots[a]
+            coeffs[j][mono] = c
+        out.append(coeffs)
+    return out
 
 
 # The polynomial-string parser as it was built on Polynomial arithmetic:

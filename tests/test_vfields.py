@@ -8,17 +8,19 @@ from pathlib import Path
 
 import pytest
 
-from leafalg import groebner, vfields
+from leafalg import groebner, linalg, vfields
 from leafalg.cli import load_input
 from leafalg.errors import DomainError, InputError
 from leafalg.geom import JacobianPolyvector, Variety, jacobian_bracket_matrix
 from leafalg.groebner import buchberger, poincare_series
-from leafalg.poly import PolyRing, parse_poly
+from leafalg.linalg import _integer_components
+from leafalg.poly import Polynomial, PolyRing, parse_poly
 from leafalg.vfields import (
     IncompressibilityReport,
     JacobiStructure,
     VectorField,
     VectorFieldFamily,
+    derivation_generators,
     derivations_up_to_degree,
     exceptional_ideal,
     field_from_form,
@@ -37,6 +39,7 @@ from leafalg.vfields import (
 )
 
 from oracles import (
+    all_slot_syzygies,
     apply_by_partials,
     fraction_tangency,
     leibniz_determinant,
@@ -198,6 +201,111 @@ def test_the_graded_solve_enumerates_each_weight_once(monkeypatch):
     calls = counted(monkeypatch, PolyRing, "monomials_of_weight")
     derivations_up_to_degree(gb, 9)
     assert len(calls) <= 11
+
+
+def solved(gb, vectors, weights, span, top, cap):
+    """The graded solve's relations by weight, one dict per vector each."""
+    table = {w: [] for w in span}
+    for w, entries, den, _ in vfields._graded_syzygies(gb, vectors, weights, span, top, cap):
+        table[w].append(vfields._vector_terms(entries, den, len(vectors)))
+    return table
+
+
+def assert_same_relations(gb, vectors, weights, span, top, cap=None):
+    # relations, their order, each dict's key order and values, all Fractions
+    table = solved(gb, vectors, weights, span, top, cap)
+    reference = {w: all_slot_syzygies(gb, vectors, weights, w, top, cap) for w in span}
+    assert {w: [[list(d.items()) for d in rel] for rel in rels] for w, rels in table.items()} == {
+        w: [[list(d.items()) for d in rel] for rel in rels] for w, rels in reference.items()
+    }
+    assert all(type(c) is Fraction for rels in table.values() for rel in rels for d in rel for c in d.values())
+
+
+def partial_vectors(gb):
+    """The derivation solve's vectors: each variable's partials of the
+    basis, scaled to integers, of weight minus the variable's."""
+    ring = gb.ring
+    partials = [_integer_components([g.partial_derivative(v).terms for g in gb.elements]) for v in ring.variables]
+    return partials, [-w for w in ring.weights]
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_graded_solve_matches_the_all_slots_reference(seed):
+    # forced slots come by substitution, the rest from normal forms; the
+    # reduced relations are unique, so both routes give the same ones
+    rng = random.Random(500 + seed)
+    ring_weights = [1, rng.randint(1, 3), rng.randint(1, 3)]
+    rng.shuffle(ring_weights)
+    ring = PolyRing(["x", "y", "z"], ring_weights)
+    gb = buchberger([random_quasihomogeneous(rng, ring, rng.randint(2, 5)) for _ in range(rng.randint(1, 2))])
+    vectors, weights = partial_vectors(gb)
+    span = range(-max(ring.weights), 6)
+    assert_same_relations(gb, vectors, weights, span, None)
+    # a truncation cuts off some shifted slots, so fewer slots are forced
+    assert_same_relations(gb, vectors, weights, span, 2)
+    # fields as vectors, as the incompressibility check takes them
+    fields = [xi for fs in derivations_up_to_degree(gb, 1).values() for xi in fs]
+    scaled = [_integer_components([c.terms for c in xi.coefficients]) for xi in fields]
+    weights = [xi.weight() for xi in fields]
+    assert_same_relations(gb, scaled, weights, range(min(weights), 3 + max(weights)), 2)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_graded_solve_matches_the_reference_under_a_zero_weight_cap(seed):
+    # t has weight 0: its exponents are capped, and no shift by t is taken
+    rng = random.Random(600 + seed)
+    ring = PolyRing(["x", "y", "t"], [1, 2, 0])
+    degree = rng.randint(3, 4)
+    monomials = ring.monomials_of_weight(degree, 1)
+    terms = {m: Fraction(rng.randint(-3, 3)) for m in monomials}
+    terms[rng.choice(monomials)] = Fraction(1)
+    gb = buchberger([Polynomial(ring, terms)])
+    vectors, weights = partial_vectors(gb)
+    for top in (None, 3):
+        assert_same_relations(gb, vectors, weights, range(-2, 5), top, 2)
+
+
+@pytest.mark.parametrize(
+    "name, degree, imaged, slots, generators, fields",
+    [("two_quadrics_c4", 6, 257, 1320, 9, 1072), ("fermat4", 9, 319, 858, 6, 545)],
+)
+def test_derivation_slots_imaged_are_pinned(monkeypatch, name, degree, imaged, slots, generators, fields):
+    # every slot was imaged before forced slots came by substitution
+    gb = corpus_basis(name)
+    sizes = []
+    relations = linalg.relations
+    monkeypatch.setattr(linalg, "relations", lambda images: sizes.append(len(images)) or relations(images))
+    table = derivations_up_to_degree(gb, degree)
+    ring = gb.ring
+    total = sum(len(ring.monomials_of_weight(w + v)) for w in range(-max(ring.weights), degree + 1) for v in ring.weights)
+    assert (sum(sizes), total) == (imaged, slots)
+    counts = [sum(map(len, t.values())) for t in (derivation_generators(gb, degree), table)]
+    assert counts == [generators, fields]
+
+
+def graded_documents():
+    """The corpus documents with a weighted-homogeneous ideal and positive
+    weights."""
+    names = []
+    for path in sorted(CORPUS.glob("*.json")):
+        try:
+            doc = load_input(str(path))
+        except InputError:
+            continue
+        if Variety(doc.ring, doc.ideal).is_quasihomogeneous() and not doc.ring.has_zero_weights:
+            names.append(path.stem)
+    return names
+
+
+@pytest.mark.parametrize("name", graded_documents())
+def test_derivation_generators_give_the_exceptional_ideal(name):
+    # every other field is x_i times a lower one plus fields of its own
+    # weight, so its coefficients lie in the generators' ideal
+    gb = corpus_basis(name)
+    table, generators = derivations_up_to_degree(gb, 5), derivation_generators(gb, 5)
+    assert all(xi in table[w] for w, fs in generators.items() for xi in fs)
+    every = exceptional_ideal([xi for _, fs in sorted(table.items()) for xi in fs], gb)
+    assert exceptional_ideal([xi for _, fs in sorted(generators.items()) for xi in fs], gb).elements == every.elements
 
 
 def random_gens(rng, ring, k):

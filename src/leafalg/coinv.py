@@ -44,7 +44,7 @@ from .geom import Variety, hp0_series
 from .groebner import _nf_terms, monomial_basis
 from .linalg import _integer_components
 from .vfields import VectorField, _form_dimension, apply_field, derivations_up_to_degree, form_image
-from .vfields import monomial_forms, top_polyvector_field
+from .vfields import monomial_forms, tangency_check, top_polyvector_field
 
 
 class CoinvariantTable:
@@ -70,7 +70,7 @@ def graded_family(X: Variety, family, max_degree: int) -> tuple[dict[int, list[t
     fixed multiple per member; the oracle applies it only to the
     monomials above ``floor`` in tuple order, all of them for None.
     ``family`` is 'hamiltonian-top', 'derivations', or an explicit list
-    of weight-homogeneous vector fields."""
+    of tangent, weight-homogeneous vector fields."""
     graded: dict[int, list[tuple]] = {}
     if family == "hamiltonian-top":
         if _form_dimension(X) >= 2:
@@ -91,6 +91,9 @@ def graded_family(X: Variety, family, max_degree: int) -> tuple[dict[int, list[t
         fields, family = list(family), "explicit"
         if not all(isinstance(xi, VectorField) for xi in fields):
             raise InputError("explicit family must be a list of vector fields")
+        for xi in fields:  # the other families are tangent by construction
+            if not tangency_check(xi, X.groebner()):
+                raise DomainError(f"field {xi} is not tangent to the variety")
     for xi in fields:
         if xi.is_zero():
             continue
@@ -107,8 +110,8 @@ def coinvariants_truncated(X: Variety, family, max_degree: int) -> CoinvariantTa
     weights up to ``max_degree``.
 
     ``family`` is 'hamiltonian-top', 'derivations', or an explicit list
-    of weight-homogeneous vector fields.  Both the ideal and the family
-    must respect the grading.
+    of tangent, weight-homogeneous vector fields.  Both the ideal and
+    the family must respect the grading.
     """
     if not X.is_quasihomogeneous():
         raise DomainError("coinvariants need a weighted-homogeneous ideal")

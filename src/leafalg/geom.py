@@ -270,10 +270,6 @@ class LeavesReport:
     def __init__(self, passed: bool, strata: list, witness: RankStratum | None = None):
         self.passed, self.strata, self.witness = passed, strata, witness
 
-    @property
-    def verdict(self) -> str:
-        return "PASS" if self.passed else "FAIL"
-
 
 def leaves_check(X: Variety, bracket_depth: int = 2) -> LeavesReport:
     """Finite-leaves criterion: the rank-at-most-i locus may have

@@ -70,7 +70,7 @@ from fractions import Fraction
 from operator import mul, neg
 
 from .errors import DomainError, InputError
-from .linalg import Echelon, _integer_components, _integer_row
+from .linalg import Echelon, _integer_components
 from .poly import (
     Monomial,
     Polynomial,
@@ -230,7 +230,7 @@ def normal_form(p: Polynomial, gb: GroebnerBasis) -> Polynomial:
     r / (mult * D) for D * p, D the denominator of p, reduced in integers."""
     if p.ring != gb.ring:
         raise InputError("ring mismatch between polynomial and basis")
-    terms, den = _integer_row(p.terms)
+    (terms,), den = _integer_components([p.terms])
     r, mult = _reduce_full(terms, *gb._integer, gb._heap_key, {})
     den *= mult
     return Polynomial(p.ring, {m: Fraction(c, den) for m, c in r.items()})
@@ -377,7 +377,7 @@ def _complete(gens: list[Polynomial], ring: PolyRing, key, below: int | None = N
     span = Echelon()
     steps: dict = {}  # one step table for every reduction of this completion
     for g in sorted(gens, key=lambda p: (key(leading_term(p.terms, key)[0]), sorted(p.terms.items()))):
-        row, _ = _integer_row(g.terms)
+        (row,), _ = _integer_components([g.terms])
         if not span.add_row(dict(row)):
             continue
         r, _ = _reduce_full(row, basis, leads, heap_key, steps, below)

@@ -1,11 +1,12 @@
 """Exact linear algebra over the rationals, on integer rows.
 
 A row is a sparse dict from a sortable key to a nonzero int.  Callers
-scale their rational vectors to such rows themselves (``_integer_row``,
-``_integer_components``), grow a span one row at a time
+scale their rational vectors to such rows themselves
+(``_integer_components``), grow a span one row at a time
 (``Echelon.add_row``), ask for its rank (``span_rank``), or ask for the
 linear relations among rows that each come with a positive denominator
-(``relations``, each relation a sparse dict from row index to Fraction).
+(``relations``, each relation a primitive integer row over row indices
+with a positive denominator).
 
 Underneath is one sparse elimination routine, ``Echelon._reduce``.  A
 row's pivot is its smallest column.  A new row is reduced against the
@@ -82,13 +83,6 @@ class Echelon:
         return None, {}
 
 
-def _integer_row(vector) -> tuple[dict, int]:
-    """The nonzero entries of a rational vector times the lcm D of their
-    denominators, and D (a zero entry has denominator 1)."""
-    den = lcm(*(c.denominator for c in vector.values()))
-    return {k: c.numerator * (den // c.denominator) for k, c in vector.items() if c}, den
-
-
 def _integer_components(components) -> tuple[list[dict], int]:
     """The ``{key: coefficient}`` components of one vector times the lcm D
     of all their denominators, as int dicts without zero entries (keys in
@@ -110,11 +104,12 @@ def span_rank(rows, size: int | None = None) -> int:
     return len(echelon.rows)
 
 
-def relations(pairs) -> list[dict[int, Fraction]]:
+def relations(pairs) -> list[tuple[dict[int, int], int]]:
     """Basis of the coefficient tuples c with sum_a c[a] * v_a = 0, each
-    as a sparse ``{index a: Fraction}`` of its nonzero entries in
-    ascending index order.  ``pairs[a]`` is ``(row, den)``, an integer
-    row (zero entries are skipped) and a positive int, standing for the
+    as ``(row, den)``: c = row / den, with ``row`` the primitive integer
+    ``{index a: int}`` of its nonzero entries in ascending index order
+    and ``den`` > 0.  ``pairs[a]`` is ``(row, den)``, an integer row
+    (zero entries are skipped) and a positive int, standing for the
     vector v_a = row / den.
 
     The vectors are reduced in the given order, each carrying the
@@ -122,9 +117,9 @@ def relations(pairs) -> list[dict[int, Fraction]]:
     keys).  Vector i enters as its integer row with den_i in its record
     column, so the record holds the combination of the exact vectors.
     Each vector that vanishes gives one relation: coefficient 1 on
-    itself, minus its unique expression in the earlier independent
-    vectors.  That is the basis read off the reduced row echelon form of
-    the matrix with one column per vector.
+    itself (so ``row[i] == den``), minus its unique expression in the
+    earlier independent vectors.  That is the basis read off the
+    reduced row echelon form of the matrix with one column per vector.
     """
     cols = {k: i for i, k in enumerate(sorted({k for row, _ in pairs for k in row}))}
     n = len(cols)
@@ -138,8 +133,8 @@ def relations(pairs) -> list[dict[int, Fraction]]:
             echelon.rows[lead] = row
             continue
         # every column below n cancelled, so only record columns remain
-        own = row[n + i]
-        basis.append({k - n: Fraction(x, own) for k, x in sorted(row.items())})
+        sign = 1 if row[n + i] > 0 else -1
+        basis.append(({k - n: sign * x for k, x in sorted(row.items())}, sign * row[n + i]))
     return basis
 
 

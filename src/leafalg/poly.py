@@ -187,9 +187,6 @@ class PolyRing:
         i = self.index(name)
         return self.monomial(tuple(1 if j == i else 0 for j in range(self.arity)))
 
-    def gens(self) -> tuple:
-        return tuple(self.var(n) for n in self.variables)
-
     def monomial(self, expo: Monomial, coeff=1) -> "Polynomial":
         if len(expo) != self.arity:
             raise InputError("exponent tuple has wrong length")
@@ -316,10 +313,6 @@ class Polynomial:
         if n < 0:
             raise InputError("negative exponent")
         return Polynomial(self.ring, _pow_terms(self.terms, n, (0,) * self.ring.arity))
-
-    def scale(self, c) -> "Polynomial":
-        """The product with the number c, as ``Fraction(c)`` (zero for c = 0)."""
-        return self * Fraction(c)
 
     # -- calculus and grading ----------------------------------------
 

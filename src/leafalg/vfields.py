@@ -50,7 +50,7 @@ from fractions import Fraction
 from . import linalg
 from .errors import DomainError, InputError
 from .groebner import GroebnerBasis, _nf_terms, _reduce_full, buchberger, minors, normal_form
-from .linalg import _integer_components, _integer_row
+from .linalg import _integer_components
 from .poly import Monomial, Polynomial, PolyRing, mono_mul
 
 
@@ -79,10 +79,6 @@ class VectorField:
                 raise InputError("coefficient lives in a different ring")
         self.ring = ring
         self.coefficients = coeffs
-
-    @classmethod
-    def zero(cls, ring: PolyRing) -> "VectorField":
-        return cls(ring, [ring.zero()] * ring.arity)
 
     @classmethod
     def coordinate(cls, ring: PolyRing, name: str) -> "VectorField":
@@ -211,8 +207,11 @@ def _tangent(coefficients: list, gb: GroebnerBasis) -> bool:
 
 def hamiltonian_from_bracket(f: Polynomial, matrix) -> VectorField:
     """Hamiltonian field of f for a skew bracket matrix: xi_f(x_i) =
-    {f, x_i}, the field of the 0-form f with pairing P_ij = matrix[i][j]."""
+    {f, x_i}, the field of the 0-form f with pairing P_ij = matrix[i][j],
+    all over one ring."""
     check_skew(matrix)
+    if any(p.ring != f.ring for row in matrix for p in row):
+        raise InputError("ring mismatch")
     n = len(matrix)
     table, den = integer_pairing({(i, j): matrix[i][j] for i in range(n) for j in range(i + 1, n)})
     return field_from_form(f, form_slots(table, (), n), den)
@@ -402,7 +401,7 @@ def field_from_form(g: Polynomial, slots: list, den: int) -> VectorField:
     images of x_i under the forms of g's terms, g scaled to integers."""
     ring = g.ring
     coordinates = [tuple(int(j == i) for j in range(ring.arity)) for i in range(ring.arity)]
-    terms, g_den = _integer_row(g.terms)
+    (terms,), g_den = _integer_components([g.terms])
     totals = [{} for _ in coordinates]
     for a, c in terms.items():
         image = form_image(a, slots)
@@ -561,8 +560,8 @@ def _graded_syzygies(gb: GroebnerBasis, vectors, weights, span, top, zero_weight
             row = {(k, m): c * (common // d) for k, (nf, d) in enumerate(nfs) for m, c in nf.items()}
             images.append((row, common * den))
         found = {}
-        for rel in linalg.relations(images):
-            found[free[max(rel)]] = _integer_row({free[a]: c for a, c in rel.items()})
+        for row, den in linalg.relations(images):
+            found[free[max(row)]] = {free[a]: c for a, c in row.items()}, den
         for s in sorted(forced):
             found[s] = _substitute(*forced[s], found)
         done[w] = slots, found
@@ -655,18 +654,17 @@ def _derivations(gb: GroebnerBasis, max_weight: int, zero_weight_cap, generators
 def exceptional_ideal(fields: list[VectorField], gb: GroebnerBasis) -> GroebnerBasis:
     """The ideal (mod the variety ideal) generated by all coefficient
     functions of the fields: the vanishing locus of the family.  Every
-    field is checked for tangency first.
+    field is checked for tangency as its coefficients are collected.
 
     Coordinate images generate the full image ideal because
     xi(fg) = f xi(g) + g xi(f).  Fields that generate the same O-module
     give the same ideal, so the tangent derivations may come as their
     generators (``derivation_generators``).
     """
+    gens = list(gb.elements)
     for xi in fields:
         if not tangency_check(xi, gb):
             raise DomainError(f"field {xi} is not tangent to the variety")
-    gens = list(gb.elements)
-    for xi in fields:
         gens.extend(c for c in xi.coefficients if not c.is_zero())
     return buchberger(gens, gb.order, ring=gb.ring)
 

@@ -479,11 +479,11 @@ def all_slot_syzygies(gb, vectors, weights, w, top, zero_weight_cap):
         row = {(k, m): c * (common // d) for k, (nf, d) in enumerate(nfs) for m, c in nf.items()}
         images.append((row, common * den))
     out = []
-    for rel in relations(images):
+    for row, den in relations(images):
         coeffs = [{} for _ in vectors]
-        for a, c in rel.items():
+        for a, c in row.items():
             j, mono = slots[a]
-            coeffs[j][mono] = c
+            coeffs[j][mono] = Fraction(c, den)
         out.append(coeffs)
     return out
 

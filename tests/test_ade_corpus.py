@@ -86,7 +86,7 @@ def test_surface_singularities(name, equation, weights, mu):
     # the bracket satisfies the Jacobi identity modulo the surface ideal
     pi = jacobian_bracket_matrix(X)
     gb = X.groebner()
-    x, y, z = ring.gens()
+    x, y, z = (ring.var(v) for v in ring.variables)
     from leafalg.vfields import hamiltonian_from_bracket
 
     def br(a, b):

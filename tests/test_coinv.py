@@ -87,6 +87,19 @@ def test_rejects_non_graded_family():
         coinvariants_truncated(cuspidal(), [mixed], 4)
 
 
+def test_rejects_an_explicit_field_that_is_not_tangent():
+    # d_x moves x^2 - y^3: no table of coinvariants for it
+    with pytest.raises(DomainError, match="^field d_x is not tangent to the variety$"):
+        coinvariants_truncated(cuspidal(), [VectorField.coordinate(CUSP_RING, "x")], 8)
+
+
+def test_rejects_an_explicit_field_over_another_ring():
+    # the same arity and weights, but a and b are not x and y
+    other = PolyRing(["a", "b"], [3, 2])
+    with pytest.raises(InputError, match="^ring mismatch$"):
+        coinvariants_truncated(cuspidal(), [VectorField(other, polys(other, "3*b^2", "2*a"))], 8)
+
+
 def _embed(poly, big, offset):
     """Reinterpret a polynomial in a product ring, shifting variables."""
     out = big.zero()

@@ -399,7 +399,7 @@ def test_minors_size_one_returns_entries():
 
 def test_minors_diagonal_determinant():
     zero = XYZ.zero()
-    x, y, z = XYZ.gens()
+    x, y, z = (XYZ.var(v) for v in XYZ.variables)
     mat = [[x, zero, zero], [zero, y, zero], [zero, zero, z]]
     assert minors(mat, 3) == [x * y * z]
 
@@ -407,7 +407,7 @@ def test_minors_diagonal_determinant():
 def test_minors_alternating_in_rows():
     rng = random.Random(37)
     rows = [
-        [XYZ.var(v).scale(rng.randint(1, 3)) + XYZ.monomial((1, 1, 0), rng.randint(-2, 2)) for v in XYZ.variables]
+        [XYZ.var(v) * Fraction(rng.randint(1, 3)) + XYZ.monomial((1, 1, 0), rng.randint(-2, 2)) for v in XYZ.variables]
         for _ in range(3)
     ]
     swapped = [rows[1], rows[0], rows[2]]
@@ -444,9 +444,8 @@ def test_minors_match_leibniz_determinant_over_rationals():
         nrows, ncols = rng.randint(1, 4), rng.randint(1, 4)
         mat = [
             [
-                random_polynomial(rng, XY, max_degree=2, terms=2).scale(
-                    Fraction(rng.randint(1, 7), rng.randint(1, 9))
-                )
+                random_polynomial(rng, XY, max_degree=2, terms=2)
+                * Fraction(rng.randint(1, 7), rng.randint(1, 9))
                 for _ in range(ncols)
             ]
             for _ in range(nrows)
@@ -636,7 +635,7 @@ def test_normal_form_is_linear_over_rationals(name):
     for _ in range(10):
         p = random_poly(rng, gb.ring)
         c = Fraction(rng.choice([-5, -1, 2, 7]), rng.choice([1, 2, 3, 7]))
-        assert normal_form(p.scale(c), gb) == normal_form(p, gb).scale(c)
+        assert normal_form(p * c, gb) == normal_form(p, gb) * c
 
 
 @pytest.mark.parametrize("name", TABLE_CASES)

@@ -7,11 +7,16 @@ from fractions import Fraction
 
 import pytest
 
-from leafalg.linalg import Echelon, _integer_components, _integer_row, relations, rref, span_rank
+from leafalg.linalg import Echelon, _integer_components, relations, rref, span_rank
 
 from oracles import nullspace, stacked_integer_components
 
 SEEDS = range(40)
+
+
+def fractions(rels):
+    """The ``(row, den)`` relations as sparse ``{index: Fraction}`` dicts."""
+    return [{a: Fraction(c, den) for a, c in row.items()} for row, den in rels]
 
 
 def dense(rels, n):
@@ -19,14 +24,14 @@ def dense(rels, n):
     return [[rel.get(a, Fraction(0)) for a in range(n)] for rel in rels]
 
 
-def integer_rows(vectors):
-    """The vectors as the zero-free integer rows ``span_rank`` reads."""
-    return [_integer_row(v)[0] for v in vectors]
-
-
 def integer_pairs(vectors):
     """The vectors as the ``(row, den)`` pairs ``relations`` reads."""
-    return [_integer_row(v) for v in vectors]
+    return [(rows[0], den) for rows, den in (_integer_components([v]) for v in vectors)]
+
+
+def integer_rows(vectors):
+    """The vectors as the zero-free integer rows ``span_rank`` reads."""
+    return [row for row, _ in integer_pairs(vectors)]
 
 
 def random_vectors(rng):
@@ -52,13 +57,36 @@ def random_vectors(rng):
 def test_relations_annihilate(seed):
     vectors = random_vectors(random.Random(seed))
     keys = {k for v in vectors for k in v}
-    for rel in relations(integer_pairs(vectors)):
+    for rel in fractions(relations(integer_pairs(vectors))):
         assert all(rel.values()) and list(rel) == sorted(rel)
         c = dense([rel], len(vectors))[0]
         assert len(c) == len(vectors)
         assert any(c)
         for k in keys:
             assert sum(ca * v.get(k, 0) for ca, v in zip(c, vectors)) == 0
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_relations_are_primitive_integer_rows_over_a_positive_denominator(seed):
+    # relation i ends at its own vector i, with row[i] == den there
+    rng = random.Random(3000 + seed)
+    vectors = random_vectors(rng)
+    last = {}  # 2/3 of the sum of the others, so some relation exists
+    for v in vectors:
+        for k, x in v.items():
+            last[k] = last.get(k, 0) + Fraction(2, 3) * x
+    vectors.append(last)
+    pairs = []
+    for row, den in integer_pairs(vectors):
+        m = rng.randint(1, 3)  # a common factor no relation keeps
+        pairs.append(({k: m * c for k, c in row.items()}, m * den))
+    found = relations(pairs)
+    owns = [max(row) for row, _ in found]
+    assert owns and owns[-1] == len(vectors) - 1 and owns == sorted(set(owns))
+    for row, den in found:
+        assert type(den) is int and den > 0
+        assert all(type(c) is int and c for c in row.values()) and list(row) == sorted(row)
+        assert row[max(row)] == den and math.gcd(den, *row.values()) == 1
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -81,7 +109,7 @@ def test_relations_match_dense_nullspace(seed):
     vectors = random_vectors(random.Random(seed))
     support = sorted({k for v in vectors for k in v})
     matrix = [[Fraction(v.get(k, 0)) for v in vectors] for k in support]
-    assert dense(relations(integer_pairs(vectors)), len(vectors)) == nullspace(matrix, len(vectors))
+    assert dense(fractions(relations(integer_pairs(vectors))), len(vectors)) == nullspace(matrix, len(vectors))
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -96,17 +124,17 @@ def test_relations_of_rows_with_denominators_match_dense_nullspace(seed):
         pairs.append(({k: int(c * den) for k, c in v.items()}, den))
     support = sorted({k for v in vectors for k in v})
     matrix = [[Fraction(v.get(k, 0)) for v in vectors] for k in support]
-    found = relations(pairs)
+    found = fractions(relations(pairs))
     assert dense(found, len(vectors)) == nullspace(matrix, len(vectors))
-    assert found == relations(integer_pairs(vectors))
+    assert found == fractions(relations(integer_pairs(vectors)))
 
 
 def test_small_cases():
     assert span_rank([]) == 0
     assert span_rank(integer_rows([{}, {"a": Fraction(0)}])) == 0
-    assert relations(integer_pairs([{}, {"a": Fraction(1)}])) == [{0: 1}]
+    assert fractions(relations(integer_pairs([{}, {"a": Fraction(1)}]))) == [{0: 1}]
     assert span_rank([{"a": 1, "b": 2}, {"a": 2, "b": 4}, {"c": 1}]) == 2
-    assert relations(integer_pairs([{"a": 1, "b": 2}, {"a": 2, "b": 4}])) == [{0: -2, 1: 1}]
+    assert fractions(relations(integer_pairs([{"a": 1, "b": 2}, {"a": 2, "b": 4}]))) == [{0: -2, 1: 1}]
 
 
 LARGE_SEEDS = range(8)
@@ -153,7 +181,7 @@ def dense_rows(vectors):
 def test_large_relations_match_dense_nullspace(seed):
     vectors = large_sparse_vectors(random.Random(1000 + seed))
     transpose = [list(col) for col in zip(*dense_rows(vectors))]
-    found = relations(integer_pairs(vectors))
+    found = fractions(relations(integer_pairs(vectors)))
     assert dense(found, len(vectors)) == nullspace(transpose, len(vectors))
     assert found  # the forced combinations give relations
     assert all(type(c) is Fraction and c for rel in found for c in rel.values())

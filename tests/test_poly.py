@@ -284,8 +284,8 @@ def test_euler_identity_random():
             p = random_quasihomogeneous(rng, ring, weight)
             euler = ring.zero()
             for name, m in zip(ring.variables, ring.weights):
-                euler = euler + ring.var(name).scale(m) * p.partial_derivative(name)
-            assert euler == p.scale(weight)
+                euler = euler + ring.var(name) * Fraction(m) * p.partial_derivative(name)
+            assert euler == p * Fraction(weight)
 
 
 def test_print_parse_round_trip():
@@ -409,11 +409,11 @@ def test_monomial_kernels_match_their_definitions():
 def test_constants_variables_and_scalings_keep_fraction_coefficients():
     p = parse_poly("x^2 - 1/3*y*z + 2", XYZ)
     assert XYZ.const(0).terms == {} and XYZ.const(Fraction(0)) == XYZ.zero()
-    assert p.scale(0).terms == {} and p.scale(Fraction(0)) == XYZ.zero()
+    assert (p * Fraction(0)).terms == {} and p * Fraction(0) == XYZ.zero()
     assert XYZ.const(3).terms == {(0, 0, 0): 3} and XYZ.var("y").terms == {(0, 1, 0): 1}
-    assert p.scale(Fraction(-3, 7)).terms == {m: Fraction(-3, 7) * c for m, c in p.terms.items()}
-    assert list(p.scale(-2).terms) == list(p.terms)
-    for q in (XYZ.const(3), XYZ.const(Fraction(-2, 5)), XYZ.one(), XYZ.var("y"), p.scale(2), p.scale(Fraction(1, 2))):
+    assert (p * Fraction(-3, 7)).terms == {m: Fraction(-3, 7) * c for m, c in p.terms.items()}
+    assert list((p * Fraction(-2)).terms) == list(p.terms)
+    for q in (XYZ.const(3), XYZ.const(Fraction(-2, 5)), XYZ.one(), XYZ.var("y"), p * Fraction(2), p * Fraction(1, 2)):
         assert all(type(c) is Fraction for c in q.terms.values())
 
 

@@ -81,7 +81,7 @@ def test_apply_coordinate():
 def test_apply_euler_identity():
     euler = field(CUSP_RING, "3*x", "2*y")
     f = parse_poly("x^2 - y^3", CUSP_RING)
-    assert euler.apply(f) == f.scale(6)
+    assert euler.apply(f) == f * Fraction(6)
 
 
 def test_apply_matches_partial_derivatives():
@@ -123,14 +123,14 @@ def test_tangency_examples():
     gb = buchberger(polys(CUSP_RING, "x^2 - y^3"))
     assert tangency_check(cusp_tangent(), gb)
     assert not tangency_check(VectorField.coordinate(CUSP_RING, "x"), gb)
-    assert tangency_check(VectorField.zero(CUSP_RING), gb)
+    assert tangency_check(VectorField(CUSP_RING, [CUSP_RING.zero()] * CUSP_RING.arity), gb)
 
 
 def rational_field(rng, ring):
     """A field with a few terms of small rational coefficients per slot."""
     scales = [Fraction(n, d) for n in (-5, -1, 1, 3) for d in (1, 2, 3)]
     return VectorField(
-        ring, [random_polynomial(rng, ring, max_degree=2).scale(rng.choice(scales)) for _ in ring.variables]
+        ring, [random_polynomial(rng, ring, max_degree=2) * rng.choice(scales) for _ in ring.variables]
     )
 
 
@@ -410,7 +410,7 @@ def test_field_from_form_matches_explicit_sum():
         forms = list(itertools.combinations(range(n), n - len(eqs) - 2))
         for J in forms:
             for _ in range(3):
-                g = random_polynomial(rng, ring, zero_ok=False).scale(Fraction(rng.choice((-5, 2)), 3))
+                g = random_polynomial(rng, ring, zero_ok=False) * Fraction(rng.choice((-5, 2)), 3)
                 assert field_from_form(g, form_slots(integers, J, n), den) == explicit(g, J)
         family = (
             explicit(ring.monomial(g), J)
@@ -454,6 +454,14 @@ def test_hamiltonian_from_bracket_rejects_a_matrix_that_is_not_skew():
         hamiltonian_from_bracket(parse_poly("x", XY), [[XY.zero(), one], [one, XY.zero()]])
     with pytest.raises(InputError, match="diagonal"):
         hamiltonian_from_bracket(parse_poly("x", XY), [[one, one], [-one, XY.zero()]])
+
+
+def test_hamiltonian_from_bracket_rejects_a_matrix_over_another_ring():
+    # the matrix's a must not be read as x
+    AB = PolyRing(["a", "b"], [2, 3])
+    a = AB.var("a")
+    with pytest.raises(InputError, match="^ring mismatch$"):
+        hamiltonian_from_bracket(parse_poly("x*y", XY), [[AB.zero(), a], [-a, AB.zero()]])
 
 
 def test_hamiltonian_family_matches_bracket_route():
@@ -734,7 +742,7 @@ def test_incompressibility_violation_on_line():
     # the witness is a scalar multiple of (z, -1)
     assert not f1.is_zero() and list(f2.terms) == [(0,)]
     scale = f2.terms[(0,)]
-    assert f1 == parse_poly("z", line).scale(-scale)
+    assert f1 == parse_poly("z", line) * Fraction(-scale)
 
 
 def test_incompressibility_bounds_every_coefficient_degree():
@@ -748,8 +756,8 @@ def test_incompressibility_bounds_every_coefficient_degree():
     report = incompressibility_truncated(fields, gb, 2)
     assert report.verdict == "violated"
     f1, f2 = report.witness_coefficients
-    assert f1 == parse_poly("z^2", line).scale(-f2.terms[(0,)])
-    assert report.witness_residue == parse_poly("z", line).scale(-2 * f2.terms[(0,)])
+    assert f1 == parse_poly("z^2", line) * -f2.terms[(0,)]
+    assert report.witness_residue == parse_poly("z", line) * (-2 * f2.terms[(0,)])
 
 
 def test_incompressibility_symplectic_plane():

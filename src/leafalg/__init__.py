@@ -33,7 +33,6 @@ from .vfields import (
     derivations_up_to_degree,
     exceptional_ideal,
     hamiltonian_family_top,
-    hamiltonian_from_bracket,
     incompressibility_truncated,
     jacobi_bracket,
     jacobi_hamiltonian,

@@ -41,6 +41,7 @@ from .vfields import (
     jacobian_matrix,
     jacobian_pairing,
     lie_closure,
+    tangency_check,
 )
 
 
@@ -62,6 +63,8 @@ class Variety:
         for g in gens:
             if g.ring != ring:
                 raise InputError("ideal generator lives in a different ring")
+        if structure is not None and not isinstance(structure, Structure):
+            raise InputError("structure must be a JacobianPolyvector, JacobiStructure or VectorFieldFamily")
         if isinstance(structure, JacobiStructure) and structure.ring != ring:
             raise InputError("Jacobi structure lives in a different ring")
         if isinstance(structure, VectorFieldFamily) and any(xi.ring != ring for xi in structure.generators):
@@ -230,9 +233,12 @@ def _bracket(X: Variety) -> JacobiStructure:
 
 
 def _structure_matrix(X: Variety, bracket_depth: int = 2):
-    """Rows spanning the structure's fields at each point: the Lie closure
-    of explicit vector fields, else the rows of pi, and u when there is one."""
+    """Rows spanning the structure's fields at each point: the Lie closure of
+    explicit fields, refused unless tangent to X, else the rows of pi and u."""
     if isinstance(X.structure, VectorFieldFamily):
+        for xi in X.structure.generators if X.ideal_gens else ():  # all are tangent to the whole space
+            if not tangency_check(xi, X.groebner()):
+                raise DomainError(f"field {xi} is not tangent to the variety")
         closed = lie_closure(list(X.structure.generators), depth=bracket_depth)
         return [list(xi.coefficients) for xi in closed]
     s = _bracket(X)
@@ -256,10 +262,10 @@ def rank_strata(X: Variety, bracket_depth: int = 2) -> list[RankStratum]:
     max_rank = min(len(matrix), len(matrix[0])) if matrix else 0
     out = []
     for i in range(max_rank + 1):
-        gens = list(X.ideal_gens)
         if i < max_rank:
-            gens += minors(matrix, i + 1)
-        gb = buchberger(gens, X.order, ring=X.ring)
+            gb = buchberger(list(X.ideal_gens) + minors(matrix, i + 1), X.order, ring=X.ring)
+        else:  # X itself, whose basis the tangency check may have built
+            gb = X.groebner()
         out.append(RankStratum(i, gb, krull_dimension(gb)))
     return out
 

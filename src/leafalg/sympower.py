@@ -30,7 +30,8 @@ class BigradedSeries:
 
     Coefficients are non-negative integers keyed by (s-degree,
     u-exponent); u-exponents may be negative after weight correction.
-    The s^0 coefficient is always 1 (the empty symmetric product).
+    The s^0 coefficient is always 1 (the empty symmetric product).  The
+    constructor, the one check, takes the finished coefficient dict.
     """
 
     __slots__ = ("truncation", "coefficients")
@@ -49,17 +50,6 @@ class BigradedSeries:
     def s_layer(self, r: int) -> dict[int, int]:
         """The u-polynomial multiplying s^r."""
         return {u: c for (s, u), c in self.coefficients.items() if s == r}
-
-    def __mul__(self, other: "BigradedSeries") -> "BigradedSeries":
-        trunc = min(self.truncation, other.truncation)
-        out: dict = {}
-        for (sa, ua), ca in self.coefficients.items():
-            for (sb, ub), cb in other.coefficients.items():
-                if sa + sb > trunc:
-                    continue
-                key = (sa + sb, ua + ub)
-                out[key] = out.get(key, 0) + ca * cb
-        return BigradedSeries(trunc, out)
 
     def __eq__(self, other):
         return (
@@ -83,20 +73,24 @@ class BigradedSeries:
 def sym_power_series(p: dict[int, int], shift: int, truncation: int) -> BigradedSeries:
     """Series of the symmetric algebra on one copy of a graded space per
     power r >= 1, where ``p`` maps weight to dimension and ``shift`` is
-    the weight of the defining equation (0 for no correction)."""
+    the weight of the defining equation (0 for no correction).  The
+    factors multiply as ``{(s, u): c}`` dicts into one ``BigradedSeries``."""
     if truncation < 0:
         raise InputError("truncation must be non-negative")
     for j, pj in p.items():
         if pj < 0:
             raise InputError(f"negative coefficient {pj} at weight {j}")
-    series = BigradedSeries(truncation)
+    coeffs = {(0, 0): 1}
     for r in range(1, truncation + 1):
         for j, pj in sorted(p.items()):
-            if pj:  # (1 - s^r u^e)^(-pj) = sum_a C(pj - 1 + a, a) s^(r a) u^(e a)
-                e = j - r * shift
-                factor = {(r * a, e * a): math.comb(pj - 1 + a, a) for a in range(truncation // r + 1)}
-                series = BigradedSeries(truncation, factor) * series  # outer loop over the short factor
-    return series
+            if pj:  # times (1 - s^r u^e)^(-pj) = sum_a C(pj - 1 + a, a) s^(r a) u^(e a)
+                e, product = j - r * shift, {}
+                for (s, v), c in coeffs.items():
+                    for a in range((truncation - s) // r + 1):
+                        key = (s + r * a, v + e * a)
+                        product[key] = product.get(key, 0) + math.comb(pj - 1 + a, a) * c
+                coeffs = product
+    return BigradedSeries(truncation, coeffs)
 
 
 def hp0_sym_series(X: Variety, truncation: int, corrected: bool = True) -> BigradedSeries:

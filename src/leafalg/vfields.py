@@ -205,18 +205,6 @@ def _tangent(coefficients: list, gb: GroebnerBasis) -> bool:
     )
 
 
-def hamiltonian_from_bracket(f: Polynomial, matrix) -> VectorField:
-    """Hamiltonian field of f for a skew bracket matrix: xi_f(x_i) =
-    {f, x_i}, the field of the 0-form f with pairing P_ij = matrix[i][j],
-    all over one ring."""
-    check_skew(matrix)
-    if any(p.ring != f.ring for row in matrix for p in row):
-        raise InputError("ring mismatch")
-    n = len(matrix)
-    table, den = integer_pairing({(i, j): matrix[i][j] for i in range(n) for j in range(i + 1, n)})
-    return field_from_form(f, form_slots(table, (), n), den)
-
-
 def check_skew(matrix) -> None:
     """Reject a bracket matrix unless it is square, has zero diagonal
     and is skew-symmetric."""
@@ -254,15 +242,18 @@ class JacobianPolyvector(_Structure):
 
 class JacobiStructure(_Structure):
     """A Jacobi pair (pi, u): a skew bracket matrix with entries
-    pi[i][j] = {x_i, x_j} over ``ring``, and a vector field u, or None
-    for a Poisson bracket (u = 0)."""
+    pi[i][j] = {x_i, x_j} over ``ring``, stored as a tuple of tuples, and
+    a vector field u, or None for a Poisson bracket (u = 0)."""
 
     __slots__ = ("ring", "matrix", "u")
 
-    def __init__(self, ring: PolyRing, matrix: tuple, u: VectorField | None = None):
+    def __init__(self, ring: PolyRing, matrix, u: VectorField | None = None):
+        matrix = tuple(map(tuple, matrix))
         check_skew(matrix)
         if len(matrix) != ring.arity:
             raise InputError("bracket matrix must be square of the ring arity")
+        if any(p.ring != ring for row in matrix for p in row):
+            raise InputError("ring mismatch")
         if u is not None and u.ring != ring:
             raise InputError("u lives in a different ring")
         self.ring, self.matrix, self.u = ring, matrix, u
@@ -273,25 +264,29 @@ class VectorFieldFamily(_Structure):
 
     __slots__ = ("generators",)
 
-    def __init__(self, generators: tuple):
-        self.generators = generators
+    def __init__(self, generators):
+        self.generators = tuple(generators)
 
 
 Structure = JacobianPolyvector | JacobiStructure | VectorFieldFamily
 
 
 def jacobi_hamiltonian(f: Polynomial, structure: JacobiStructure) -> VectorField:
-    """xi_f = pi(df) + f u, componentwise xi_f(x_i) = sum_j d_jf pi[j][i] + f u_i."""
+    """xi_f = pi(df) + f u, componentwise xi_f(x_i) = sum_j d_jf pi[j][i] + f u_i,
+    with pi(df) the field of the 0-form f.  For a bare bracket matrix, call
+    ``jacobi_hamiltonian(f, JacobiStructure(ring, matrix))``."""
     if f.ring != structure.ring:
         raise InputError("ring mismatch")
-    base, u = hamiltonian_from_bracket(f, structure.matrix), structure.u
+    n, matrix, u = structure.ring.arity, structure.matrix, structure.u
+    table, den = integer_pairing({(i, j): matrix[i][j] for i in range(n) for j in range(i + 1, n)})
+    base = field_from_form(f, form_slots(table, (), n), den)
     return base if u is None else base + u.scale(f)
 
 
 def jacobi_bracket(f: Polynomial, g: Polynomial, structure: JacobiStructure) -> Polynomial:
-    """{f, g} = pi(df, dg) + f u(g) - g u(f)."""
-    pi_part, u = hamiltonian_from_bracket(f, structure.matrix).apply(g), structure.u
-    return pi_part if u is None else pi_part + f * u.apply(g) - g * u.apply(f)
+    """{f, g} = pi(df, dg) + f u(g) - g u(f), which is xi_f(g) - g u(f)."""
+    value, u = jacobi_hamiltonian(f, structure).apply(g), structure.u
+    return value if u is None else value - g * u.apply(f)
 
 
 def standard_contact(pairs: int = 1) -> JacobiStructure:
@@ -325,7 +320,7 @@ def standard_contact(pairs: int = 1) -> JacobiStructure:
         matrix[xcol][ycol] = -ring.one()  # {x_i, y_i} = -1
         matrix[ycol][xcol] = ring.one()
     u = VectorField.coordinate(ring, "t")
-    return JacobiStructure(ring, tuple(tuple(row) for row in matrix), u)
+    return JacobiStructure(ring, matrix, u)
 
 
 # -- the Jacobian pairing and its Hamiltonian fields -------------------

@@ -10,8 +10,9 @@ use, the reference for the one that reads it from the ring's table.
 The small u-polynomial kernels (exact division by 1 - u^w, the series
 printers, the rational scaling of several components) are kept here as
 they were first written, as references for their simpler rewrites.
-The dense ``nullspace`` (on the package's dense ``rref``) and
-``weighted_components`` are helpers the package itself no longer needs.
+The dense ``nullspace`` (on the package's dense ``rref``),
+``weighted_components`` and ``series_product``, the product of two
+bigraded series, are helpers the package itself no longer needs.
 ``all_slot_syzygies`` is the graded relation solve that builds every
 slot's image, the reference for the one that substitutes forced slots.
 """
@@ -26,6 +27,7 @@ from leafalg.errors import DomainError, InputError, ParseError
 from leafalg.groebner import _nf_terms, normal_form
 from leafalg.linalg import relations, rref
 from leafalg.poly import Polynomial, mono_mul
+from leafalg.sympower import BigradedSeries
 
 
 def rref_rank(rows):
@@ -300,6 +302,18 @@ def partition_count(n):
         for total in range(part, n + 1):
             table[total] += table[total - part]
     return table[n]
+
+
+def series_product(a, b):
+    """The product of two bigraded series, truncated at the smaller
+    truncation: every pair of terms multiplied."""
+    trunc = min(a.truncation, b.truncation)
+    out = {}
+    for (sa, ua), ca in a.coefficients.items():
+        for (sb, ub), cb in b.coefficients.items():
+            if sa + sb <= trunc:
+                out[(sa + sb, ua + ub)] = out.get((sa + sb, ua + ub), 0) + ca * cb
+    return BigradedSeries(trunc, out)
 
 
 def apply_by_partials(xi, g):

@@ -32,7 +32,7 @@ from leafalg.vfields import (
     derivations_up_to_degree,
     exceptional_ideal,
     hamiltonian_family_top,
-    hamiltonian_from_bracket,
+    jacobi_bracket,
     jacobi_hamiltonian,
     standard_contact,
     tangency_check,
@@ -194,11 +194,11 @@ def test_criterion_10_property_suites():
     while done < 20:
         f = random_quasihomogeneous(rng, XYZ, rng.choice([3, 4]))
         X = Variety(XYZ, [f], JacobianPolyvector())
-        pi = jacobian_bracket_matrix(X)
+        pi = JacobiStructure(XYZ, jacobian_bracket_matrix(X))
         gb = X.groebner()
 
         def br(a, b):
-            return hamiltonian_from_bracket(a, pi).apply(b)
+            return jacobi_bracket(a, b, pi)
 
         cyclic = br(br(x, y), z) + br(br(y, z), x) + br(br(z, x), y)
         ok = ok and normal_form(cyclic, gb).is_zero()

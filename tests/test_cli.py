@@ -433,6 +433,20 @@ def test_exceptional_with_vector_fields_structure(tmp_path):
     assert payload["result"]["quotient_dimension"] == 1
 
 
+def test_every_vector_fields_command_refuses_a_field_not_tangent_to_the_variety(tmp_path, capsys):
+    doc = {
+        "ring": {"vars": ["x", "y"], "weights": [3, 2]},
+        "ideal": ["x^2 - y^3"],
+        "structure": {"kind": "vector-fields", "generators": [["1", "0"]]},
+    }
+    path = write(tmp_path, "cusp.json", doc)
+    for command in ("strata", "leaves", "exceptional", "incompressible"):
+        assert main([command, "-i", path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "domain error: field d_x is not tangent to the variety\n"
+
+
 def test_incompressible_violated_via_cli(tmp_path):
     doc = {
         "ring": {"vars": ["z"]},

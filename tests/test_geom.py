@@ -27,7 +27,7 @@ from leafalg.geom import (
 )
 from leafalg.groebner import INFINITE, normal_form
 from leafalg.poly import PolyRing, parse_poly
-from leafalg.vfields import VectorField, hamiltonian_from_bracket, jacobian_matrix, tangency_check
+from leafalg.vfields import VectorField, jacobi_bracket, jacobi_hamiltonian, jacobian_matrix, tangency_check
 
 from oracles import local_colength_brute, random_quasihomogeneous
 
@@ -67,6 +67,13 @@ def test_a_variety_refuses_a_structure_from_another_ring():
     fields = (VectorField(XYZ, polys(XYZ, "x", "y", "z")), VectorField(XY, polys(XY, "-y", "x")))
     with pytest.raises(InputError, match="^structure generator lives in a different ring$"):
         Variety(XYZ, [], VectorFieldFamily(fields))
+
+
+def test_a_variety_refuses_a_structure_of_no_kind():
+    # unrefused, hamiltonian and rank_strata would read it as the Jacobian polyvector
+    message = "^structure must be a JacobianPolyvector, JacobiStructure or VectorFieldFamily$"
+    with pytest.raises(InputError, match=message):
+        Variety(XYZ, polys(XYZ, "x^3 + y^3 + z^3"), structure="junk")
 
 
 def test_jacobian_chain_two_quadrics():
@@ -268,7 +275,7 @@ def test_bracket_skew_and_tangent():
             for j in range(3):
                 assert pi[i][j] == -pi[j][i]
             # the Hamiltonian field of each coordinate is tangent
-            xi = hamiltonian_from_bracket(XYZ.var(XYZ.variables[i]), pi)
+            xi = jacobi_hamiltonian(XYZ.var(XYZ.variables[i]), JacobiStructure(XYZ, pi))
             assert tangency_check(xi, gb)
 
 
@@ -281,11 +288,11 @@ def test_jacobi_identity_for_surface_brackets():
         if f.is_zero():
             continue
         X = Variety(XYZ, [f], JacobianPolyvector())
-        pi = jacobian_bracket_matrix(X)
+        pi = JacobiStructure(XYZ, jacobian_bracket_matrix(X))
         gb = X.groebner()
 
         def br(a, b):
-            return hamiltonian_from_bracket(a, pi).apply(b)
+            return jacobi_bracket(a, b, pi)
 
         cyclic = br(br(x, y), z) + br(br(y, z), x) + br(br(z, x), y)
         assert normal_form(cyclic, gb).is_zero()
@@ -301,6 +308,26 @@ def test_rank_strata_plane_bracket():
     assert [str(g) for g in strata[0].ideal.elements] == ["x"]
     assert strata[0].dimension == 1
     assert strata[-1].dimension == 2
+
+
+def test_rank_strata_stay_in_the_variety_ring():
+    # a bracket over (a, b) on a plane over (x, y) gave the strata (a) and (a^2) over (a, b)
+    AB = PolyRing(["a", "b"], [2, 3])
+    a = AB.var("a")
+    with pytest.raises(InputError, match="^ring mismatch$"):
+        rank_strata(Variety(XY, [], JacobiStructure(XY, ((AB.zero(), a), (-a, AB.zero())))))
+
+
+def test_rank_strata_and_leaves_refuse_a_field_not_tangent_to_the_variety():
+    # d_x does not preserve the cusp; before, leaves passed with strata [(0, -1), (1, 1)]
+    dx = VectorField.coordinate(CUSP_RING, "x")
+    cusp = Variety(CUSP_RING, polys(CUSP_RING, "x^2 - y^3"), VectorFieldFamily((dx,)))
+    for check in (rank_strata, leaves_check):
+        with pytest.raises(DomainError, match="^field d_x is not tangent to the variety$"):
+            check(cusp)
+    # on the whole plane every field is tangent
+    plane = Variety(CUSP_RING, [], VectorFieldFamily((dx,)))
+    assert [(s.rank, s.dimension) for s in rank_strata(plane)] == [(0, -1), (1, 2)]
 
 
 def test_rank_strata_fermat():

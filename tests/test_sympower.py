@@ -16,7 +16,7 @@ from leafalg.sympower import (
 
 from leafalg.vfields import hamiltonian_family_top
 from oracles import brute_sym2_coinvariants as sym2_oracle
-from oracles import layer_text, partition_count
+from oracles import layer_text, partition_count, series_product
 
 CUSP_RING = PolyRing(["x", "y"], [3, 2])
 
@@ -75,7 +75,7 @@ def test_multiplicative_in_p():
     q = {1: 2}
     merged = {0: 1, 1: 2, 2: 1}
     lhs = sym_power_series(merged, 3, 3)
-    rhs = sym_power_series(p, 3, 3) * sym_power_series(q, 3, 3)
+    rhs = series_product(sym_power_series(p, 3, 3), sym_power_series(q, 3, 3))
     assert lhs == rhs
 
 

@@ -26,7 +26,6 @@ from leafalg.vfields import (
     field_from_form,
     form_slots,
     hamiltonian_family_top,
-    hamiltonian_from_bracket,
     incompressibility_truncated,
     integer_pairing,
     jacobi_bracket,
@@ -428,47 +427,47 @@ def test_field_from_function_matches_bracket_route():
     for ring, eqs in ((XYZ, ["x^3 + y^3 + z^3"]), (XYZW, ["x^2 + y^2 + z^2 + w^2", "x*y + z*w"])):
         X = Variety(ring, polys(ring, *eqs), JacobianPolyvector())
         table, den = integer_pairing(jacobian_pairing(X.ideal_gens, ring))
-        pi = jacobian_bracket_matrix(X)
+        pi = JacobiStructure(ring, jacobian_bracket_matrix(X))
         for _ in range(5):
             g = random_polynomial(rng, ring, zero_ok=False)
-            assert field_from_form(g, form_slots(table, (), ring.arity), den) == hamiltonian_from_bracket(g, pi)
+            assert field_from_form(g, form_slots(table, (), ring.arity), den) == jacobi_hamiltonian(g, pi)
 
 
 def test_hamiltonian_from_bracket_fermat():
     X = Variety(XYZ, polys(XYZ, "x^3 + y^3 + z^3"), JacobianPolyvector())
-    pi = jacobian_bracket_matrix(X)
-    xi = hamiltonian_from_bracket(parse_poly("x", XYZ), pi)
+    pi = JacobiStructure(XYZ, jacobian_bracket_matrix(X))
+    xi = jacobi_hamiltonian(parse_poly("x", XYZ), pi)
     assert xi == field(XYZ, "0", "3*z^2", "-3*y^2")
-    assert hamiltonian_from_bracket(XYZ.const(5), pi).is_zero()
+    assert jacobi_hamiltonian(XYZ.const(5), pi).is_zero()
 
 
 def test_hamiltonian_from_bracket_symplectic_plane():
     one = XY.one()
-    pi = [[XY.zero(), one], [-one, XY.zero()]]
-    assert hamiltonian_from_bracket(parse_poly("x", XY), pi) == VectorField.coordinate(XY, "y")
+    pi = JacobiStructure(XY, [[XY.zero(), one], [-one, XY.zero()]])
+    assert jacobi_hamiltonian(parse_poly("x", XY), pi) == VectorField.coordinate(XY, "y")
 
 
 def test_hamiltonian_from_bracket_rejects_a_matrix_that_is_not_skew():
     one = XY.one()
     with pytest.raises(InputError, match="skew"):
-        hamiltonian_from_bracket(parse_poly("x", XY), [[XY.zero(), one], [one, XY.zero()]])
+        JacobiStructure(XY, [[XY.zero(), one], [one, XY.zero()]])
     with pytest.raises(InputError, match="diagonal"):
-        hamiltonian_from_bracket(parse_poly("x", XY), [[one, one], [-one, XY.zero()]])
+        JacobiStructure(XY, [[one, one], [-one, XY.zero()]])
 
 
 def test_hamiltonian_from_bracket_rejects_a_matrix_over_another_ring():
-    # the matrix's a must not be read as x
+    # the matrix's a must not be read as x: the structure itself refuses it
     AB = PolyRing(["a", "b"], [2, 3])
     a = AB.var("a")
     with pytest.raises(InputError, match="^ring mismatch$"):
-        hamiltonian_from_bracket(parse_poly("x*y", XY), [[AB.zero(), a], [-a, AB.zero()]])
+        JacobiStructure(XY, [[AB.zero(), a], [-a, AB.zero()]])
 
 
 def test_hamiltonian_family_matches_bracket_route():
     X = Variety(XYZ, polys(XYZ, "x^3 + y^3 + z^3"), JacobianPolyvector())
-    pi = jacobian_bracket_matrix(X)
+    pi = JacobiStructure(XYZ, jacobian_bracket_matrix(X))
     family = hamiltonian_family_top(X, 1)
-    xi_z = hamiltonian_from_bracket(parse_poly("z", XYZ), pi)
+    xi_z = jacobi_hamiltonian(parse_poly("z", XYZ), pi)
     assert xi_z == field(XYZ, "3*y^2", "-3*x^2", "0")
     assert xi_z in family
 
@@ -501,11 +500,17 @@ def test_hamiltonian_family_requires_structure_and_dimension():
     assert hamiltonian_family_top(curve, 2) == [top_polyvector_field(gens, CUSP_RING)]
 
 
-@pytest.mark.parametrize(
-    "build",
-    [lambda m: JacobiStructure(XY, m), lambda m: hamiltonian_from_bracket(parse_poly("x", XY), m)],
-    ids=["JacobiStructure", "hamiltonian_from_bracket"],
-)
+def test_structures_store_tuples_so_equal_structures_compare_equal():
+    x = parse_poly("x", XY)
+    pair = JacobiStructure(XY, ((XY.zero(), x), (-x, XY.zero())))
+    assert pair == JacobiStructure(XY, [[XY.zero(), x], [-x, XY.zero()]])
+    assert pair.matrix == ((XY.zero(), x), (-x, XY.zero()))
+    dx = VectorField.coordinate(XY, "x")
+    assert VectorFieldFamily([dx]) == VectorFieldFamily((dx,))
+    assert VectorFieldFamily([dx]).generators == (dx,)
+
+
+@pytest.mark.parametrize("build", [lambda m: JacobiStructure(XY, m)], ids=["JacobiStructure"])
 def test_a_bracket_matrix_that_is_not_square_is_rejected(build):
     x = parse_poly("x", XY)
     with pytest.raises(InputError, match="square"):
@@ -531,10 +536,10 @@ def test_hamiltonian_field_annihilates_hamiltonian():
     # apply(xi_f, f) = 0 already on the ambient space, by skewness
     rng = random.Random(67)
     X = Variety(XYZ, polys(XYZ, "x^3 + y^3 + z^3"), JacobianPolyvector())
-    pi = jacobian_bracket_matrix(X)
+    pi = JacobiStructure(XYZ, jacobian_bracket_matrix(X))
     for _ in range(10):
         f = random_polynomial(rng, XYZ, zero_ok=False)
-        assert hamiltonian_from_bracket(f, pi).apply(f).is_zero()
+        assert jacobi_hamiltonian(f, pi).apply(f).is_zero()
 
 
 def test_printing_fields_builds_no_constant_polynomials(monkeypatch):

@@ -23,7 +23,6 @@ from .geom import (
     Variety,
     degenerate_locus,
     hamiltonian,
-    hp0_series,
     leaves_check,
     milnor_breakdown,
     milnor_from_chain,
@@ -244,7 +243,7 @@ def _default_degree(X: Variety, doc: InputDocument, flags) -> int:
     if degree is not None:
         return degree
     try:
-        return max(hp0_series(X).socle_degree(), 0) + 3
+        return max(X.hp0().socle_degree(), 0) + 3
     except (DomainError, InputError):
         return 6
 
@@ -313,7 +312,7 @@ def _gap(doc, flags):
 
 
 def _hp0(doc, flags):
-    series = hp0_series(_variety(doc, flags))
+    series = _variety(doc, flags).hp0()
     return {"series": _series_json(series)}, [
         f"coinvariant Poincare polynomial: {series}",
         f"total dimension: {series.total_dimension()}",

@@ -41,6 +41,7 @@ from .vfields import (
     jacobian_matrix,
     jacobian_pairing,
     lie_closure,
+    module_generators,
     tangency_check,
 )
 
@@ -48,7 +49,7 @@ from .vfields import (
 class Variety:
     """Ambient ring, ordered ideal generators f_1..f_k, and a structure."""
 
-    __slots__ = ("ring", "ideal_gens", "structure", "order", "_gb", "_sing_gb", "_chain")
+    __slots__ = ("ring", "ideal_gens", "structure", "order", "_gb", "_sing_gb", "_chain", "_hp0")
 
     def __init__(
         self,
@@ -76,6 +77,7 @@ class Variety:
         self._gb = None
         self._sing_gb = None
         self._chain = None
+        self._hp0 = None
 
     @property
     def expected_dimension(self) -> int:
@@ -91,6 +93,12 @@ class Variety:
         if self._chain is None:
             self._chain = jacobian_chain(self)
         return self._chain
+
+    def hp0(self) -> PoincareSeries:
+        """The coinvariant series (``hp0_series``), computed once."""
+        if self._hp0 is None:
+            self._hp0 = hp0_series(self)
+        return self._hp0
 
     def singularity_groebner(self) -> GroebnerBasis:
         """Basis of the singularity ring's ideal (J_k, f_k), computed once."""
@@ -232,17 +240,25 @@ def _bracket(X: Variety) -> JacobiStructure:
     return s if isinstance(s, JacobiStructure) else JacobiStructure(X.ring, jacobian_bracket_matrix(X))
 
 
-def _structure_matrix(X: Variety, bracket_depth: int = 2):
-    """Rows spanning the structure's fields at each point: the Lie closure of
-    explicit fields, refused unless tangent to X, else the rows of pi and u."""
+def _structure_matrix(X: Variety, bracket_depth: int = 2) -> tuple[list, int]:
+    """Rows generating the structure's fields as an O-module, and how many
+    fields they stand for: the rows of pi and u, or the Lie closure of
+    explicit fields, refused unless tangent to X.  A graded closure (every
+    generator weight-homogeneous, no weight zero) is cut to its module
+    generators (``module_generators``); by Cauchy-Binet, rows that generate
+    the same module have the same ideal of t x t minors for every t."""
     if isinstance(X.structure, VectorFieldFamily):
-        for xi in X.structure.generators if X.ideal_gens else ():  # all are tangent to the whole space
+        gens = X.structure.generators
+        for xi in gens if X.ideal_gens else ():  # all are tangent to the whole space
             if not tangency_check(xi, X.groebner()):
                 raise DomainError(f"field {xi} is not tangent to the variety")
-        closed = lie_closure(list(X.structure.generators), depth=bracket_depth)
-        return [list(xi.coefficients) for xi in closed]
+        closed = lie_closure(list(gens), depth=bracket_depth)
+        graded = all(xi.weight() is not None for xi in gens) and not X.ring.has_zero_weights
+        fields = module_generators(closed) if graded else closed
+        return [list(xi.coefficients) for xi in fields], len(closed)
     s = _bracket(X)
-    return [list(row) for row in s.matrix] + ([] if s.u is None else [list(s.u.coefficients)])
+    rows = [list(row) for row in s.matrix] + ([] if s.u is None else [list(s.u.coefficients)])
+    return rows, len(rows)
 
 
 def hamiltonian(X: Variety, f, g=None):
@@ -255,16 +271,17 @@ def hamiltonian(X: Variety, f, g=None):
 def rank_strata(X: Variety, bracket_depth: int = 2) -> list[RankStratum]:
     """Closed loci where the structure's evaluation rank is at most i,
     cut out by the ideal of (i+1) x (i+1) minors plus the variety ideal,
-    for i = 0 .. min(rows, cols).  Vector-field structures are closed
+    for i = 0 .. min(fields, arity).  Vector-field structures are closed
     under Lie brackets to ``bracket_depth`` first, so their strata are
-    relative to the closed generating set."""
-    matrix = _structure_matrix(X, bracket_depth)
-    max_rank = min(len(matrix), len(matrix[0])) if matrix else 0
+    relative to the closed generating set.  The minors are those of its
+    module generators (``_structure_matrix``); past their number the
+    stratum is X."""
+    matrix, size = _structure_matrix(X, bracket_depth)
     out = []
-    for i in range(max_rank + 1):
-        if i < max_rank:
+    for i in range(min(size, X.ring.arity) + 1):
+        if i < min(len(matrix), X.ring.arity):
             gb = buchberger(list(X.ideal_gens) + minors(matrix, i + 1), X.order, ring=X.ring)
-        else:  # X itself, whose basis the tangency check may have built
+        else:  # no (i+1) x (i+1) minors: X itself, whose basis the tangency check may have built
             gb = X.groebner()
         out.append(RankStratum(i, gb, krull_dimension(gb)))
     return out

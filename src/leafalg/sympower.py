@@ -20,7 +20,7 @@ import functools
 import math
 
 from .errors import DomainError, InputError
-from .geom import Variety, hp0_series
+from .geom import Variety
 from .coinv import graded_family, graded_quotient
 from .groebner import _nf_terms, monomial_basis, u_polynomial_text
 
@@ -97,7 +97,7 @@ def hp0_sym_series(X: Variety, truncation: int, corrected: bool = True) -> Bigra
     """Symmetric-power series of a quasihomogeneous isolated singularity,
     from its coinvariant Poincare polynomial; the corrected form shifts
     u by the weight of the last defining equation per power."""
-    series = hp0_series(X)
+    series = X.hp0()
     p = series.coefficients()
     d = X.ideal_gens[-1].weighted_degree() if corrected else 0
     return sym_power_series(p, d or 0, truncation)
@@ -115,7 +115,7 @@ def brute_sym2_coinvariants(X: Variety, max_degree: int) -> dict[int, int]:
         raise DomainError("size guard: brute second symmetric power needs ring arity <= 3")
     if not X.is_quasihomogeneous():
         raise DomainError("second symmetric power oracle needs a weighted-homogeneous ideal")
-    if X.ideal_gens and hp0_series(X).socle_degree() > 6:
+    if X.ideal_gens and X.hp0().socle_degree() > 6:
         raise DomainError("size guard: socle degree above 6")
     graded, _ = graded_family(X, "hamiltonian-top", max_degree)
     gb = X.groebner()

@@ -260,12 +260,17 @@ class JacobiStructure(_Structure):
 
 
 class VectorFieldFamily(_Structure):
-    """Explicit generating vector fields (a Lie algebra up to closure)."""
+    """Explicit generating vector fields (a Lie algebra up to closure),
+    stored as a tuple.  The empty family, the zero Lie algebra, is
+    accepted; the CLI refuses an empty ``generators`` list."""
 
     __slots__ = ("generators",)
 
     def __init__(self, generators):
-        self.generators = tuple(generators)
+        generators = tuple(generators)
+        if not all(isinstance(xi, VectorField) for xi in generators):
+            raise InputError("structure generators must be vector fields")
+        self.generators = generators
 
 
 Structure = JacobianPolyvector | JacobiStructure | VectorFieldFamily
@@ -474,19 +479,43 @@ def _form_dimension(X) -> int:
 
 def lie_closure(fields: list[VectorField], depth: int = 2) -> list[VectorField]:
     """Close a generating set under Lie brackets to the given depth,
-    keeping only fields that are linearly independent over Q."""
+    keeping only fields that are linearly independent over Q.  A round
+    after the first brackets only the pairs with a field the round
+    before added: the older pairs' brackets are in the span already."""
     span = linalg.Echelon()
     current = [xi for xi in fields if span.add_row(_stack(xi.coefficients))]
+    fresh = 0  # the first field the last round added
     for _ in range(depth):
-        added = False
-        for a, b in itertools.combinations(list(current), 2):
-            br = a.lie_bracket(b)
-            if span.add_row(_stack(br.coefficients)):
-                current.append(br)
-                added = True
-        if not added:
+        n = len(current)
+        for i in range(n):
+            for j in range(max(i + 1, fresh), n):
+                br = current[i].lie_bracket(current[j])
+                if span.add_row(_stack(br.coefficients)):
+                    current.append(br)
+        if len(current) == n:
             break
+        fresh = n
     return current
+
+
+def module_generators(fields: list[VectorField]) -> list[VectorField]:
+    """A graded minimal set of generators of the O-module spanned by
+    weight-homogeneous fields over a ring with no zero weight (graded
+    Nakayama): by increasing weight, in order within a weight, a field of
+    weight w is dropped if it lies in the span of the kept ones of weight
+    w and the x^a eta for each kept eta, wt(x^a) = w - wt(eta) > 0."""
+    out, kept = [], []  # kept: (weight, row) of each field in out
+    for w, group in itertools.groupby(sorted(fields, key=VectorField.weight), key=VectorField.weight):
+        span = linalg.Echelon()
+        for v, row in kept:
+            for a in fields[0].ring.monomials_of_weight(w - v):
+                span.add_row({(j, mono_mul(m, a)): c for (j, m), c in row.items()})
+        for xi in group:
+            row = _stack(xi.coefficients)
+            if span.add_row(dict(row)):
+                out.append(xi)
+                kept.append((w, row))
+    return out
 
 
 def _stack(polys) -> dict:

@@ -15,6 +15,10 @@ The dense ``nullspace`` (on the package's dense ``rref``),
 bigraded series, are helpers the package itself no longer needs.
 ``all_slot_syzygies`` is the graded relation solve that builds every
 slot's image, the reference for the one that substitutes forced slots.
+``closure_rank_strata`` takes the minors of every field of the Lie
+closure, the reference for the strata taken from its module generators,
+and ``all_pairs_lie_closure`` brackets every pair in every round, the
+reference for the closure that brackets each pair once.
 """
 
 import sys
@@ -24,10 +28,12 @@ from itertools import combinations, permutations, product
 from operator import neg
 
 from leafalg.errors import DomainError, InputError, ParseError
-from leafalg.groebner import _nf_terms, normal_form
+from leafalg import linalg
+from leafalg.groebner import _nf_terms, buchberger, krull_dimension, minors, normal_form
 from leafalg.linalg import relations, rref
 from leafalg.poly import Polynomial, mono_mul
 from leafalg.sympower import BigradedSeries
+from leafalg.vfields import _stack, lie_closure
 
 
 def rref_rank(rows):
@@ -636,3 +642,34 @@ def reference_parse_poly(text, ring):
     """The Polynomial-arithmetic parser above; its ``isdigit`` digits
     agree with poly.parse_poly only on ASCII text."""
     return _ReferenceParser(text, ring).parse()
+
+
+def closure_rank_strata(X, depth):
+    """(rank, basis, dimension) of each rank stratum of a variety with a
+    vector-fields structure, from the minors of every field of the Lie
+    closure to ``depth``: rank at most i is cut out by the (i+1) x (i+1)
+    minors, for i up to min(closure size, arity)."""
+    matrix = [list(xi.coefficients) for xi in lie_closure(list(X.structure.generators), depth)]
+    top = min(len(matrix), X.ring.arity)
+    out = []
+    for i in range(top + 1):
+        gb = buchberger(list(X.ideal_gens) + (minors(matrix, i + 1) if i < top else []), X.order, ring=X.ring)
+        out.append((i, gb, krull_dimension(gb)))
+    return out
+
+
+def all_pairs_lie_closure(fields, depth):
+    """The Lie closure to ``depth`` that brackets every pair of the fields
+    so far in each round, keeping the fields independent over Q."""
+    span = linalg.Echelon()
+    current = [xi for xi in fields if span.add_row(_stack(xi.coefficients))]
+    for _ in range(depth):
+        added = False
+        for a, b in combinations(list(current), 2):
+            br = a.lie_bracket(b)
+            if span.add_row(_stack(br.coefficients)):
+                current.append(br)
+                added = True
+        if not added:
+            break
+    return current

@@ -529,6 +529,26 @@ def outcome(capsys, argv):
     return code, captured.out, captured.err
 
 
+@pytest.mark.parametrize("command, name", [("sympower", "e8_curve"), ("sym2-brute", "fermat3")])
+def test_the_coinvariant_series_is_computed_once_per_command(capsys, monkeypatch, command, name):
+    # both series of sympower, and the default degree and the size guard
+    # of sym2-brute, read the one series the variety keeps
+    calls = []
+
+    def counted(name, original):
+        def call(*args):
+            calls.append(name)
+            return original(*args)
+
+        return call
+
+    for fn in ("hp0_series", "poincare_series"):
+        monkeypatch.setattr(geom, fn, counted(fn, getattr(geom, fn)))
+    code, _, err = outcome(capsys, [command, "-i", str(CORPUS / f"{name}.json")])
+    assert (code, err) == (0, "")
+    assert sorted(calls) == ["hp0_series", "poincare_series"]
+
+
 @pytest.mark.parametrize("name", ["fermat3", "e8_surface", "e8_curve", "a5_curve"])
 def test_no_structure_is_the_jacobian_structure_for_every_command(tmp_path, capsys, name):
     committed = CORPUS / f"{name}.json"

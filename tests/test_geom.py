@@ -29,7 +29,7 @@ from leafalg.groebner import INFINITE, normal_form
 from leafalg.poly import PolyRing, parse_poly
 from leafalg.vfields import VectorField, jacobi_bracket, jacobi_hamiltonian, jacobian_matrix, tangency_check
 
-from oracles import local_colength_brute, random_quasihomogeneous
+from oracles import closure_rank_strata, local_colength_brute, random_quasihomogeneous
 
 CORPUS = Path(__file__).resolve().parents[1] / "bench" / "corpus"
 
@@ -362,6 +362,93 @@ def test_rank_strata_vector_fields():
     by_rank = {s.rank: s for s in strata}
     assert by_rank[0].dimension == 0  # both fields vanish only at the origin
     assert by_rank[2].dimension == 2
+
+
+VECTOR_FIELD_DOCS = ("so3_squares", "cusp_fields", "line_fields")
+
+
+def stratum_triples(strata):
+    return [(s.rank, s.ideal, s.dimension) for s in strata]
+
+
+@pytest.mark.parametrize("depth", range(4))
+@pytest.mark.parametrize("name", VECTOR_FIELD_DOCS)
+def test_rank_strata_of_module_generators_equal_those_of_the_whole_closure(name, depth):
+    doc = load_input(str(CORPUS / f"{name}.json"))
+    X = Variety(doc.ring, doc.ideal, doc.structure)
+    assert stratum_triples(rank_strata(X, depth)) == closure_rank_strata(X, depth)
+
+
+def test_the_corpus_closures_are_cut_to_their_module_generators():
+    for name, shape in (("so3_squares", (12, 15)), ("cusp_fields", (2, 2)), ("line_fields", (1, 2))):
+        doc = load_input(str(CORPUS / f"{name}.json"))
+        matrix, size = geom._structure_matrix(Variety(doc.ring, doc.ideal, doc.structure))
+        assert (len(matrix), size) == shape
+
+
+def random_field(rng, ring, weight):
+    """A nonzero weight-homogeneous field, each coefficient zero with
+    probability 0.3 or where no monomial has its weight."""
+    while True:
+        xi = VectorField(
+            ring,
+            [
+                random_quasihomogeneous(rng, ring, weight + m)
+                if ring.monomials_of_weight(weight + m) and rng.random() < 0.7
+                else ring.zero()
+                for m in ring.weights
+            ],
+        )
+        if not xi.is_zero():
+            return xi
+
+
+def random_family(rng, ring):
+    """1 to arity + 1 weight-homogeneous fields; each after the first is
+    a variable times an earlier one with probability 0.4."""
+    fields = [random_field(rng, ring, rng.randint(-max(ring.weights), max(ring.weights)))]
+    for _ in range(rng.randint(0, ring.arity)):
+        if rng.random() < 0.4:
+            fields.append(rng.choice(fields).scale(ring.var(rng.choice(ring.variables))))
+        else:
+            fields.append(random_field(rng, ring, rng.randint(-max(ring.weights), max(ring.weights))))
+    return fields
+
+
+@pytest.mark.parametrize("ring", [XYZ, CUSP_RING], ids=["C3", "weights_3_2"])
+def test_rank_strata_of_module_generators_equal_those_of_the_whole_closure_on_random_families(ring):
+    shapes = []
+    for seed in range(25):
+        rng = random.Random(seed)
+        X = Variety(ring, [], VectorFieldFamily(random_family(rng, ring)))
+        depth = rng.randint(0, 2)
+        assert stratum_triples(rank_strata(X, depth)) == closure_rank_strata(X, depth)
+        matrix, size = geom._structure_matrix(X, depth)
+        shapes.append((len(matrix), size))
+    assert any(rows < size for rows, size in shapes)  # some closure is cut
+    # and some is cut below the arity, where the top strata are X itself
+    assert any(rows < ring.arity <= size for rows, size in shapes)
+
+
+def test_a_vector_field_family_holds_vector_fields_only():
+    # a string raised AttributeError from Variety's ring check
+    with pytest.raises(InputError, match="^structure generators must be vector fields$"):
+        Variety(XY, [], VectorFieldFamily(["junk"]))
+    # the empty family is the zero Lie algebra, of rank 0 everywhere
+    plane = Variety(XY, [], VectorFieldFamily(()))
+    assert stratum_triples(rank_strata(plane)) == [(0, plane.groebner(), 2)]
+
+
+def test_only_graded_families_are_cut_to_module_generators():
+    # x * xi generates nothing new, but with a field of mixed weight or a
+    # ring with a zero weight every closure field stays a row
+    XT = PolyRing(["x", "t"], [1, 0])
+    mixed, d_x = VectorField(XY, polys(XY, "1", "x")), VectorField.coordinate(XT, "x")
+    for xi in (mixed, d_x):
+        X = Variety(xi.ring, [], VectorFieldFamily((xi, xi.scale(xi.ring.var("x")))))
+        matrix, size = geom._structure_matrix(X)
+        assert (len(matrix), size) == (2, 2)
+        assert stratum_triples(rank_strata(X)) == closure_rank_strata(X, 2)
 
 
 def test_leaves_check_plane_bracket_fails():

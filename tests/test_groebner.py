@@ -784,9 +784,11 @@ def test_generators_in_the_span_of_earlier_ones_are_skipped(monkeypatch, name, g
 
 
 def test_rank_strata_reductions_are_pinned(monkeypatch):
-    # so3_squares's 3 x 3 minors are 455 polynomials of which 409 are
-    # nonzero; their span is much smaller, so most are never reduced
-    # (790 reductions in all before the seed filter)
+    # the 3 x 3 minors of so3_squares's 12 module generators (of 15
+    # closure fields) are 220 polynomials of which 215 are nonzero; their
+    # span is much smaller, so most are never reduced (790 reductions in
+    # all on the 455 minors of the closure before the seed filter, 253
+    # after it)
     calls = counted_reductions(monkeypatch)
     per_stratum = []
     build = geom.buchberger
@@ -801,7 +803,7 @@ def test_rank_strata_reductions_are_pinned(monkeypatch):
     doc = load_input(str(CORPUS / "so3_squares.json"))
     strata = geom.rank_strata(Variety(doc.ring, doc.ideal, doc.structure))
     assert [(s.rank, s.dimension) for s in strata] == [(0, 0), (1, 0), (2, 0), (3, 3)]
-    assert per_stratum == [(18, 3), (74, 6), (161, 15), (0, 0)]
+    assert per_stratum == [(12, 3), (45, 6), (103, 15), (0, 0)]
 
 
 def monic_terms(terms):

@@ -32,12 +32,14 @@ from leafalg.vfields import (
     jacobi_hamiltonian,
     jacobian_pairing,
     lie_closure,
+    module_generators,
     standard_contact,
     tangency_check,
     top_polyvector_field,
 )
 
 from oracles import (
+    all_pairs_lie_closure,
     all_slot_syzygies,
     apply_by_partials,
     fraction_tangency,
@@ -53,6 +55,7 @@ XYZW = PolyRing(["x", "y", "z", "w"])
 XYZWV = PolyRing(["x", "y", "z", "w", "v"])
 CUSP_RING = PolyRing(["x", "y"], [3, 2])
 CORPUS = Path(__file__).resolve().parents[1] / "bench" / "corpus"
+VECTOR_FIELD_DOCS = ("so3_squares", "cusp_fields", "line_fields")
 
 
 def polys(ring, *texts):
@@ -597,7 +600,6 @@ def test_structures_are_equal_iff_of_one_kind_with_equal_fields():
         JacobianPolyvector(),
         JacobiStructure(XY, ((zero, x), (-x, zero))),
         JacobiStructure(XY, ((zero, -x), (x, zero))),
-        VectorFieldFamily(((zero, x), (-x, zero))),
         VectorFieldFamily((d_x, d_y)),
         VectorFieldFamily((d_y, d_x)),
         VectorFieldFamily((d_x,)),
@@ -608,6 +610,8 @@ def test_structures_are_equal_iff_of_one_kind_with_equal_fields():
     for a, b in itertools.combinations(distinct, 2):
         assert a != b and not a == b
     assert JacobianPolyvector() != () and VectorFieldFamily(()) != ()
+    with pytest.raises(InputError, match="^structure generators must be vector fields$"):
+        VectorFieldFamily(((zero, x), (-x, zero)))
 
 
 def test_incompressibility_report_defaults_and_keywords():
@@ -809,6 +813,47 @@ def test_lie_closure_grows_and_stops():
 
     assert any(is_dy_multiple(xi) for xi in closed)
     assert not any(is_dy_multiple(xi) for xi in lie_closure([d_x, x2_dy], depth=1))
+
+
+def test_lie_closure_brackets_each_pair_once(monkeypatch):
+    # a round after the first brackets only the pairs with a field the
+    # round before added: 3 + 12 brackets on so3_squares, not 3 + 15
+    doc = load_input(str(CORPUS / "so3_squares.json"))
+    calls = []
+    bracket = VectorField.lie_bracket
+
+    def counted(self, other):
+        calls.append(1)
+        return bracket(self, other)
+
+    monkeypatch.setattr(VectorField, "lie_bracket", counted)
+    assert len(lie_closure(list(doc.structure.generators), depth=2)) == 15
+    assert len(calls) == 15
+
+
+@pytest.mark.parametrize("depth", range(4))
+def test_lie_closure_equals_the_closure_over_all_pairs(depth):
+    families = [list(load_input(str(CORPUS / f"{name}.json")).structure.generators) for name in VECTOR_FIELD_DOCS]
+    families += [[VectorField.coordinate(XY, "x"), field(XY, "0", "x^2")], [field(XY, "x*y", "y^2"), field(XY, "y", "x")]]
+    for fields in families:
+        assert lie_closure(fields, depth) == all_pairs_lie_closure(fields, depth)
+
+
+def test_module_generators_cut_the_corpus_closures():
+    for name, counts in (("so3_squares", (15, 12)), ("cusp_fields", (2, 2)), ("line_fields", (2, 1))):
+        closed = lie_closure(list(load_input(str(CORPUS / f"{name}.json")).structure.generators), depth=2)
+        kept = module_generators(closed)
+        assert (len(closed), len(kept)) == counts
+
+
+def test_module_generators_drop_the_combinations_of_kept_fields():
+    # by weight: d_x (-1); y d_y, x d_x = x * d_x, y d_x + x d_y, then
+    # x d_y, the last less y * d_x (0); y^2 d_x + x^2 d_y = y^2 * d_x +
+    # x * (y d_x + x d_y) - x y * d_x (1)
+    d_x, y_dy, hyperbolic = VectorField.coordinate(XY, "x"), field(XY, "0", "y"), field(XY, "y", "x")
+    family = [field(XY, "y^2", "x^2"), y_dy, field(XY, "x", "0"), d_x, hyperbolic, field(XY, "0", "x")]
+    assert module_generators(family) == [d_x, y_dy, hyperbolic]
+    assert module_generators([]) == []
 
 
 def test_a_field_scales_by_a_number_or_a_polynomial():

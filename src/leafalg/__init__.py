@@ -29,6 +29,7 @@ from .vfields import (
     JacobiStructure,
     VectorField,
     VectorFieldFamily,
+    coordinate_fields,
     derivation_generators,
     derivations_up_to_degree,
     exceptional_ideal,

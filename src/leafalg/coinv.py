@@ -15,25 +15,18 @@ The grading keeps every piece finite-dimensional, and capping member
 weights at the truncation keeps it exact: no member of weight above w
 maps into w.
 
-The Hamiltonian family is built over the quotient O_X, from standard
-monomials g only.  The equations f_i are Casimirs: the field of the form
-(a f_i) dx_J is f_i times the field of a dx_J, since the d f_i term of
-d(a f_i) dies against the d f_i already in the Jacobian pairing.  Its
-images lie in the ideal, so the field of g dx_J equals that of NF(g) dx_J
-modulo fields with images in the ideal, and NF(g) is a combination of
-standard monomials of g's weight.  Its forms are those of
-``vfields.monomial_forms``, and its images come straight from the Jacobian
-pairing P, scaled to integers once, through ``vfields.form_image``:
-
-    xi_{g dx_J}(x^h) = sum over l < i outside J of
-        sgn(l, J, i) (g_l h_i - g_i h_l) x^(g + h - e_l - e_i) P_sort(l, J, i),
-
-of weight wt(h) + wt(g) + sum_(j in J) w_j + shift, where shift is the
-sum of the equation weights minus the sum of the variable weights.  The
-image is skew in g and h for every J, so each unordered pair of
-standard monomials is taken once, as g < h in exponent-tuple order.  A
-curve's one field, the tangent derivations and an explicit family stay
-vector fields, each scaled to integers once.
+The Hamiltonian family is read through its coordinate fields
+(``vfields.coordinate_fields``).  The image of x^h under the field of
+g dx_J is B_J(g, h), a skew biderivation, so B_J(ab, h) = B_J(a, bh) +
+B_J(b, ah): by induction on the degree of g, the images over (x_i, h)
+span those over all (g, h).  Up to sign B_J(x_i, h) is det d(x_K, h,
+f_1, ..., f_k) with K = J + {i}, the image of h under xi_K; h may stay
+standard since every field is tangent.  The tangent derivations form an
+O-module, so their images form an ideal, generated by their
+coefficients: 'derivations' gives O / (I + E), E the exceptional ideal
+of the module's generators.  The coordinate fields and an explicit
+family are applied through their coefficient dicts, each scaled to
+integers once.
 """
 
 from __future__ import annotations
@@ -43,8 +36,8 @@ from .errors import DomainError, InputError
 from .geom import Variety, hp0_series
 from .groebner import _nf_terms, monomial_basis
 from .linalg import _integer_components
-from .vfields import VectorField, _form_dimension, apply_field, derivations_up_to_degree, form_image
-from .vfields import monomial_forms, tangency_check, top_polyvector_field
+from .vfields import VectorField, _form_dimension, apply_field, coordinate_fields, derivation_generators
+from .vfields import exceptional_ideal, tangency_check
 
 
 class CoinvariantTable:
@@ -63,37 +56,25 @@ class CoinvariantTable:
         return f"coinvariants up to weight {self.truncation} [{self.family}]: {{{dims}}} (total {self.total()})"
 
 
-def graded_family(X: Variety, family, max_degree: int) -> tuple[dict[int, list[tuple]], str]:
-    """The family by weight, up to ``max_degree``, as ``(image, floor)``
-    entries, and its label.  ``image`` maps a source monomial to the
-    integer dict of a nonzero multiple of the member's image of it, one
-    fixed multiple per member; the oracle applies it only to the
-    monomials above ``floor`` in tuple order, all of them for None.
-    ``family`` is 'hamiltonian-top', 'derivations', or an explicit list
-    of tangent, weight-homogeneous vector fields."""
-    graded: dict[int, list[tuple]] = {}
+def graded_family(X: Variety, family) -> tuple[dict[int, list], str]:
+    """The family's images by member weight, and its label.  Each image
+    maps a source monomial to the integer dict of a nonzero multiple of
+    the member's image of it, one fixed multiple per member.  ``family``
+    is 'hamiltonian-top' (the coordinate fields) or an explicit list of
+    tangent, weight-homogeneous vector fields."""
     if family == "hamiltonian-top":
-        if _form_dimension(X) >= 2:
-            gb, gens = X.groebner(), X.ideal_gens
-            shift = sum(f.weighted_degree() or 0 for f in gens) - sum(X.ring.weights)
-            # x^g nonconstant and standard: a dx_J alone has the zero field
-            forms, _ = monomial_forms(X, max_degree - shift, lambda a: monomial_basis(gb, a) if a else [])
-            for w, g, slots in forms:
-                graded.setdefault(w + shift, []).append((form_image(g, slots), g))
-            return graded, family
-        fields = [top_polyvector_field(list(X.ideal_gens), X.ring)]
-    elif family == "derivations":
-        table = derivations_up_to_degree(X.groebner(), max_degree)
-        fields = [xi for _, fs in sorted(table.items()) for xi in fs]
+        _form_dimension(X)  # refuses another structure, and a dimension below 1
+        fields = coordinate_fields(list(X.ideal_gens), X.ring)
     elif isinstance(family, str):
         raise InputError(f"unknown family {family!r}; use 'hamiltonian-top', 'derivations', or a list of fields")
     else:
         fields, family = list(family), "explicit"
         if not all(isinstance(xi, VectorField) for xi in fields):
             raise InputError("explicit family must be a list of vector fields")
-        for xi in fields:  # the other families are tangent by construction
+        for xi in fields:  # the coordinate fields are tangent by construction
             if not tangency_check(xi, X.groebner()):
                 raise DomainError(f"field {xi} is not tangent to the variety")
+    graded: dict[int, list] = {}
     for xi in fields:
         if xi.is_zero():
             continue
@@ -101,7 +82,7 @@ def graded_family(X: Variety, family, max_degree: int) -> tuple[dict[int, list[t
         if w is None:
             raise DomainError(f"family member {xi} is not weight-homogeneous")
         coefficients, _ = _integer_components([c.terms for c in xi.coefficients])
-        graded.setdefault(w, []).append((lambda h, c=coefficients: apply_field(c, {h: 1}), None))
+        graded.setdefault(w, []).append(lambda h, c=coefficients: apply_field(c, {h: 1}))
     return graded, family
 
 
@@ -117,17 +98,21 @@ def coinvariants_truncated(X: Variety, family, max_degree: int) -> CoinvariantTa
         raise DomainError("coinvariants need a weighted-homogeneous ideal")
     if X.ring.has_zero_weights:
         raise DomainError("coinvariants need strictly positive weights")
-    graded, label = graded_family(X, family, max_degree)
     gb = X.groebner()
+    if family == "derivations":  # images span I + E; a field above max_degree adds nothing up to it
+        generators = [xi for _, fs in sorted(derivation_generators(gb, max_degree).items()) for xi in fs]
+        quotient = exceptional_ideal(generators, gb)
+        dims = {w: len(monomial_basis(quotient, w)) for w in range(max_degree + 1)}
+        return CoinvariantTable(dimensions=dims, family=family, truncation=max_degree)
+    graded, label = graded_family(X, family)
 
-    def rows(w):  # each entry's image of each source above its floor
+    def rows(w):  # each member's image of each standard monomial
         return (
             _nf_terms(gb, image(h))[0]
-            for fw, entries in graded.items()
+            for fw, images in graded.items()
             if fw <= w
-            for image, floor in entries
+            for image in images
             for h in monomial_basis(gb, w - fw)
-            if floor is None or h > floor
         )
 
     dims = graded_quotient(max_degree, lambda w: len(monomial_basis(gb, w)), rows)
@@ -152,11 +137,7 @@ class Hp0Verification:
     def __str__(self):
         if self.match:
             return f"match: oracle dimensions equal the closed form through weight {self.table.truncation}"
-        lines = [
-            f"mismatch at weight {w}: oracle {o}, closed form {c}"
-            for w, o, c in self.mismatches
-        ]
-        return "; ".join(lines)
+        return "; ".join(f"mismatch at weight {w}: oracle {o}, closed form {c}" for w, o, c in self.mismatches)
 
 
 def verify_hp0(X: Variety, margin: int = 2) -> Hp0Verification:
@@ -167,14 +148,5 @@ def verify_hp0(X: Variety, margin: int = 2) -> Hp0Verification:
     top = max(series.socle_degree(), 0) + margin
     table = coinvariants_truncated(X, "hamiltonian-top", top)
     expected = {w: series.coefficient(w) for w in range(0, top + 1)}
-    mismatches = [
-        (w, table.dimensions.get(w, 0), expected[w])
-        for w in range(0, top + 1)
-        if table.dimensions.get(w, 0) != expected[w]
-    ]
-    return Hp0Verification(
-        match=not mismatches,
-        mismatches=mismatches,
-        table=table,
-        series_coefficients=expected,
-    )
+    mismatches = [(w, table.dimensions[w], c) for w, c in expected.items() if table.dimensions[w] != c]
+    return Hp0Verification(not mismatches, mismatches, table, expected)

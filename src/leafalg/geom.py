@@ -36,10 +36,10 @@ from .vfields import (
     JacobiStructure,
     Structure,
     VectorFieldFamily,
+    coordinate_fields,
     jacobi_bracket,
     jacobi_hamiltonian,
     jacobian_matrix,
-    jacobian_pairing,
     lie_closure,
     module_generators,
     tangency_check,
@@ -95,9 +95,14 @@ class Variety:
         return self._chain
 
     def hp0(self) -> PoincareSeries:
-        """The coinvariant series (``hp0_series``), computed once."""
+        """The coinvariant series (``hp0_series``) or its DomainError, computed once."""
         if self._hp0 is None:
-            self._hp0 = hp0_series(self)
+            try:
+                self._hp0 = hp0_series(self)
+            except DomainError as error:
+                self._hp0 = str(error)  # not the error, whose traceback holds this variety
+        if isinstance(self._hp0, str):
+            raise DomainError(self._hp0)
         return self._hp0
 
     def singularity_groebner(self) -> GroebnerBasis:
@@ -205,22 +210,13 @@ def hp0_series(X: Variety) -> PoincareSeries:
 
 def jacobian_bracket_matrix(X: Variety) -> list:
     """The Jacobian Poisson bracket of a codimension-(n-2) complete
-    intersection: {x_i, x_j} = P_ij, the Jacobian pairing of
-    dx_i ^ dx_j ^ df_1 ^ ... ^ df_k."""
-    ring = X.ring
-    k = len(X.ideal_gens)
-    if ring.arity != k + 2:
-        raise DomainError(
-            f"Jacobian bracket needs ambient arity = codimension + 2 "
-            f"(got arity {ring.arity} with {k} generators)"
-        )
-    n = ring.arity
-    zero = ring.zero()
-    matrix = [[zero for _ in range(n)] for _ in range(n)]
-    for (i, j), entry in jacobian_pairing(X.ideal_gens, ring).items():
-        matrix[i][j] = entry
-        matrix[j][i] = -entry
-    return matrix
+    intersection: {x_i, x_j} = P_ij for i < j, the Jacobian pairing of
+    dx_i ^ dx_j ^ df_1 ^ ... ^ df_k.  Row i is the coordinate field
+    xi_(i) (``coordinate_fields``), the Hamiltonian field of x_i."""
+    n, k = X.ring.arity, len(X.ideal_gens)
+    if n != k + 2:
+        raise DomainError(f"Jacobian bracket needs ambient arity = codimension + 2 (got arity {n} with {k} generators)")
+    return [list(xi.coefficients) for xi in coordinate_fields(X.ideal_gens, X.ring)]
 
 
 class RankStratum:

@@ -23,6 +23,7 @@ from .errors import DomainError, InputError
 from .geom import Variety
 from .coinv import graded_family, graded_quotient
 from .groebner import _nf_terms, monomial_basis, u_polynomial_text
+from .vfields import _form_dimension, form_image, monomial_forms
 
 
 class BigradedSeries:
@@ -106,7 +107,9 @@ def hp0_sym_series(X: Variety, truncation: int, corrected: bool = True) -> Bigra
 def brute_sym2_coinvariants(X: Variety, max_degree: int) -> dict[int, int]:
     """Per-weight dimensions of the coinvariants of the second symmetric
     power under the diagonal action xi.(f g) = xi(f) g + f xi(g),
-    computed by exact linear algebra on symmetrized monomial pairs.
+    computed by exact linear algebra on symmetrized monomial pairs, for
+    the curve's one field or every form x^g dx_J, x^g standard: the
+    diagonal action does not reduce to the coordinate fields.
 
     Guarded to tiny inputs (ring arity <= 3, socle degree <= 6): the
     bases grow quadratically.
@@ -117,9 +120,15 @@ def brute_sym2_coinvariants(X: Variety, max_degree: int) -> dict[int, int]:
         raise DomainError("second symmetric power oracle needs a weighted-homogeneous ideal")
     if X.ideal_gens and X.hp0().socle_degree() > 6:
         raise DomainError("size guard: socle degree above 6")
-    graded, _ = graded_family(X, "hamiltonian-top", max_degree)
     gb = X.groebner()
-    entries = [(fw, image) for fw, es in sorted(graded.items()) for image, _ in es]
+    if _form_dimension(X) == 1:
+        graded, _ = graded_family(X, "hamiltonian-top")
+        entries = [(fw, image) for fw, images in graded.items() for image in images]
+    else:
+        shift = sum(f.weighted_degree() or 0 for f in X.ideal_gens) - sum(X.ring.weights)
+        # x^g nonconstant and standard: a dx_J alone has the zero field
+        forms, _ = monomial_forms(X, max_degree - shift, lambda a: monomial_basis(gb, a) if a else [])
+        entries = [(w + shift, form_image(g, slots)) for w, g, slots in forms]
 
     @functools.cache
     def image_nf(k, m):

@@ -14,7 +14,9 @@ Sign conventions, fixed once here and used everywhere downstream:
 * The Jacobian bracket (n - k = 2) is ``{x_i, x_j} = P_ij`` for i < j.
 * The curve's field (n - k = 1) is ``xi(x_i) = (-1)^k P_i``.
 * The field of the (m-2)-form ``g dx_J`` is
-  ``xi(x_i) = sum_l sgn(l, J, i) * d_l g * P_sort(l, J, i)``.
+  ``xi(x_i) = sum_l sgn(l, J, i) * d_l g * P_sort(l, J, i)``, and the
+  coordinate field of a sorted set K of m - 1 indices is
+  ``xi_K(x_j) = sgn(K, j) * P_sort(K, j)``.
 * A bracket matrix ``pi`` has entries ``pi[i][j] = {x_i, x_j}`` and the
   Hamiltonian field of f is ``xi_f(x_i) = sum_j (d_j f) pi[j][i]``,
   i.e. ``xi_f(g) = {f, g}``.
@@ -30,7 +32,7 @@ Arithmetic in bulk runs on integers, each field or pairing scaled once:
 ``tangency_check`` scales the field's coefficient dicts to integers,
 applies them (``apply_field``) to the basis's integer elements and
 reduces fraction-free; form fields come from the forms and slots of
-``monomial_forms`` (shared with the coinvariant oracle), with one
+``monomial_forms`` (shared with ``sym2-brute``), with one
 ``Fraction`` per output term; the graded syzygy solve takes vectors its
 caller scaled once.
 
@@ -354,6 +356,25 @@ def jacobian_pairing(gens, ring: PolyRing) -> dict:
     return table
 
 
+def coordinate_fields(gens, ring: PolyRing) -> list[VectorField]:
+    """The C(n, m - 1) fields ``xi_K(x_j) = sgn(K, j) * P_sort(K, j)`` (0 for
+    j in K) of the complete intersection cut out by ``gens``, m = n - k >= 1,
+    one per sorted K of m - 1 variable indices, in lexicographic order.  Up
+    to sign xi_K is the field of x_i dx_J for each i in K, J = K - {i}; at
+    m = 2 xi_(i) is the Hamiltonian field of x_i, and at m = 1 the one
+    field is (-1)^k times the curve's."""
+    if len(gens) >= ring.arity:
+        raise DomainError("coordinate fields need dimension n - k >= 1")
+    n, pairing = ring.arity, jacobian_pairing(gens, ring)
+
+    def entry(K, j):
+        key, sign = _sort_sign((*K, j))
+        return ring.zero() if j in K else pairing[key] if sign > 0 else -pairing[key]
+
+    sets = itertools.combinations(range(n), n - len(gens) - 1)
+    return [VectorField(ring, [entry(K, j) for j in range(n)]) for K in sets]
+
+
 def integer_pairing(pairing: dict) -> tuple[dict, int]:
     """A pairing table scaled to integers once: ``{A: D * P_A}`` as int
     dicts, and the lcm D of all the entries' denominators."""
@@ -421,9 +442,8 @@ def top_polyvector_field(gens, ring: PolyRing) -> VectorField:
     k = len(gens)
     if k != ring.arity - 1:
         raise DomainError("top polyvector field of a curve needs codimension arity-1")
-    pairing = jacobian_pairing(gens, ring)
-    coeffs = [pairing[(i,)] for i in range(ring.arity)]
-    return VectorField(ring, [-c for c in coeffs] if k % 2 else coeffs)
+    (xi,) = coordinate_fields(gens, ring)
+    return -xi if k % 2 else xi
 
 
 def monomial_forms(X, top: int, monomials) -> tuple[list[tuple], int]:

@@ -549,6 +549,18 @@ def test_the_coinvariant_series_is_computed_once_per_command(capsys, monkeypatch
     assert sorted(calls) == ["hp0_series", "poincare_series"]
 
 
+def test_a_failed_coinvariant_series_is_computed_once(tmp_path, capsys, monkeypatch):
+    # the default degree catches the DomainError of a non-isolated germ,
+    # and the size guard of sym2-brute raises the one the variety kept
+    calls = []
+    real = geom.poincare_series
+    monkeypatch.setattr(geom, "poincare_series", lambda gb: calls.append(gb) or real(gb))
+    path = write(tmp_path, "double_line.json", {"ring": {"vars": ["x", "y"]}, "ideal": ["x^2"]})
+    message = "domain error: non-isolated singularity: the singularity ring is not finite-dimensional\n"
+    assert outcome(capsys, ["sym2-brute", "-i", path]) == (1, "", message)
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("name", ["fermat3", "e8_surface", "e8_curve", "a5_curve"])
 def test_no_structure_is_the_jacobian_structure_for_every_command(tmp_path, capsys, name):
     committed = CORPUS / f"{name}.json"

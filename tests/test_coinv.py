@@ -260,41 +260,21 @@ BRUTE_CASES = {
     ),
     # codimension 2, m = 3
     "two_quadrics_c5": (["x", "y", "z", "w", "v"], (1,) * 5, ["x^2 + y^2 + z^2", "w^2 + v^2 + 2*x*y"], 2),
+    # m = 4: forms g dx_J with |J| = 2 against C(5, 3) coordinate fields
+    "weighted fourfold": (["x", "y", "z", "w", "v"], (2, 2, 1, 1, 1), ["x^2 + y*z^2 + w^4 - 2/3*x*v^2"], 3),
 }
 
 
 @pytest.mark.parametrize("name", BRUTE_CASES)
 def test_hamiltonian_oracle_matches_brute_force(name):
-    # the oracle takes forms over standard monomials only, and for every J
-    # each unordered pair once; the brute force takes every monomial form
-    # and every monomial, with no Groebner basis
+    # the oracle takes the coordinate fields on standard monomials only;
+    # the brute force takes every monomial form and every monomial, with
+    # no Groebner basis
     names, weights, texts, top = BRUTE_CASES[name]
     ring = PolyRing(names, weights)
     gens = polys(ring, *texts)
     table = coinvariants_truncated(Variety(ring, gens, JacobianPolyvector()), "hamiltonian-top", top)
     assert table.dimensions == brute_coinvariants(gens, top)
-
-
-def test_quadric_surface_takes_each_bracket_pair_once(monkeypatch):
-    # the image of h under the field of g is the bracket {g, h} = -{h, g},
-    # so the oracle takes each unordered pair of distinct standard
-    # monomials once, as g < h, and never {g, g} = 0
-    pairs = []
-    real = coinv.graded_family
-
-    def recording(*args):
-        graded, label = real(*args)
-        for entries in graded.values():
-            for k, (image, floor) in enumerate(entries):
-                entries[k] = (lambda h, image=image, g=floor: pairs.append((g, h)) or image(h)), floor
-        return graded, label
-
-    monkeypatch.setattr(coinv, "graded_family", recording)
-    cone = Variety(XYZ, polys(XYZ, "x^2 + y^2 + z^2"), JacobianPolyvector())
-    assert coinvariants_truncated(cone, "hamiltonian-top", 8).total() == 1
-    seen = set(pairs)
-    assert pairs and None not in {g for g, _ in pairs} and len(seen) == len(pairs)
-    assert not any(g == h or (h, g) in seen for g, h in pairs)
 
 
 @pytest.mark.parametrize(
@@ -315,6 +295,16 @@ def test_each_piece_stops_once_it_is_spanned(monkeypatch, names, text, top, pare
     table = coinvariants_truncated(X, "hamiltonian-top", top)
     assert table.dimensions == {w: hp0_series(X).coefficient(w) for w in range(top + 1)}
     assert 0 < len(built) <= parent_images // 10
+
+
+@pytest.mark.parametrize("degree, mu", [(4, 243), (5, 1024)])
+def test_the_fermat_cones_in_c5_match_their_closed_form(degree, mu):
+    # the quintic is the cone over the Calabi-Yau quintic threefold; mu is
+    # (degree - 1)^5, and the oracle reads C(5, 3) coordinate fields
+    ring = PolyRing(["x", "y", "z", "w", "v"])
+    X = Variety(ring, polys(ring, " + ".join(f"{v}^{degree}" for v in ring.variables)), JacobianPolyvector())
+    report = verify_hp0(X)
+    assert report.match and sum(report.series_coefficients.values()) == mu
 
 
 def graded_corpus():
@@ -364,6 +354,8 @@ def test_all_tangent_fields_leave_the_euler_closed_form(X):
     expected[0] = 0 if gb.is_unit_ideal() or constant else 1
     assert table.dimensions == expected
     assert derivation_coinvariants(list(X.ideal_gens), fields, top) == expected
+    # the explicit family takes the images of every field, weight by weight
+    assert coinvariants_truncated(X, fields, top).dimensions == expected
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 """Varieties: Jacobian chains, singularity invariants, brackets, strata."""
 
+import gc
 import random
 from pathlib import Path
 
@@ -550,3 +551,23 @@ def test_degenerate_locus_smooth():
 def test_a_variety_refuses_bad_generators(gens, message):
     with pytest.raises(InputError, match=message):
         Variety(XY, gens)
+
+
+def test_a_kept_coinvariant_error_leaves_no_reference_cycle():
+    # the variety keeps the message: the error's traceback would hold the
+    # variety, so its bases would wait for the cyclic collector
+    gc.collect()
+    gc.disable()
+    try:
+        X = Variety(XY, polys(XY, "x^2"))
+        messages = []
+        for _ in range(2):
+            try:
+                X.hp0()
+            except DomainError as error:
+                messages.append(str(error))
+        del X
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert messages == ["non-isolated singularity: the singularity ring is not finite-dimensional"] * 2

@@ -2,6 +2,7 @@
 truncated solvers."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -565,6 +566,44 @@ def test_top_polyvector_field_cuspidal():
     assert eta == cusp_tangent() or eta == -cusp_tangent()
 
 
+COORDINATE_CASES = {
+    # m = 3: C(4, 2) = 6 fields, one per K = J + {i}
+    "quartic in C^4": (["x", "y", "z", "w"], (1, 1, 1, 1), ["x^4 + y^4 + z^4 + w^4"]),
+    # m = 2, codimension 2
+    "two_quadrics_c4": (["x", "y", "z", "w"], (1, 1, 1, 1), ["x^2 + y^2 + z^2", "x^2 + 2*y^2 + 3*z^2"]),
+    "weighted surface": (["x", "y", "z"], (6, 4, 3), ["x^2 + 2/3*y^3 + 5/4*z^4 - 1/3*x*z^2"]),
+    # m = 1, with k odd and even
+    "cusp": (["x", "y"], (3, 2), ["x^2 - y^3"]),
+    "space curve": (["x", "y", "z"], (2, 2, 1), ["x^2 - y^2 + z^4", "x*y - 3*z^4"]),
+}
+
+
+@pytest.mark.parametrize("name", COORDINATE_CASES)
+def test_coordinate_fields_are_the_forms_of_the_coordinates(name):
+    # one tangent field per K of m - 1 variables; at m = 2 the rows of the
+    # Jacobian bracket, at m = 1 the curve's field up to sign, and for
+    # m >= 2 each is up to sign the field of x_i dx_J for every i in K
+    names, weights, texts = COORDINATE_CASES[name]
+    ring = PolyRing(names, weights)
+    gens = polys(ring, *texts)
+    X = Variety(ring, gens, JacobianPolyvector())
+    n, m = ring.arity, ring.arity - len(gens)
+    fields = vfields.coordinate_fields(gens, ring)
+    assert len(fields) == math.comb(n, m - 1)
+    assert all(tangency_check(xi, X.groebner()) for xi in fields)
+    if m == 1:
+        assert fields[0] in (top_polyvector_field(gens, ring), -top_polyvector_field(gens, ring))
+        return
+    if m == 2:
+        assert [list(xi.coefficients) for xi in fields] == jacobian_bracket_matrix(X)
+    table, den = integer_pairing(jacobian_pairing(gens, ring))
+    for K, xi in zip(itertools.combinations(range(n), m - 1), fields):
+        for i in K:
+            J = tuple(j for j in K if j != i)
+            form = field_from_form(ring.var(names[i]), form_slots(table, J, n), den)
+            assert form in (xi, -xi), (K, i)
+
+
 def test_field_from_zero_form_is_zero():
     table, den = integer_pairing(jacobian_pairing(polys(XYZ, "x^3 + y^3 + z^3"), XYZ))
     assert field_from_form(XYZ.zero(), form_slots(table, (), 3), den).is_zero()
@@ -884,6 +923,11 @@ ZERO_WEIGHT = PolyRing(["x", "y", "t"], [1, 1, 0])
         (lambda: standard_contact(0), InputError, r"^need at least one \(x, y\) pair$"),
         (lambda: top_polyvector_field(polys(XYZ, "x"), XYZ), DomainError, "^top polyvector field of a curve needs"),
         (
+            lambda: vfields.coordinate_fields(polys(XY, "x", "y"), XY),
+            DomainError,
+            "^coordinate fields need dimension n - k >= 1$",
+        ),
+        (
             # the CLI refuses this before the solver with its own wording
             lambda: derivations_up_to_degree(buchberger(polys(ZERO_WEIGHT, "x^2")), 2),
             InputError,
@@ -911,6 +955,7 @@ ZERO_WEIGHT = PolyRing(["x", "y", "t"], [1, 1, 0])
         "jacobi-ring",
         "no-pairs",
         "top-codimension",
+        "coordinate-dimension",
         "zero-weight",
         "not-tangent",
         "inhomogeneous",

@@ -10,6 +10,13 @@ u = None for a Poisson bracket: the dispatch on kinds is in ``_bracket``.
 
 The studied point is always the origin; translate inputs first.
 
+A ``Variety`` keeps each basis it derives.  The singularity ring's
+ideal (J_k, f_k) takes J_k's basis when f_k reduces to 0 by it: the two
+ideals, and so their reduced bases, are then equal.  For a
+quasihomogeneous hypersurface this always holds, since the Euler
+identity below puts f in J_f (K. Saito, Invent. Math. 14, 1971), but
+the reuse rests on the membership test, not on that theorem.
+
 A note on recovering f from its partials in the quasihomogeneous case:
 the Euler identity gives f = (1/deg_w f) * sum_i m_i x_i d_i f, with
 the weighted degree of f as the divisor (not the sum of the variable
@@ -28,6 +35,7 @@ from .groebner import (
     colength_local,
     krull_dimension,
     minors,
+    normal_form,
     poincare_series,
 )
 from .poly import PolyRing
@@ -47,9 +55,15 @@ from .vfields import (
 
 
 class Variety:
-    """Ambient ring, ordered ideal generators f_1..f_k, and a structure."""
+    """Ambient ring, ordered ideal generators f_1..f_k, and a structure.
 
-    __slots__ = ("ring", "ideal_gens", "structure", "order", "_gb", "_sing_gb", "_chain", "_hp0")
+    Keeps what it derives: the basis of its ideal (``groebner``), the
+    Jacobian chain (``chain``), J_k's graded basis from the last
+    ``milnor_breakdown`` (None where the local route ran), the basis of
+    (J_k, f_k) (``singularity_groebner``, J_k's basis when f_k lies in
+    J_k) and the coinvariant series or its refusal (``hp0``)."""
+
+    __slots__ = ("ring", "ideal_gens", "structure", "order", "_gb", "_sing_gb", "_chain", "_jk_gb", "_hp0")
 
     def __init__(
         self,
@@ -77,6 +91,7 @@ class Variety:
         self._gb = None
         self._sing_gb = None
         self._chain = None
+        self._jk_gb = None
         self._hp0 = None
 
     @property
@@ -106,9 +121,15 @@ class Variety:
         return self._hp0
 
     def singularity_groebner(self) -> GroebnerBasis:
-        """Basis of the singularity ring's ideal (J_k, f_k), computed once."""
+        """Basis of the singularity ring's ideal (J_k, f_k), computed once:
+        J_k's kept basis when it was built under this order and f_k reduces
+        to 0 by it, else a basis of its own."""
         if self._sing_gb is None:
-            self._sing_gb = buchberger(_singularity_ring_gens(self), self.order, ring=self.ring)
+            jk = self._jk_gb
+            if jk is not None and jk.order == self.order and normal_form(self.ideal_gens[-1], jk).is_zero():
+                self._sing_gb = jk
+            else:
+                self._sing_gb = buchberger(_singularity_ring_gens(self), self.order, ring=self.ring)
         return self._sing_gb
 
     def is_quasihomogeneous(self) -> bool:
@@ -134,8 +155,13 @@ def jacobian_chain(X: Variety) -> list:
 
 
 def milnor_breakdown(X: Variety) -> list:
-    """Local colengths of the Jacobian chain ideals at the origin."""
-    return [colength_local(gens, X.ring) for gens in X.chain()]
+    """Local colengths of the Jacobian chain ideals at the origin.  The
+    global basis that ``colength_local`` builds for J_k on its graded
+    route stays on X, for ``Variety.singularity_groebner``."""
+    bases: list = []
+    lengths = [colength_local(gens, X.ring, keep=bases) for gens in X.chain()]
+    X._jk_gb = bases[-1]
+    return lengths
 
 
 def milnor_from_chain(lengths: list):

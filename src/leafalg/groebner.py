@@ -57,8 +57,8 @@ colength at the origin (one global basis for weighted-homogeneous
 generators, else truncated local standard bases for N = 2, 4, 8, ...),
 Krull dimension (independent variable sets of the leading-term ideal),
 weighted Hilbert-Poincare series (recursion on the leading-term monomial
-ideal), minor ideals, and per-degree standard monomial bases, each kept
-on its basis once made.
+ideal), minor ideals, and per-degree standard monomial bases; series
+and standard monomials are kept on their basis once made.
 """
 
 from __future__ import annotations
@@ -128,7 +128,7 @@ class GroebnerBasis:
     as ``_integer`` = (elements, their (leading monomial, coefficient)),
     the form both normal forms reduce by."""
 
-    __slots__ = ("ring", "order", "elements", "_key", "_heap_key", "_integer", "_table", "_standard")
+    __slots__ = ("ring", "order", "elements", "_key", "_heap_key", "_integer", "_table", "_standard", "_series")
 
     def __init__(self, ring: PolyRing, order, integer_elements: list[dict]):
         self.ring = ring
@@ -144,6 +144,8 @@ class GroebnerBasis:
         self._table: dict = {}
         # weighted degree -> its standard monomials, for monomial_basis
         self._standard: dict = {}
+        # the quotient's series, for poincare_series
+        self._series: PoincareSeries | None = None
 
     def leading_monomials(self) -> list[Monomial]:
         return [lm for lm, _ in self._integer[1]]
@@ -475,7 +477,7 @@ def _staircase_top(lead: list[Monomial], arity: int, below: int) -> int:
     return max(map(sum, _staircase(lead, arity, below)), default=-1)
 
 
-def colength_local(generators: list[Polynomial], ring: PolyRing) -> int | float:
+def colength_local(generators: list[Polynomial], ring: PolyRing, keep: list | None = None) -> int | float:
     """Vector-space dimension of (power series ring at 0) / ideal.
 
     The generators decide the route.  Weighted-homogeneous generators in
@@ -491,10 +493,18 @@ def colength_local(generators: list[Polynomial], ring: PolyRing) -> int | float:
     of Greuel and Pfister, A Singular Introduction to Commutative
     Algebra, 1.7).  Past the cap: ``INFINITE`` if the global Krull
     dimension is positive, else ``DomainError``.
+
+    Given a ``keep`` list, the call appends the global basis of the
+    graded route to it, or None for the local route, so that the caller
+    can reuse the basis and its series.
     """
     gens = [g for g in generators if not g.is_zero()]
-    if not ring.has_zero_weights and all(g.is_quasihomogeneous() for g in gens):
-        return poincare_series(buchberger(gens, WGREVLEX, ring=ring)).total_dimension()
+    graded = not ring.has_zero_weights and all(g.is_quasihomogeneous() for g in gens)
+    gb = buchberger(gens, WGREVLEX, ring=ring) if graded else None
+    if keep is not None:
+        keep.append(gb)
+    if gb is not None:
+        return poincare_series(gb).total_dimension()
     n = 2
     while n <= COLENGTH_CAP:
         _, leads, below = _complete(gens, ring, _local_order(ring), below=n)
@@ -681,8 +691,11 @@ def poincare_series(gb: GroebnerBasis) -> PoincareSeries:
     """Hilbert-Poincare series of the weighted-graded quotient ring.
 
     Requires a weighted-homogeneous ideal (each basis element must be
-    homogeneous, which holds iff the input generators were).
+    homogeneous, which holds iff the input generators were).  Made once
+    per basis and kept on it; a refusal is raised again, not kept.
     """
+    if gb._series is not None:
+        return gb._series
     ring = gb.ring
     if ring.has_zero_weights:
         raise DomainError("Poincare series undefined for rings with zero-weight variables")
@@ -693,6 +706,7 @@ def poincare_series(gb: GroebnerBasis) -> PoincareSeries:
     series = PoincareSeries(num, tuple(ring.weights))
     if series.finite and any(c < 0 for c in series.numerator.values()):
         raise RuntimeError(f"negative coefficient in a finite Poincare series: {series}")
+    gb._series = series
     return series
 
 

@@ -545,7 +545,7 @@ def _stack(polys) -> dict:
     return {(j, m): c for j, row in enumerate(rows) for m, c in row.items()}
 
 
-def _graded_syzygies(gb: GroebnerBasis, vectors, weights, span, top, zero_weight_cap):
+def _graded_syzygies(gb: GroebnerBasis, vectors, weights, span, top, zero_weight_cap, forced_rows=True):
     """Relations modulo the ideal among the multiples x^a v_j, for each
     weight w of the increasing ``span`` in turn, among its slots (j, a),
     weight(x^a) = w - weights[j] <= ``top`` (None: no bound), which go
@@ -555,8 +555,8 @@ def _graded_syzygies(gb: GroebnerBasis, vectors, weights, span, top, zero_weight
     A dependent slot s gives one relation, 1 at s and otherwise only on
     earlier pivot slots; the pivots' images are independent, so it is
     unique however it is found.  The relations come in slot order, each
-    as ``(w, entries, den, forced)``: its ``((j, a), int)`` entries in
-    slot order over ``den``, and whether s was forced.
+    as ``(w, entries, den)``: its ``((j, a), int)`` entries in slot order
+    over ``den``.
 
     * (j, x_i a), w_i > 0, is forced when (j, a) was dependent at
       w - w_i and x_i times its relation lies on slots here (a
@@ -569,7 +569,10 @@ def _graded_syzygies(gb: GroebnerBasis, vectors, weights, span, top, zero_weight
       slots, so leaving it out moves no pivot.
 
     So the dependent slots not forced generate the others: x_i times a
-    lower relation, less relations of its own weight.
+    lower relation, less relations of its own weight.  With
+    ``forced_rows`` false only those come, and a forced slot carries
+    forward its index alone: that needs no truncation (``top`` None),
+    under which every shift (j, x_i a) of a slot is a slot.
     """
     ring = gb.ring
     steps = [(w_i, tuple(int(k == i) for k in range(ring.arity))) for i, w_i in enumerate(ring.weights) if w_i > 0]
@@ -586,10 +589,14 @@ def _graded_syzygies(gb: GroebnerBasis, vectors, weights, span, top, zero_weight
                 continue
             lower, relations = done[w - w_i]
             up = [index.get((j, mono_mul(mono, x_i))) for j, mono in lower]  # None: not a slot here
-            for a, (row, den) in relations.items():
+            for a, relation in relations.items():
                 s = up[a]
                 if s is None or s in forced:
                     continue
+                if not forced_rows:
+                    forced[s] = None
+                    continue
+                row, den = relation
                 shifted = {up[b]: c for b, c in row.items()}
                 if None not in shifted:
                     forced[s] = shifted, den
@@ -607,11 +614,13 @@ def _graded_syzygies(gb: GroebnerBasis, vectors, weights, span, top, zero_weight
         for row, den in linalg.relations(images):
             found[free[max(row)]] = {free[a]: c for a, c in row.items()}, den
         for s in sorted(forced):
-            found[s] = _substitute(*forced[s], found)
+            found[s] = _substitute(*forced[s], found) if forced_rows else None
         done[w] = slots, found
         done.pop(w - reach, None)  # no later weight shifts from it
-        for s, (row, den) in sorted(found.items()):
-            yield w, [(slots[k], c) for k, c in sorted(row.items())], den, s in forced
+        for s, relation in sorted(found.items()):
+            if relation is not None:
+                row, den = relation
+                yield w, [(slots[k], c) for k, c in sorted(row.items())], den
 
 
 def _substitute(row: dict, den: int, found: dict) -> tuple[dict, int]:
@@ -668,7 +677,8 @@ def derivation_generators(
     gb: GroebnerBasis, max_weight: int, zero_weight_cap: int | None = None
 ) -> dict[int, list[VectorField]]:
     """The fields of ``derivations_up_to_degree`` whose slot is not
-    forced, by weight: they generate the others as an O-module."""
+    forced, by weight: they generate the others as an O-module.  No
+    forced slot's relation is built (``_graded_syzygies``)."""
     return _derivations(gb, max_weight, zero_weight_cap, generators=True)
 
 
@@ -688,10 +698,9 @@ def _derivations(gb: GroebnerBasis, max_weight: int, zero_weight_cap, generators
     weights = [-mw for mw in ring.weights]
     span = range(-max(ring.weights) if ring.weights else 0, max_weight + 1)
     out: dict[int, list[VectorField]] = {}
-    for w, entries, den, forced in _graded_syzygies(gb, partials, weights, span, None, zero_weight_cap):
-        if not (generators and forced):
-            terms = _vector_terms(entries, den, ring.arity)
-            out.setdefault(w, []).append(VectorField(ring, [Polynomial(ring, t) for t in terms]))
+    for w, entries, den in _graded_syzygies(gb, partials, weights, span, None, zero_weight_cap, not generators):
+        terms = _vector_terms(entries, den, ring.arity)
+        out.setdefault(w, []).append(VectorField(ring, [Polynomial(ring, t) for t in terms]))
     return out
 
 
@@ -762,7 +771,7 @@ def incompressibility_truncated(
         scaled.append(components)
         weights.append(w)
     span = range(min(weights), max_degree + max(weights) + 1)
-    for _, entries, den, _ in _graded_syzygies(gb, scaled, weights, span, max_degree, zero_weight_cap):
+    for _, entries, den in _graded_syzygies(gb, scaled, weights, span, max_degree, zero_weight_cap):
         witness = [Polynomial(ring, t) for t in _vector_terms(entries, den, len(fields))]
         residue = sum((xi.apply(f) for xi, f in zip(fields, witness)), ring.zero())
         if not normal_form(residue, gb).is_zero():

@@ -1,7 +1,8 @@
 """CLI outputs pinned byte for byte: SHA-256 digests of the exit code,
 stdout and stderr of the coinvariant, Hamiltonian, bracket and stratum
-commands on every committed corpus document but the cyclic and katsura
-systems, recorded in ``cli_digests.json``.  A change that should leave
+commands and of the singularity commands (Milnor, Tjurina, gap, HP0,
+degenerate locus) on every committed corpus document but the cyclic and
+katsura systems, recorded in ``cli_digests.json``.  A change that should leave
 these outputs as they are keeps them; record them again, from the
 repository root and with the sources to pin on the path, with
 ``PYTHONPATH=src python tests/test_cli_digests.py``."""
@@ -31,6 +32,17 @@ COMMANDS = [
     ["hamvec", "-f", "x"],
     ["strata"],
     ["leaves"],
+    ["milnor"],
+    ["milnor", "--format", "json"],
+    ["tjurina"],
+    ["tjurina", "--format", "json"],
+    ["tjurina", "--order", "lex"],
+    ["gap"],
+    ["gap", "--format", "json"],
+    ["hp0"],
+    ["hp0", "--format", "json"],
+    ["degenerate"],
+    ["degenerate", "--format", "json"],
 ]
 
 

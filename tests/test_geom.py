@@ -1,12 +1,14 @@
 """Varieties: Jacobian chains, singularity invariants, brackets, strata."""
 
+import contextlib
 import gc
+import io
 import random
 from pathlib import Path
 
 import pytest
 
-from leafalg import geom, groebner
+from leafalg import cli, geom, groebner
 from leafalg.cli import load_input
 from leafalg.errors import DomainError, InputError
 from leafalg.geom import (
@@ -31,6 +33,7 @@ from leafalg.poly import PolyRing, parse_poly
 from leafalg.vfields import VectorField, jacobi_bracket, jacobi_hamiltonian, jacobian_matrix, tangency_check
 
 from oracles import closure_rank_strata, local_colength_brute, random_quasihomogeneous
+from test_coinv import graded_corpus, random_graded_varieties
 
 CORPUS = Path(__file__).resolve().parents[1] / "bench" / "corpus"
 
@@ -153,10 +156,111 @@ def test_tjurina_reuses_the_singularity_basis(monkeypatch):
     monkeypatch.setattr(geom, "buchberger", counted)
     X = Variety(XYZ, polys(XYZ, "x^4 + y^4 + z^4"))
     assert tjurina(X).tjurina == 27
-    # one global basis for J_1's colength and one for the singularity ring
-    assert len(calls) == 2
+    # one global basis for J_1's colength, which f lies in: it is also the
+    # singularity ring's
+    assert len(calls) == 1
     assert hp0_series(X).total_dimension() == 27
-    assert len(calls) == 2
+    assert len(calls) == 1
+
+
+def counted_bases(monkeypatch):
+    """Count the Buchberger calls made through ``groebner``, ``geom`` and
+    ``cli``, and the Hilbert numerators taken at the top of the
+    recursion, each a new series."""
+    counts = {"buchberger": 0, "numerator": 0}
+    build, numerator = groebner.buchberger, groebner._hilbert_numerator
+    depth = [0]
+
+    def counted_build(*args, **kwargs):
+        counts["buchberger"] += 1
+        return build(*args, **kwargs)
+
+    def counted_numerator(*args):
+        counts["numerator"] += depth[0] == 0
+        depth[0] += 1
+        try:
+            return numerator(*args)
+        finally:
+            depth[0] -= 1
+
+    for module in (groebner, geom, cli):
+        monkeypatch.setattr(module, "buchberger", counted_build)
+    monkeypatch.setattr(groebner, "_hilbert_numerator", counted_numerator)
+    return counts
+
+
+def graded_hypersurfaces():
+    """The corpus documents with one weighted-homogeneous generator and
+    positive weights."""
+    names = []
+    for path in sorted(CORPUS.glob("*.json")):
+        try:
+            doc = load_input(str(path))
+        except InputError:
+            continue
+        X = Variety(doc.ring, doc.ideal)
+        if len(doc.ideal) == 1 and X.is_quasihomogeneous() and not X.ring.has_zero_weights:
+            names.append(path.stem)
+    return names
+
+
+@pytest.mark.parametrize("command, expected", [("milnor", 1), ("tjurina", 1), ("gap", 1), ("hp0", 1)])
+@pytest.mark.parametrize("name", graded_hypersurfaces())
+def test_each_singularity_command_builds_one_basis_and_one_series(monkeypatch, name, command, expected):
+    # f lies in J_f (Euler), so J_1's basis is the singularity ring's and
+    # its series is taken once: tjurina and gap made 2 of each before
+    counts = counted_bases(monkeypatch)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main([command, "-i", str(CORPUS / f"{name}.json")]) == 0
+    assert counts == {"buchberger": expected, "numerator": expected}
+
+
+def test_a_lex_tjurina_builds_its_singularity_basis_itself(monkeypatch):
+    # J_1's basis is graded reverse lexicographic: nothing to reuse under lex
+    counts = counted_bases(monkeypatch)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["tjurina", "-i", str(CORPUS / "fermat4.json"), "--order", "lex"]) == 0
+    assert counts == {"buchberger": 2, "numerator": 2}
+
+
+def test_a_complete_intersection_builds_its_singularity_basis_itself(monkeypatch):
+    # f_2 is not in J_2, so (J_2, f_2) needs a basis of its own
+    X = two_quadrics()
+    j2, f2 = jacobian_chain(X)[-1], X.ideal_gens[-1]
+    assert not normal_form(f2, groebner.buchberger(j2, ring=XYZ)).is_zero()
+    counts = counted_bases(monkeypatch)
+    rep = tjurina(X)
+    assert (rep.milnor, rep.tjurina) == (5, 5)
+    assert counts == {"buchberger": 3, "numerator": 3}
+    assert X.singularity_groebner().elements == groebner.buchberger(j2 + [f2], ring=XYZ).elements
+
+
+def fresh_graded_varieties():
+    """New varieties, nothing derived yet, on the ideals of the graded
+    corpus and of the seeded random ones that have generators."""
+    out = []
+    for param in graded_corpus() + random_graded_varieties():
+        X = param.values[0]
+        if X.ideal_gens:
+            out.append(pytest.param(X.ring, X.ideal_gens, id=param.id))
+    return out
+
+
+@pytest.mark.parametrize("ring, gens", fresh_graded_varieties())
+def test_the_reused_singularity_basis_is_the_one_built_anew(monkeypatch, ring, gens):
+    # after the Milnor number the singularity ring takes J_k's basis, with
+    # no Buchberger call, exactly when f_k lies in J_k; either way its basis
+    # is that of a fresh (J_k, f_k)
+    X = Variety(ring, gens)
+    milnor_breakdown(X)
+    jk = jacobian_chain(X)[-1]
+    fresh = groebner.buchberger(jk + [gens[-1]], X.order, ring=ring)
+    member = normal_form(gens[-1], groebner.buchberger(jk, ring=ring)).is_zero()
+    counts = counted_bases(monkeypatch)
+    assert X.singularity_groebner().elements == fresh.elements
+    assert counts["buchberger"] == (0 if member else 1)
+    if len(gens) == 1:
+        assert member
 
 
 @pytest.mark.parametrize("name", ["fermat4", "nqh_curve_9", "e8_surface"])

@@ -1,6 +1,7 @@
 """Groebner bases and the ideal invariants derived from them."""
 
 import collections
+import gc
 import itertools
 import math
 import random
@@ -356,6 +357,33 @@ def test_poincare_series_cube():
     assert series.finite
     assert series.coefficients() == {0: 1, 1: 3, 2: 3, 3: 1}
     assert series.coefficients() == graded_quotient_dims(polys(XYZ, "x^2", "y^2", "z^2"), 3)
+
+
+def test_a_series_is_kept_on_its_basis(monkeypatch):
+    # one Hilbert numerator per basis, however often the series is asked
+    # for (pure powers need no pivot, so no recursive call either)
+    calls = []
+    numerator = groebner._hilbert_numerator
+    gb = buchberger(polys(XYZ, "x^2", "y^2", "z^2"))
+    monkeypatch.setattr(groebner, "_hilbert_numerator", lambda *args: calls.append(args) or numerator(*args))
+    series = poincare_series(gb)
+    assert poincare_series(gb) is series
+    assert len(calls) == 1
+
+
+def test_a_refused_series_is_refused_again_and_not_kept():
+    # a kept exception would hold its traceback, and so the basis, in a cycle
+    gc.collect()
+    gc.disable()
+    try:
+        gb = buchberger(polys(XY, "x^2 + y"))
+        for _ in range(2):
+            with pytest.raises(DomainError, match="is not weighted-homogeneous"):
+                poincare_series(gb)
+        del gb
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_poincare_series_weighted():

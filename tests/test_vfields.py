@@ -209,7 +209,7 @@ def test_the_graded_solve_enumerates_each_weight_once(monkeypatch):
 def solved(gb, vectors, weights, span, top, cap):
     """The graded solve's relations by weight, one dict per vector each."""
     table = {w: [] for w in span}
-    for w, entries, den, _ in vfields._graded_syzygies(gb, vectors, weights, span, top, cap):
+    for w, entries, den in vfields._graded_syzygies(gb, vectors, weights, span, top, cap):
         table[w].append(vfields._vector_terms(entries, den, len(vectors)))
     return table
 
@@ -284,6 +284,18 @@ def test_derivation_slots_imaged_are_pinned(monkeypatch, name, degree, imaged, s
     assert (sum(sizes), total) == (imaged, slots)
     counts = [sum(map(len, t.values())) for t in (derivation_generators(gb, degree), table)]
     assert counts == [generators, fields]
+
+
+@pytest.mark.parametrize("name, degree", [("two_quadrics_c4", 6), ("fermat4", 9)])
+def test_derivation_generators_build_no_forced_relation(monkeypatch, name, degree):
+    # with no truncation a forced slot carries only its index; the full
+    # table still substitutes each forced slot's relation
+    gb = corpus_basis(name)
+    substituted = counted(monkeypatch, vfields, "_substitute")
+    derivation_generators(gb, degree)
+    assert substituted == []
+    derivations_up_to_degree(gb, degree)
+    assert substituted
 
 
 def graded_documents():

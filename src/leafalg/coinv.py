@@ -25,8 +25,7 @@ standard since every field is tangent.  The tangent derivations form an
 O-module, so their images form an ideal, generated by their
 coefficients: 'derivations' gives O / (I + E), E the exceptional ideal
 of the module's generators.  The coordinate fields and an explicit
-family are applied through their coefficient dicts, each scaled to
-integers once.
+family are applied through their integer rows.
 """
 
 from __future__ import annotations
@@ -35,7 +34,6 @@ from . import linalg
 from .errors import DomainError, InputError
 from .geom import Variety, hp0_series
 from .groebner import _nf_terms, monomial_basis
-from .linalg import _integer_components
 from .vfields import VectorField, _form_dimension, apply_field, coordinate_fields, derivation_generators
 from .vfields import exceptional_ideal, tangency_check
 
@@ -81,8 +79,7 @@ def graded_family(X: Variety, family) -> tuple[dict[int, list], str]:
         w = xi.weight()
         if w is None:
             raise DomainError(f"family member {xi} is not weight-homogeneous")
-        coefficients, _ = _integer_components([c.terms for c in xi.coefficients])
-        graded.setdefault(w, []).append(lambda h, c=coefficients: apply_field(c, {h: 1}))
+        graded.setdefault(w, []).append(lambda h, rows=xi.rows: apply_field(rows, {h: 1}))
     return graded, family
 
 

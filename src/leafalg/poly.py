@@ -228,6 +228,38 @@ class PolyRing:
         return out
 
 
+def terms_text(ring: PolyRing, terms: Mapping, den: int = 1) -> str:
+    """The text of the polynomial with ``terms`` over ``den``, ints or,
+    with ``den`` 1, ``Fraction``s.  Terms go leading-first by weighted
+    degree, then grevlex; a number longer than ``str()`` converts is a
+    DomainError.  Each monomial's print key and factor text come from
+    the ring's monomial table."""
+    if not terms:
+        return "0"
+    weights, names = ring.weights, ring.variables
+    rank = ring.column("print key", lambda m: (sum(map(mul, weights, m)), *map(neg, reversed(m))))
+    text = ring.column(
+        "factor text", lambda m: "*".join(f"{name}^{e}" if e > 1 else name for name, e in zip(names, m) if e)
+    )
+    chunks: list[str] = []
+    for m in sorted(terms, key=rank.__getitem__, reverse=True):
+        c = terms[m]
+        g = 1 if den == 1 else math.gcd(c, den)
+        num, d = c.numerator // g, c.denominator * den // g
+        size = -num if num < 0 else num
+        try:
+            mag = str(size) if d == 1 else f"{size}/{d}"
+            factors = text[m]
+        except ValueError:
+            raise DomainError(f"cannot print a number longer than {sys.get_int_max_str_digits()} digits") from None
+        body = mag if not factors else factors if mag == "1" else f"{mag}*{factors}"
+        if chunks:
+            chunks.append(f"+ {body}" if num > 0 else f"- {body}")
+        else:
+            chunks.append(body if num > 0 else f"-{body}")
+    return " ".join(chunks)
+
+
 class Polynomial:
     """Immutable sparse polynomial: ring plus {exponent tuple: Fraction}.
 
@@ -348,33 +380,7 @@ class Polynomial:
     # -- printing ----------------------------------------------------
 
     def __str__(self) -> str:
-        """Terms leading-first by weighted degree, then grevlex; a number
-        longer than ``str()`` converts is a DomainError.  Each monomial's
-        print key and factor text come from the ring's monomial table."""
-        if not self.terms:
-            return "0"
-        ring = self.ring
-        weights, names = ring.weights, ring.variables
-        rank = ring.column("print key", lambda m: (sum(map(mul, weights, m)), *map(neg, reversed(m))))
-        text = ring.column(
-            "factor text", lambda m: "*".join(f"{name}^{e}" if e > 1 else name for name, e in zip(names, m) if e)
-        )
-        chunks: list[str] = []
-        for m in sorted(self.terms, key=rank.__getitem__, reverse=True):
-            c = self.terms[m]
-            num, den = c.numerator, c.denominator
-            size = -num if num < 0 else num
-            try:
-                mag = str(size) if den == 1 else f"{size}/{den}"
-                factors = text[m]
-            except ValueError:
-                raise DomainError(f"cannot print a number longer than {sys.get_int_max_str_digits()} digits") from None
-            body = mag if not factors else factors if mag == "1" else f"{mag}*{factors}"
-            if chunks:
-                chunks.append(f"+ {body}" if num > 0 else f"- {body}")
-            else:
-                chunks.append(body if num > 0 else f"-{body}")
-        return " ".join(chunks)
+        return terms_text(self.ring, self.terms)
 
     def __repr__(self) -> str:
         return f"<{self}>"

@@ -28,13 +28,14 @@ The field span, the ideals, and all dimensions computed downstream are
 unchanged under a global sign flip, which is why a single fixed
 convention suffices.
 
-Arithmetic in bulk runs on integers, each field or pairing scaled once:
-``tangency_check`` scales the field's coefficient dicts to integers,
-applies them (``apply_field``) to the basis's integer elements and
-reduces fraction-free; form fields come from the forms and slots of
-``monomial_forms`` (shared with ``sym2-brute``), with one
-``Fraction`` per output term; the graded syzygy solve takes vectors its
-caller scaled once.
+Arithmetic in bulk runs on integers.  A ``VectorField`` holds canonical
+integer rows over one denominator; its ``coefficients`` polynomials are
+made only when read.  The solved derivations, the form fields (from the
+forms and slots of ``monomial_forms``, shared with ``sym2-brute``), the
+coordinate fields and brackets are built as rows and printed from them.
+``tangency_check`` applies the rows (``apply_field``) to the basis's
+integer elements and reduces fraction-free, and the graded syzygy solve
+and the incompressibility residue take them as they are.
 
 The tangent derivations form a module over O (K. Saito's logarithmic
 vector fields).  The graded solve keeps each dependent slot's relation
@@ -51,9 +52,9 @@ from fractions import Fraction
 
 from . import linalg
 from .errors import DomainError, InputError
-from .groebner import GroebnerBasis, _nf_terms, _reduce_full, buchberger, minors, normal_form
+from .groebner import GroebnerBasis, _nf_terms, _reduce_full, buchberger, minors
 from .linalg import _integer_components
-from .poly import Monomial, Polynomial, PolyRing, mono_mul
+from .poly import Monomial, Polynomial, PolyRing, mono_mul, terms_text
 
 
 def _sort_sign(seq) -> tuple[tuple, int]:
@@ -68,9 +69,13 @@ def _sort_sign(seq) -> tuple[tuple, int]:
 
 
 class VectorField:
-    """A derivation of the polynomial ring: one coefficient per variable."""
+    """A derivation of the polynomial ring: one coefficient per variable,
+    held as ``rows / den``, one ``{monomial: int}`` row per variable
+    without zero entries, ``den > 0`` and ``gcd(den, every entry) == 1``
+    (so equal fields have equal rows; they are read, never changed).  The
+    coefficient polynomials, ``coefficients``, are made on first read."""
 
-    __slots__ = ("ring", "coefficients")
+    __slots__ = ("ring", "rows", "den", "_coefficients")
 
     def __init__(self, ring: PolyRing, coefficients):
         coeffs = tuple(coefficients)
@@ -79,17 +84,38 @@ class VectorField:
         for c in coeffs:
             if c.ring != ring:
                 raise InputError("coefficient lives in a different ring")
-        self.ring = ring
-        self.coefficients = coeffs
+        rows, self.den = _integer_components([c.terms for c in coeffs])
+        self.ring, self.rows, self._coefficients = ring, tuple(rows), coeffs
+
+    @classmethod
+    def from_rows(cls, ring: PolyRing, rows, den: int) -> "VectorField":
+        """The field ``rows / den``: int rows without zero entries, one per
+        variable, and ``den > 0``, their common factor cancelled."""
+        rows = tuple(rows)
+        if len(rows) != ring.arity:
+            raise InputError("coefficient list length must equal the ring arity")
+        g = math.gcd(den, *(c for row in rows for c in row.values()))
+        if g != 1:
+            rows = tuple({m: c // g for m, c in row.items()} for row in rows)
+        xi = cls.__new__(cls)
+        xi.ring, xi.rows, xi.den, xi._coefficients = ring, rows, den // g, None
+        return xi
+
+    @property
+    def coefficients(self) -> tuple:
+        if self._coefficients is None:
+            ring, den = self.ring, self.den
+            self._coefficients = tuple(Polynomial(ring, {m: Fraction(c, den) for m, c in r.items()}) for r in self.rows)
+        return self._coefficients
 
     @classmethod
     def coordinate(cls, ring: PolyRing, name: str) -> "VectorField":
         """The partial-derivative field d/d<name>."""
-        i = ring.index(name)
-        return cls(ring, [ring.one() if j == i else ring.zero() for j in range(ring.arity)])
+        i, one = ring.index(name), (0,) * ring.arity
+        return cls.from_rows(ring, [{one: 1} if j == i else {} for j in range(ring.arity)], 1)
 
     def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.coefficients)
+        return not any(self.rows)
 
     def apply(self, g: Polynomial) -> Polynomial:
         """xi(g), the sum of c * xi(x^m) over the terms c x^m of g."""
@@ -100,11 +126,13 @@ class VectorField:
     def lie_bracket(self, other: "VectorField") -> "VectorField":
         if other.ring != self.ring:
             raise InputError("ring mismatch")
-        coeffs = [
-            self.apply(other.coefficients[i]) - other.apply(self.coefficients[i])
-            for i in range(self.ring.arity)
-        ]
-        return VectorField(self.ring, coeffs)
+        rows = []  # [xi, eta]_i = xi(eta_i) - eta(xi_i), on integers over den * den'
+        for a, b in zip(self.rows, other.rows):
+            row = apply_field(self.rows, b)
+            for m, c in apply_field(other.rows, a).items():
+                row[m] = row.get(m, 0) - c
+            rows.append({m: c for m, c in row.items() if c})
+        return VectorField.from_rows(self.ring, rows, self.den * other.den)
 
     def divergence(self) -> Polynomial:
         """Divergence with respect to the standard volume: sum_i d_i(g_i)."""
@@ -118,8 +146,8 @@ class VectorField:
         the variable weight), or None if mixed or zero."""
         w = None
         degree = self.ring.weighted_degree
-        for c, m in zip(self.coefficients, self.ring.weights):
-            for t in c.terms:
+        for row, m in zip(self.rows, self.ring.weights):
+            for t in row:
                 d = degree(t) - m
                 if w is None:
                     w = d
@@ -134,7 +162,7 @@ class VectorField:
         return VectorField(self.ring, [a - b for a, b in zip(self.coefficients, other.coefficients)])
 
     def __neg__(self) -> "VectorField":
-        return VectorField(self.ring, [-a for a in self.coefficients])
+        return VectorField.from_rows(self.ring, [{m: -c for m, c in row.items()} for row in self.rows], self.den)
 
     def scale(self, p) -> "VectorField":
         """The product with p, a polynomial or a number."""
@@ -147,21 +175,23 @@ class VectorField:
         return (
             isinstance(other, VectorField)
             and self.ring == other.ring
-            and self.coefficients == other.coefficients
+            and self.den == other.den
+            and self.rows == other.rows
         )
 
     def __hash__(self):
-        return hash((self.ring, self.coefficients))
+        return hash((self.ring, self.den, tuple(frozenset(row.items()) for row in self.rows)))
 
     def __str__(self):
         parts = []
-        one = (0,) * self.ring.arity
-        for name, c in zip(self.ring.variables, self.coefficients):
-            if len(c.terms) > 1:
-                parts.append(f"({c})*d_{name}")
-            elif c.terms:
-                unit = c.terms.get(one)
-                scale = "" if unit == 1 else "-" if unit == -1 else f"{c}*"
+        ring, den = self.ring, self.den
+        one = (0,) * ring.arity
+        for name, row in zip(ring.variables, self.rows):
+            if len(row) > 1:
+                parts.append(f"({terms_text(ring, row, den)})*d_{name}")
+            elif row:
+                unit = row.get(one)
+                scale = "" if unit == den else "-" if unit == -den else f"{terms_text(ring, row, den)}*"
                 parts.append(f"{scale}d_{name}")
         if not parts:
             return "0"
@@ -188,22 +218,16 @@ def apply_field(coefficients: list, terms: dict) -> dict:
 
 
 def tangency_check(field: VectorField, gb: GroebnerBasis) -> bool:
-    """True iff the field maps every ideal generator back into the ideal
-    (``_tangent`` on its coefficient dicts scaled to integers)."""
+    """True iff the field maps every ideal generator back into the ideal.
+    Scaling moves no membership, so that is iff its integer rows' image
+    (``apply_field``) of every integer basis element reduces to 0 (one
+    step table per call)."""
     if field.ring != gb.ring:
         raise InputError("ring mismatch")
-    return _tangent(_integer_components([c.terms for c in field.coefficients])[0], gb)
-
-
-def _tangent(coefficients: list, gb: GroebnerBasis) -> bool:
-    """True iff the field with the integer coefficient dicts
-    ``coefficients`` is tangent: scaling moves no membership, so iff its
-    image (``apply_field``) of every integer basis element reduces to 0
-    (one step table per call)."""
     elements, leads = gb._integer
     steps: dict = {}
     return not any(
-        _reduce_full(apply_field(coefficients, g), elements, leads, gb._heap_key, steps)[0] for g in elements
+        _reduce_full(apply_field(field.rows, g), elements, leads, gb._heap_key, steps)[0] for g in elements
     )
 
 
@@ -365,14 +389,14 @@ def coordinate_fields(gens, ring: PolyRing) -> list[VectorField]:
     field is (-1)^k times the curve's."""
     if len(gens) >= ring.arity:
         raise DomainError("coordinate fields need dimension n - k >= 1")
-    n, pairing = ring.arity, jacobian_pairing(gens, ring)
+    n, (table, den) = ring.arity, integer_pairing(jacobian_pairing(gens, ring))
 
     def entry(K, j):
         key, sign = _sort_sign((*K, j))
-        return ring.zero() if j in K else pairing[key] if sign > 0 else -pairing[key]
+        return {} if j in K else table[key] if sign > 0 else {m: -c for m, c in table[key].items()}
 
     sets = itertools.combinations(range(n), n - len(gens) - 1)
-    return [VectorField(ring, [entry(K, j) for j in range(n)]) for K in sets]
+    return [VectorField.from_rows(ring, [entry(K, j) for j in range(n)], den) for K in sets]
 
 
 def integer_pairing(pairing: dict) -> tuple[dict, int]:
@@ -420,19 +444,20 @@ def field_from_form(g: Polynomial, slots: list, den: int) -> VectorField:
     over an integer pairing with denominator ``den``: xi(x_i) = sum_l
     sgn(l, J, i) * d_l g * P_sort(l, J, i), summed on integers as the
     images of x_i under the forms of g's terms, g scaled to integers."""
-    ring = g.ring
-    coordinates = [tuple(int(j == i) for j in range(ring.arity)) for i in range(ring.arity)]
     (terms,), g_den = _integer_components([g.terms])
+    return _form_field(g.ring, terms, slots, den * g_den)
+
+
+def _form_field(ring: PolyRing, terms: dict, slots: list, den: int) -> VectorField:
+    """``field_from_form`` of the form with the int ``terms`` over ``den``."""
+    coordinates = [tuple(int(j == i) for j in range(ring.arity)) for i in range(ring.arity)]
     totals = [{} for _ in coordinates]
     for a, c in terms.items():
         image = form_image(a, slots)
         for total, x in zip(totals, coordinates):
             for t, v in image(x).items():
                 total[t] = total.get(t, 0) + c * v
-    den *= g_den
-    return VectorField(
-        ring, [Polynomial(ring, {t: Fraction(v, den) for t, v in total.items() if v}) for total in totals]
-    )
+    return VectorField.from_rows(ring, [{t: v for t, v in total.items() if v} for total in totals], den)
 
 
 def top_polyvector_field(gens, ring: PolyRing) -> VectorField:
@@ -477,7 +502,7 @@ def hamiltonian_family_top(X, max_degree: int) -> list[VectorField]:
         candidates = [top_polyvector_field(list(X.ideal_gens), X.ring)]
     else:
         forms, den = monomial_forms(X, max_degree, X.ring.monomials_of_weight)
-        candidates = [field_from_form(X.ring.monomial(g), slots, den) for _, g, slots in forms]
+        candidates = [_form_field(X.ring, {g: 1}, slots, den) for _, g, slots in forms]
     return list(dict.fromkeys(xi for xi in candidates if not xi.is_zero()))
 
 
@@ -503,14 +528,14 @@ def lie_closure(fields: list[VectorField], depth: int = 2) -> list[VectorField]:
     after the first brackets only the pairs with a field the round
     before added: the older pairs' brackets are in the span already."""
     span = linalg.Echelon()
-    current = [xi for xi in fields if span.add_row(_stack(xi.coefficients))]
+    current = [xi for xi in fields if span.add_row(_stack(xi))]
     fresh = 0  # the first field the last round added
     for _ in range(depth):
         n = len(current)
         for i in range(n):
             for j in range(max(i + 1, fresh), n):
                 br = current[i].lie_bracket(current[j])
-                if span.add_row(_stack(br.coefficients)):
+                if span.add_row(_stack(br)):
                     current.append(br)
         if len(current) == n:
             break
@@ -531,18 +556,16 @@ def module_generators(fields: list[VectorField]) -> list[VectorField]:
             for a in fields[0].ring.monomials_of_weight(w - v):
                 span.add_row({(j, mono_mul(m, a)): c for (j, m), c in row.items()})
         for xi in group:
-            row = _stack(xi.coefficients)
+            row = _stack(xi)
             if span.add_row(dict(row)):
                 out.append(xi)
                 kept.append((w, row))
     return out
 
 
-def _stack(polys) -> dict:
-    """One integer row from a tuple of polynomials scaled together
-    (``_integer_components``), keyed by (slot, monomial)."""
-    rows, _ = _integer_components([p.terms for p in polys])
-    return {(j, m): c for j, row in enumerate(rows) for m, c in row.items()}
+def _stack(xi: VectorField) -> dict:
+    """The field's integer rows as one row, keyed by (slot, monomial)."""
+    return {(j, m): c for j, row in enumerate(xi.rows) for m, c in row.items()}
 
 
 def _graded_syzygies(gb: GroebnerBasis, vectors, weights, span, top, zero_weight_cap, forced_rows=True):
@@ -588,15 +611,19 @@ def _graded_syzygies(gb: GroebnerBasis, vectors, weights, span, top, zero_weight
             if w - w_i not in done:
                 continue
             lower, relations = done[w - w_i]
-            up = [index.get((j, mono_mul(mono, x_i))) for j, mono in lower]  # None: not a slot here
+            up: dict = {}  # a lower slot read -> the index of its x_i shift here, None if not a slot here
             for a, relation in relations.items():
-                s = up[a]
+                j, mono = lower[a]
+                s = up[a] = index.get((j, mono_mul(mono, x_i)))
                 if s is None or s in forced:
                     continue
                 if not forced_rows:
                     forced[s] = None
                     continue
                 row, den = relation
+                for b in [b for b in row if b not in up]:
+                    j, mono = lower[b]
+                    up[b] = index.get((j, mono_mul(mono, x_i)))
                 shifted = {up[b]: c for b, c in row.items()}
                 if None not in shifted:
                     forced[s] = shifted, den
@@ -641,13 +668,13 @@ def _substitute(row: dict, den: int, found: dict) -> tuple[dict, int]:
     return {k: v // g for k, v in out.items() if v}, den // g
 
 
-def _vector_terms(entries, den: int, count: int) -> list[dict]:
-    """A relation's ``((j, a), int)`` entries over ``den`` as one
-    ``{monomial a: Fraction}`` dict per vector j < ``count``."""
-    coeffs = [{} for _ in range(count)]
+def _split(entries, count: int) -> list[dict]:
+    """A relation's ``((j, a), int)`` entries as one ``{monomial a: int}``
+    row per vector j < ``count``."""
+    rows = [{} for _ in range(count)]
     for (j, a), c in entries:
-        coeffs[j][a] = Fraction(c, den)
-    return coeffs
+        rows[j][a] = c
+    return rows
 
 
 # -- truncated solvers -------------------------------------------------
@@ -693,14 +720,14 @@ def _derivations(gb: GroebnerBasis, max_weight: int, zero_weight_cap, generators
     if gb.is_unit_ideal():
         return {}  # O_X = 0 has no nonzero derivation
     partials = [
-        _integer_components([g.partial_derivative(v).terms for g in gb.elements]) for v in ring.variables
+        _integer_components([apply_field(VectorField.coordinate(ring, v).rows, g.terms) for g in gb.elements])
+        for v in ring.variables
     ]
     weights = [-mw for mw in ring.weights]
     span = range(-max(ring.weights) if ring.weights else 0, max_weight + 1)
     out: dict[int, list[VectorField]] = {}
     for w, entries, den in _graded_syzygies(gb, partials, weights, span, None, zero_weight_cap, not generators):
-        terms = _vector_terms(entries, den, ring.arity)
-        out.setdefault(w, []).append(VectorField(ring, [Polynomial(ring, t) for t in terms]))
+        out.setdefault(w, []).append(VectorField.from_rows(ring, _split(entries, ring.arity), den))
     return out
 
 
@@ -760,22 +787,28 @@ def incompressibility_truncated(
         return IncompressibilityReport(True, max_degree)
     scaled, weights = [], []
     for xi in fields:
-        if xi.ring != ring:
-            raise InputError("ring mismatch")
-        components = _integer_components([c.terms for c in xi.coefficients])
-        if not _tangent(components[0], gb):
+        if not tangency_check(xi, gb):  # refuses another ring
             raise DomainError(f"field {xi} is not tangent to the variety")
         w = xi.weight()
         if w is None:
             raise DomainError("incompressibility solver needs weight-homogeneous fields")
-        scaled.append(components)
+        scaled.append((xi.rows, xi.den))
         weights.append(w)
     span = range(min(weights), max_degree + max(weights) + 1)
     for _, entries, den in _graded_syzygies(gb, scaled, weights, span, max_degree, zero_weight_cap):
-        witness = [Polynomial(ring, t) for t in _vector_terms(entries, den, len(fields))]
-        residue = sum((xi.apply(f) for xi, f in zip(fields, witness)), ring.zero())
-        if not normal_form(residue, gb).is_zero():
+        # the residue sum_j xi_j(f_j), f_j = witness[j] / den, over den * common
+        witness = _split(entries, len(fields))
+        used = [(xi, f) for xi, f in zip(fields, witness) if f]
+        common = math.lcm(*(xi.den for xi, _ in used))
+        residue: dict = {}
+        for xi, f in used:
+            for m, c in apply_field(xi.rows, f).items():
+                residue[m] = residue.get(m, 0) + common // xi.den * c
+        if _nf_terms(gb, residue)[0]:
             return IncompressibilityReport(
-                False, max_degree, witness_coefficients=witness, witness_residue=residue
+                False,
+                max_degree,
+                [Polynomial(ring, {a: Fraction(c, den) for a, c in f.items()}) for f in witness],
+                Polynomial(ring, {m: Fraction(c, den * common) for m, c in residue.items()}),
             )
     return IncompressibilityReport(True, max_degree)

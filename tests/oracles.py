@@ -6,7 +6,9 @@ its own row reduction; only the polynomial carrier type is shared with
 the package.  The references for the integer code paths (tangency, the
 printer) spell out the same definitions on ``Fraction``s instead, and
 ``per_use_str`` is the printer that builds its monomial data on every
-use, the reference for the one that reads it from the ring's table.
+use, the reference for the one that reads it from the ring's table, and
+``reference_field_str`` prints a field from its coefficient polynomials,
+the reference for the printer that reads its integer rows.
 The small u-polynomial kernels (exact division by 1 - u^w, the series
 printers, the rational scaling of several components) are kept here as
 they were first written, as references for their simpler rewrites.
@@ -389,6 +391,24 @@ def reference_str(p):
     return " ".join(chunks)
 
 
+def reference_field_str(xi):
+    """A field printed from its coefficient polynomials (``reference_str``):
+    a sum of ``(c)*d_x`` over the variables with a coefficient of several
+    terms, ``c*d_x`` with one term, ``d_x`` and ``-d_x`` for 1 and -1."""
+    parts = []
+    one = (0,) * xi.ring.arity
+    for name, c in zip(xi.ring.variables, xi.coefficients):
+        if len(c.terms) > 1:
+            parts.append(f"({reference_str(c)})*d_{name}")
+        elif c.terms:
+            unit = c.terms.get(one)
+            scale = "" if unit == 1 else "-" if unit == -1 else f"{reference_str(c)}*"
+            parts.append(f"{scale}d_{name}")
+    if not parts:
+        return "0"
+    return " + ".join(parts).replace("+ -", "- ")
+
+
 def per_use_str(p):
     """The printer as it was before the ring's monomial table: each
     monomial's print key and factor text are built again on every use,
@@ -662,12 +682,12 @@ def all_pairs_lie_closure(fields, depth):
     """The Lie closure to ``depth`` that brackets every pair of the fields
     so far in each round, keeping the fields independent over Q."""
     span = linalg.Echelon()
-    current = [xi for xi in fields if span.add_row(_stack(xi.coefficients))]
+    current = [xi for xi in fields if span.add_row(_stack(xi))]
     for _ in range(depth):
         added = False
         for a, b in combinations(list(current), 2):
             br = a.lie_bracket(b)
-            if span.add_row(_stack(br.coefficients)):
+            if span.add_row(_stack(br)):
                 current.append(br)
                 added = True
         if not added:

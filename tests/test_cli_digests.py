@@ -1,11 +1,11 @@
 """CLI outputs pinned byte for byte: SHA-256 digests of the exit code,
-stdout and stderr of the coinvariant, Hamiltonian, bracket and stratum
-commands and of the singularity commands (Milnor, Tjurina, gap, HP0,
-degenerate locus) on every committed corpus document but the cyclic and
-katsura systems, recorded in ``cli_digests.json``.  A change that should leave
-these outputs as they are keeps them; record them again, from the
-repository root and with the sources to pin on the path, with
-``PYTHONPATH=src python tests/test_cli_digests.py``."""
+stdout and stderr of the coinvariant, Hamiltonian, derivation, bracket
+and stratum commands and of the singularity commands (Milnor, Tjurina,
+gap, HP0, degenerate locus) on every committed corpus document but the
+cyclic and katsura systems, recorded in ``cli_digests.json``.  A change
+that should leave these outputs as they are keeps them; record them
+again, from the repository root and with the sources to pin on the
+path, with ``PYTHONPATH=src python tests/test_cli_digests.py``."""
 
 import contextlib
 import hashlib
@@ -28,6 +28,12 @@ COMMANDS = [
     ["verify-hp0"],
     ["sym2-brute"],
     ["hamgen"],
+    ["derivations"],
+    ["derivations", "--format", "json"],
+    ["exceptional"],
+    ["exceptional", "--format", "json"],
+    ["incompressible"],
+    ["incompressible", "--format", "json"],
     ["bracket", "-f", "x", "-g", "y"],
     ["hamvec", "-f", "x"],
     ["strata"],
